@@ -22,12 +22,12 @@ from .inference import (
     cavi_sweep,
     fit,
     initial_state,
-    update_brand,
+    update_brands,
     update_precisions,
     update_responsibilities,
     update_style,
     update_theta,
-    update_user,
+    update_users,
     update_w,
     update_xi,
 )
@@ -83,12 +83,12 @@ __all__ = [
     "cavi_sweep",
     "fit",
     "initial_state",
-    "update_brand",
+    "update_brands",
     "update_precisions",
     "update_responsibilities",
     "update_style",
     "update_theta",
-    "update_user",
+    "update_users",
     "update_w",
     "update_xi",
     "Checkpoint",

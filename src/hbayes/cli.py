@@ -78,7 +78,14 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args, parser) -> int:
+    if args.styles < 1:
+        parser.error("--styles must be >= 1")
+    if args.max_iters < 0:
+        parser.error("--max-iters must be >= 0")
+    if not args.tol > 0:
+        parser.error("--tol must be positive")
+
     data = io.load_events(args.events)
     hp = HyperParams(num_styles=args.styles, feature_dim=data.feature_dim,
                      max_iters=args.max_iters, rel_tol=args.tol)
@@ -99,8 +106,11 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_rank(args) -> int:
+def _cmd_rank(args, parser) -> int:
     from .predictor import rank_top_k
+
+    if args.k < 1:
+        parser.error("--k must be >= 1")
 
     ckpt = io.load_checkpoint(args.checkpoint)
     candidates = io.load_candidates(args.events)
@@ -157,9 +167,9 @@ def main(argv=None) -> int:
         if args.command == "generate":
             return _cmd_generate(args)
         if args.command == "train":
-            return _cmd_train(args)
+            return _cmd_train(args, parser)
         if args.command == "rank":
-            return _cmd_rank(args)
+            return _cmd_rank(args, parser)
         if args.command == "eval":
             return _cmd_eval(args, parser)
     except (OSError, ValueError, NumericalError, json.JSONDecodeError) as err:

@@ -29,8 +29,8 @@ __all__ = [
     "initial_state",
     "update_responsibilities",
     "update_theta",
-    "update_user",
-    "update_brand",
+    "update_users",
+    "update_brands",
     "update_style",
     "update_w",
     "update_precisions",
@@ -97,19 +97,9 @@ def update_responsibilities(state: VariationalState, data: Dataset,
     d = hp.feature_dim
     gamma = state.theta_gamma
     eln_theta = digamma(gamma) - digamma(gamma.sum())
-
-    brand_means = state.brand_means()
-    brand_traces = np.array([g.cov_trace() for g in state.brands])
-    style_means = state.style_means()
-    style_vars = state.style_vars()
-
-    diff = brand_means[:, None, :] - style_means[None, :, :]
-    dist2 = np.einsum("bsd,bsd->bs", diff, diff)
-    second_moment = dist2 + brand_traces[:, None] + d * style_vars[None, :]
-
     log_rho = (eln_theta[None, :]
                + 0.5 * d * (state.prec_b.mean_log - _LOG_2PI)
-               - 0.5 * state.prec_b.mean * second_moment)
+               - 0.5 * state.prec_b.mean * state.brand_style_sq())
     with np.errstate(invalid="ignore"):
         mu = np.exp(log_rho - logsumexp(log_rho, axis=1, keepdims=True))
     if not np.all(np.isfinite(mu)):
@@ -122,48 +112,42 @@ def update_theta(resp: Responsibilities, hp: HyperParams) -> np.ndarray:
     return hp.gamma0 + resp.mu.sum(axis=0)
 
 
-def update_user(k: int, state: VariationalState, data: Dataset) -> GaussianPosterior:
-    """Gaussian factor for user k given current brands, precisions and xi."""
-    d = data.feature_dim
-    e_du = state.prec_u.mean
-    idx = data.user_groups[k]
-    if idx.size == 0:
-        return GaussianPosterior(np.zeros(d), np.eye(d) / e_du)
-
-    X = data.X[idx]
-    lam = lambda_of_xi(state.xi[idx])
-    precision = e_du * np.eye(d) + 2.0 * (X.T * lam) @ X
-
-    brand_means = state.brand_means()[data.brands[idx]]
-    xb = np.einsum("nd,nd->n", X, brand_means)
-    coef = data.y[idx] - 0.5 - 2.0 * lam * xb
-
-    cov = spd_inverse(precision)
-    return GaussianPosterior(cov @ (X.T @ coef), cov)
+def update_users(state: VariationalState, data: Dataset) -> list:
+    """Gaussian factors for every user given current brands, precisions and xi."""
+    return _update_family(np.full(state.num_users, state.prec_u.mean), 0.0,
+                          state.brand_means()[data.brands], data.user_order, state, data)
 
 
-def update_brand(i: int, state: VariationalState, data: Dataset) -> GaussianPosterior:
-    """Gaussian factor for brand i; the style mixture acts as its prior."""
-    d = data.feature_dim
+def update_brands(state: VariationalState, data: Dataset) -> list:
+    """Gaussian factors for every brand; the style mixture acts as their prior."""
     e_db = state.prec_b.mean
-    mu_row = state.resp.mu[i]
-    prior_precision = e_db * mu_row.sum()  # row sums to 1, so this is e_db
-    prior_pull = e_db * (mu_row @ state.style_means())
+    mu = state.resp.mu
+    return _update_family(e_db * mu.sum(axis=1),  # rows sum to 1, so this is e_db
+                          e_db * (mu @ state.style_means()),
+                          state.user_means()[data.users], data.brand_order, state, data)
 
-    idx = data.brand_groups[i]
-    if idx.size == 0:
-        return GaussianPosterior(prior_pull / prior_precision, np.eye(d) / prior_precision)
 
-    X = data.X[idx]
-    lam = lambda_of_xi(state.xi[idx])
-    precision = prior_precision * np.eye(d) + 2.0 * (X.T * lam) @ X
-
-    user_means = state.user_means()[data.users[idx]]
-    xu = np.einsum("nd,nd->n", X, user_means)
-    coef = data.y[idx] - 0.5 - 2.0 * lam * xu
-
-    cov = spd_inverse(precision)
-    return GaussianPosterior(cov @ (prior_pull + X.T @ coef), cov)
+def _update_family(prior_prec, prior_pull, other_means, grouping, state, data) -> list:
+    """Joint update of all users or all brands: entity k gets precision
+    prior_prec[k] I + 2 sum lam x x' and mean cov (prior_pull[k] + sum x c)
+    over its events, with c = y - 1/2 - 2 lam x'm and m the event's mean in
+    the other family."""
+    order, bounds = grouping
+    d = data.feature_dim
+    lam = lambda_of_xi(state.xi)
+    coef = data.y - 0.5 - 2.0 * lam * np.einsum("nd,nd->n", data.X, other_means)
+    X = np.take(data.X, order, axis=0)
+    # One product per entity gives [2 sum lam x x' | sum x c] with no (N, d, d) buffer.
+    Z = np.empty((len(order), d + 1))
+    np.multiply(X, 2.0 * lam[order, None], out=Z[:, :d])
+    Z[:, d] = coef[order]
+    sums = np.zeros((len(prior_prec), d, d + 1))
+    bounds = bounds.tolist()
+    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        np.matmul(X[lo:hi].T, Z[lo:hi], out=sums[k])
+    cov = spd_inverse(prior_prec[:, None, None] * np.eye(d) + sums[:, :, :d])
+    mean = np.einsum("kde,ke->kd", cov, prior_pull + sums[:, :, d])
+    return [GaussianPosterior(m, c) for m, c in zip(mean, cov)]
 
 
 def update_style(j: int, state: VariationalState) -> GaussianPosterior:
@@ -201,17 +185,11 @@ def update_precisions(state: VariationalState, data: Dataset, hp: HyperParams):
                     + sum(g.cov_trace() for g in state.users))
     prec_u = GammaPosterior(a0 + 0.5 * d * U, b0 + 0.5 * user_sq)
 
-    brand_means = state.brand_means()
-    brand_traces = np.array([g.cov_trace() for g in state.brands])
-    style_means = state.style_means()
-    style_vars = state.style_vars()
-    diff = brand_means[:, None, :] - style_means[None, :, :]
-    dist2 = np.einsum("bsd,bsd->bs", diff, diff)
-    second_moment = dist2 + brand_traces[:, None] + d * style_vars[None, :]
     prec_b = GammaPosterior(a0 + 0.5 * d * B,
-                            b0 + 0.5 * float(np.sum(state.resp.mu * second_moment)))
+                            b0 + 0.5 * float(np.sum(state.resp.mu * state.brand_style_sq())))
 
     w_mean, w_var = state.w.mean, float(state.w.cov)
+    style_means, style_vars = state.style_means(), state.style_vars()
     sw = style_means - w_mean[None, :]
     style_sq = float(np.einsum("sd,sd->", sw, sw) + d * style_vars.sum() + d * w_var * S)
     prec_s = GammaPosterior(a0 + 0.5 * d * S, b0 + 0.5 * style_sq)
@@ -237,14 +215,14 @@ def cavi_sweep(state: VariationalState, data: Dataset, hp: HyperParams) -> Varia
     """One full coordinate-ascent sweep; returns a new state.
 
     Later updates within the sweep see the values produced by earlier ones.
-    Updates within one family (all users, all brands, ...) are mutually
-    independent given the rest, so their order does not matter.
+    Members of one family (all users, all brands, ...) are mutually
+    independent given the rest, so each family is updated in one pass.
     """
     work = state.copy()
     work.resp = update_responsibilities(work, data, hp)
     work.theta_gamma = update_theta(work.resp, hp)
-    work.users = [update_user(k, work, data) for k in range(work.num_users)]
-    work.brands = [update_brand(i, work, data) for i in range(work.num_brands)]
+    work.users = update_users(work, data)
+    work.brands = update_brands(work, data)
     work.styles = [update_style(j, work) for j in range(work.num_styles)]
     work.w = update_w(work, hp)
     work.prec_u, work.prec_b, work.prec_s, work.prec_w = update_precisions(work, data, hp)

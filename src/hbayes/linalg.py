@@ -1,7 +1,11 @@
-"""Symmetric positive-definite helpers with diagonal-jitter fallback."""
+"""Symmetric positive-definite helpers with diagonal-jitter fallback.
+
+Each helper takes a matrix (d, d) or a stack (..., d, d) and runs one
+batched Cholesky.  If that fails, the jitter ladder runs slice by slice,
+so only the failing slices are jittered.
+"""
 
 import numpy as np
-import scipy.linalg
 
 
 class NumericalError(RuntimeError):
@@ -18,7 +22,7 @@ def _with_jitter(mat, op):
     while True:
         try:
             return op(mat if jitter == 0.0 else mat + jitter * np.eye(mat.shape[0]))
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+        except np.linalg.LinAlgError:
             jitter = _JITTER_START if jitter == 0.0 else jitter * 10.0
             if jitter > _JITTER_MAX:
                 raise NumericalError(
@@ -27,32 +31,32 @@ def _with_jitter(mat, op):
                 ) from None
 
 
+def _stacked(mat, op):
+    mat = np.asarray(mat, dtype=float)
+    try:
+        return op(mat)
+    except np.linalg.LinAlgError:
+        out = np.stack([_with_jitter(m, op) for m in mat.reshape(-1, *mat.shape[-2:])])
+        return out.reshape(mat.shape[:-2] + out.shape[1:])
+
+
 def spd_inverse(mat: np.ndarray) -> np.ndarray:
-    """Invert an SPD matrix via Cholesky; result is exactly symmetric."""
+    """Invert an SPD matrix or stack via Cholesky; results are exactly symmetric."""
 
     def op(m):
-        c, low = scipy.linalg.cho_factor(m, lower=True)
-        inv = scipy.linalg.cho_solve((c, low), np.eye(m.shape[0]))
-        return (inv + inv.T) / 2.0
+        inv_low = np.linalg.inv(np.linalg.cholesky(m))
+        inv = np.swapaxes(inv_low, -1, -2) @ inv_low
+        return (inv + np.swapaxes(inv, -1, -2)) / 2.0
 
-    return _with_jitter(np.asarray(mat, dtype=float), op)
-
-
-def spd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve mat @ x = rhs for SPD mat."""
-
-    def op(m):
-        c, low = scipy.linalg.cho_factor(m, lower=True)
-        return scipy.linalg.cho_solve((c, low), rhs)
-
-    return _with_jitter(np.asarray(mat, dtype=float), op)
+    return _stacked(mat, op)
 
 
-def spd_logdet(mat: np.ndarray) -> float:
-    """Log-determinant of an SPD matrix via Cholesky."""
+def spd_logdet(mat: np.ndarray):
+    """Log-determinant of an SPD matrix (a float) or of each slice of a stack."""
 
     def op(m):
-        c = scipy.linalg.cholesky(m, lower=True)
-        return 2.0 * float(np.sum(np.log(np.diag(c))))
+        diag = np.diagonal(np.linalg.cholesky(m), axis1=-2, axis2=-1)
+        return 2.0 * np.sum(np.log(diag), axis=-1)
 
-    return _with_jitter(np.asarray(mat, dtype=float), op)
+    out = _stacked(mat, op)
+    return float(out) if out.ndim == 0 else out

@@ -212,19 +212,27 @@ class Dataset:
         return np.array([e.y for e in self.events], dtype=float)
 
     @cached_property
-    def user_groups(self) -> list:
-        """Event indices per user (list of index arrays, length num_users)."""
-        groups = [[] for _ in range(self.num_users)]
-        for t, e in enumerate(self.events):
-            groups[e.user].append(t)
-        return [np.array(g, dtype=int) for g in groups]
+    def user_order(self) -> tuple:
+        """(order, bounds): event indices sorted stably by user; user k's
+        events are order[bounds[k]:bounds[k + 1]]."""
+        return _sort_by_entity(self.users, self.num_users)
 
     @cached_property
-    def brand_groups(self) -> list:
-        groups = [[] for _ in range(self.num_brands)]
-        for t, e in enumerate(self.events):
-            groups[e.brand].append(t)
-        return [np.array(g, dtype=int) for g in groups]
+    def brand_order(self) -> tuple:
+        """(order, bounds) as in ``user_order``, by brand."""
+        return _sort_by_entity(self.brands, self.num_brands)
+
+    @cached_property
+    def user_groups(self) -> list:
+        """Event indices per user (list of index arrays, length num_users)."""
+        order, bounds = self.user_order
+        return np.split(order, bounds[1:-1])
+
+
+def _sort_by_entity(keys, num_entities):
+    order = np.argsort(keys, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=num_entities))))
+    return order, bounds
 
 
 @dataclass
@@ -259,11 +267,6 @@ class GaussianPosterior:
         if self.isotropic:
             return self.cov * self.dim
         return float(np.trace(self.cov))
-
-    def cov_logdet(self) -> float:
-        if self.isotropic:
-            return self.dim * float(np.log(self.cov))
-        return spd_logdet(self.cov)
 
     def quad(self, x: np.ndarray) -> float:
         """x @ cov @ x."""
@@ -399,6 +402,13 @@ class VariationalState:
         return np.array([g.cov if g.isotropic else float(np.trace(g.cov)) / g.dim
                          for g in self.styles])
 
+    def brand_style_sq(self) -> np.ndarray:
+        """E[(B_i - S_j)'(B_i - S_j)] for every brand i and style j, shape (B, S)."""
+        diff = self.brand_means()[:, None, :] - self.style_means()[None, :, :]
+        brand_traces = np.array([g.cov_trace() for g in self.brands])
+        return (np.einsum("bsd,bsd->bs", diff, diff) + brand_traces[:, None]
+                + self.dim * self.style_vars()[None, :])
+
     def copy(self) -> "VariationalState":
         return VariationalState(
             users=[GaussianPosterior(g.mean.copy(), np.copy(g.cov) if not g.isotropic else g.cov)
@@ -475,10 +485,11 @@ def elbo_terms(state: VariationalState, data: Dataset, hp: HyperParams) -> dict:
     w_mean = state.w.mean
     w_var = float(state.w.cov)
 
-    user_traces = np.array([g.cov_trace() for g in state.users])
-    brand_traces = np.array([g.cov_trace() for g in state.brands])
-    user_logdets = np.array([g.cov_logdet() for g in state.users])
-    brand_logdets = np.array([g.cov_logdet() for g in state.brands])
+    user_covs = state.user_covs()
+    brand_covs = state.brand_covs()
+    user_traces = np.einsum("kii->k", user_covs)
+    user_logdets = spd_logdet(user_covs)
+    brand_logdets = spd_logdet(brand_covs)
 
     terms = {}
 
@@ -491,8 +502,8 @@ def elbo_terms(state: VariationalState, data: Dataset, hp: HyperParams) -> dict:
         bm = brand_means[data.brands]
         um = user_means[data.users]
         m = np.einsum("nd,nd->n", X, bm + um)
-        bcov = state.brand_covs()[data.brands]
-        ucov = state.user_covs()[data.users]
+        bcov = brand_covs[data.brands]
+        ucov = user_covs[data.users]
         s2 = np.einsum("nd,nde,ne->n", X, bcov, X) + np.einsum("nd,nde,ne->n", X, ucov, X)
         xi = state.xi
         lam = lambda_of_xi(xi)
@@ -504,11 +515,8 @@ def elbo_terms(state: VariationalState, data: Dataset, hp: HyperParams) -> dict:
         terms["likelihood_bound"] = 0.0
 
     # E[log p(B_i | z_i, S, delta_b)], responsibilities-weighted.
-    diff = brand_means[:, None, :] - style_means[None, :, :]
-    dist2 = np.einsum("bsd,bsd->bs", diff, diff)
-    second_moment = dist2 + brand_traces[:, None] + d * style_vars[None, :]
     terms["brands_given_styles"] = float(np.sum(
-        mu * (0.5 * d * (eln_db - _LOG_2PI) - 0.5 * e_db * second_moment)
+        mu * (0.5 * d * (eln_db - _LOG_2PI) - 0.5 * e_db * state.brand_style_sq())
     ))
 
     # E[log p(z_i | theta)]

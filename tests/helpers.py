@@ -14,6 +14,7 @@ from hbayes import (
     VariationalState,
     lambda_of_xi,
 )
+from hbayes.linalg import spd_inverse
 
 LOG2PI = float(np.log(2.0 * np.pi))
 
@@ -74,6 +75,50 @@ def prior_matched_state(hp, num_users, num_brands, num_events=0):
         prec_w=GammaPosterior(hp.alpha0, hp.beta0),
         xi=np.ones(num_events),
     )
+
+
+def reference_update_user(k, state, data):
+    """Per-entity user update: the loop reference for ``update_users``."""
+    d = data.feature_dim
+    e_du = state.prec_u.mean
+    idx = np.flatnonzero(data.users == k)
+    if idx.size == 0:
+        return GaussianPosterior(np.zeros(d), np.eye(d) / e_du)
+
+    X = data.X[idx]
+    lam = lambda_of_xi(state.xi[idx])
+    precision = e_du * np.eye(d) + 2.0 * (X.T * lam) @ X
+
+    brand_means = state.brand_means()[data.brands[idx]]
+    xb = np.einsum("nd,nd->n", X, brand_means)
+    coef = data.y[idx] - 0.5 - 2.0 * lam * xb
+
+    cov = spd_inverse(precision)
+    return GaussianPosterior(cov @ (X.T @ coef), cov)
+
+
+def reference_update_brand(i, state, data):
+    """Per-entity brand update: the loop reference for ``update_brands``."""
+    d = data.feature_dim
+    e_db = state.prec_b.mean
+    mu_row = state.resp.mu[i]
+    prior_precision = e_db * mu_row.sum()  # row sums to 1, so this is e_db
+    prior_pull = e_db * (mu_row @ state.style_means())
+
+    idx = np.flatnonzero(data.brands == i)
+    if idx.size == 0:
+        return GaussianPosterior(prior_pull / prior_precision, np.eye(d) / prior_precision)
+
+    X = data.X[idx]
+    lam = lambda_of_xi(state.xi[idx])
+    precision = prior_precision * np.eye(d) + 2.0 * (X.T * lam) @ X
+
+    user_means = state.user_means()[data.users[idx]]
+    xu = np.einsum("nd,nd->n", X, user_means)
+    coef = data.y[idx] - 0.5 - 2.0 * lam * xu
+
+    cov = spd_inverse(precision)
+    return GaussianPosterior(cov @ (prior_pull + X.T @ coef), cov)
 
 
 def mc_elbo_cross_terms(state, data, hp, n=100_000, seed=123):

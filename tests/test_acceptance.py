@@ -29,7 +29,7 @@ from hbayes import (
     sigmoid,
     stratified_user_folds,
 )
-from hbayes.inference import update_brand, update_style, update_user, update_w
+from hbayes.inference import update_brands, update_style, update_users, update_w
 from hbayes.model import Dataset
 
 from helpers import adjusted_rand_index, popularity_scorer_factory
@@ -95,10 +95,8 @@ def test_criterion_3_coordinate_optimality(reference_fit):
 
     worst = -np.inf
     families = {
-        "user": lambda st: setattr(st, "users",
-                                   [update_user(k, st, data) for k in range(st.num_users)]),
-        "brand": lambda st: setattr(st, "brands",
-                                    [update_brand(i, st, data) for i in range(st.num_brands)]),
+        "user": lambda st: setattr(st, "users", update_users(st, data)),
+        "brand": lambda st: setattr(st, "brands", update_brands(st, data)),
         "style": lambda st: setattr(st, "styles",
                                     [update_style(j, st) for j in range(st.num_styles)]),
         "w": lambda st: setattr(st, "w", update_w(st, hp)),

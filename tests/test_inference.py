@@ -20,17 +20,24 @@ from hbayes.inference import (
     cavi_sweep,
     fit,
     initial_state,
-    update_brand,
+    update_brands,
     update_precisions,
     update_responsibilities,
     update_style,
     update_theta,
-    update_user,
+    update_users,
     update_w,
     update_xi,
 )
+from hbayes.linalg import spd_inverse, spd_logdet
 
-from helpers import make_dataset, prior_matched_state
+from helpers import (
+    make_dataset,
+    prior_matched_state,
+    random_state,
+    reference_update_brand,
+    reference_update_user,
+)
 
 
 def _single_event_instance():
@@ -85,8 +92,6 @@ def test_responsibilities_two_style_softmax():
 
 
 def test_responsibilities_rows_normalized_on_random_states():
-    from helpers import random_state
-
     hp = HyperParams(num_styles=4, feature_dim=3)
     for seed in range(5):
         state = random_state(hp, num_users=2, num_brands=6, num_events=0, seed=seed)
@@ -136,7 +141,7 @@ def test_update_user_without_events_reverts_to_prior():
                         feature_dim=2)
     state = prior_matched_state(hp, 2, 1, num_events=1)
     state.prec_u = GammaPosterior(6.0, 3.0)  # mean 2
-    post = update_user(0, state, data)
+    post = update_users(state, data)[0]
     np.testing.assert_array_equal(post.mean, np.zeros(2))
     np.testing.assert_allclose(post.cov, np.eye(2) / 2.0, atol=1e-12)
 
@@ -145,7 +150,7 @@ def test_update_user_single_event_scalar_arithmetic():
     _, data, state = _single_event_instance()
     lam = (1.0 / (1.0 + math.exp(-1.0)) - 0.5) / 2.0
     expected_cov = 1.0 / (1.0 + 2.0 * lam)
-    post = update_user(0, state, data)
+    post = update_users(state, data)[0]
     assert post.cov[0, 0] == pytest.approx(expected_cov, rel=1e-12)
     assert post.mean[0] == pytest.approx(expected_cov * 0.5, rel=1e-12)
 
@@ -158,9 +163,9 @@ def test_update_user_stronger_prior_shrinks_mean():
     state = prior_matched_state(hp, 1, 1, num_events=20)
     state.brands = [GaussianPosterior(rng.standard_normal(3), np.eye(3))]
     state.prec_u = GammaPosterior(2.0, 2.0)  # mean 1
-    loose = update_user(0, state, data)
+    loose = update_users(state, data)[0]
     state.prec_u = GammaPosterior(4.0, 2.0)  # mean 2
-    tight = update_user(0, state, data)
+    tight = update_users(state, data)[0]
     assert np.linalg.norm(tight.mean) < np.linalg.norm(loose.mean)
 
 
@@ -172,7 +177,7 @@ def test_update_brand_without_events_uses_style_mixture():
                     GaussianPosterior(np.array([0.0, 2.0]), 0.3)]
     state.resp = Responsibilities(np.array([[0.25, 0.75]]))
     data = Dataset([], 1, 1, 2)
-    post = update_brand(0, state, data)
+    post = update_brands(state, data)[0]
     np.testing.assert_allclose(post.cov, np.eye(2) / 2.0, atol=1e-12)
     np.testing.assert_allclose(post.mean, 0.25 * np.array([1.0, 0.0])
                                + 0.75 * np.array([0.0, 2.0]), atol=1e-12)
@@ -184,16 +189,79 @@ def test_update_brand_one_hot_returns_style_mean():
     state.styles = [GaussianPosterior(np.array([3.0, -1.0]), 0.3),
                     GaussianPosterior(np.array([0.0, 2.0]), 0.3)]
     state.resp = Responsibilities(np.array([[1.0, 0.0]]))
-    post = update_brand(0, state, Dataset([], 1, 1, 2))
+    post = update_brands(state, Dataset([], 1, 1, 2))[0]
     np.testing.assert_allclose(post.mean, [3.0, -1.0], atol=1e-12)
 
 
 def test_update_brand_mirrors_update_user():
     _, data, state = _single_event_instance()
-    user_post = update_user(0, state, data)
-    brand_post = update_brand(0, state, data)
+    user_post = update_users(state, data)[0]
+    brand_post = update_brands(state, data)[0]
     assert brand_post.cov[0, 0] == pytest.approx(user_post.cov[0, 0], rel=1e-12)
     assert brand_post.mean[0] == pytest.approx(user_post.mean[0], rel=1e-12)
+
+
+# Family updates sum in another order than the per-entity loop, so they may
+# differ from it in the last bits: max |got - want| <= 1e-12 * max |want|.
+_FAMILY_RTOL = 1e-12
+
+
+def _assert_factors_close(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for a, b in ((g.mean, w.mean), (g.cov, w.cov)):
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) <= _FAMILY_RTOL * np.max(np.abs(b))
+
+
+def _family_instance(d, seed):
+    """Events in interleaved entity order; user 0 and brand 0 have no events,
+    user 1 and brand 1 exactly one; responsibilities are random rows."""
+    hp = HyperParams(num_styles=3, feature_dim=d)
+    rng = np.random.default_rng(seed)
+    rows = [(rng.standard_normal(d), int(rng.integers(2, 5)), int(rng.integers(2, 6)),
+             int(rng.integers(2))) for _ in range(60)]
+    rows.insert(17, (rng.standard_normal(d), 2, 1, 1))
+    rows.insert(31, (rng.standard_normal(d), 1, 3, 0))
+    data = make_dataset(rows, num_users=6, num_brands=5, feature_dim=d)
+    state = random_state(hp, num_users=6, num_brands=5, num_events=len(rows), seed=seed)
+    return data, state
+
+
+@pytest.mark.parametrize("d, seed", [(1, 0), (3, 1), (10, 2)])
+def test_family_updates_match_per_entity_loop(d, seed):
+    data, state = _family_instance(d, seed)
+    assert np.any(np.diff(data.users) < 0) and np.any(np.diff(data.brands) < 0)
+    assert [np.sum(data.users == k) for k in (0, 1)] == [0, 1]
+    assert [np.sum(data.brands == i) for i in (0, 1)] == [0, 1]
+    assert np.ptp(state.resp.mu) > 0.1
+    _assert_factors_close(update_users(state, data),
+                          [reference_update_user(k, state, data) for k in range(6)])
+    _assert_factors_close(update_brands(state, data),
+                          [reference_update_brand(i, state, data) for i in range(5)])
+
+
+def test_stacked_spd_jitters_only_the_failing_slice():
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((2, 3, 3))
+    singular = np.ones((3, 3))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(singular)
+    stack = np.stack([a @ a.T + np.eye(3), singular, b @ b.T + np.eye(3)])
+    inv, logdet = spd_inverse(stack), spd_logdet(stack)
+    assert inv.shape == (3, 3, 3) and logdet.shape == (3,)
+    for k in range(3):
+        np.testing.assert_array_equal(inv[k], spd_inverse(stack[k]))
+        assert logdet[k] == spd_logdet(stack[k])
+    assert np.all(np.isfinite(inv[1])) and np.isfinite(logdet[1])
+
+
+def test_stacked_spd_indefinite_slice_raises():
+    stack = np.stack([np.eye(2), np.diag([1.0, -1.0]), 2.0 * np.eye(2)])
+    with pytest.raises(NumericalError):
+        spd_inverse(stack)
+    with pytest.raises(NumericalError):
+        spd_logdet(stack)
 
 
 def test_update_style_direct_arithmetic():
@@ -417,7 +485,7 @@ def test_fit_coordinate_updates_locally_optimal():
         return 0.1 * v / np.linalg.norm(v)
 
     st = state.copy()
-    st.users = [update_user(k, st, data) for k in range(st.num_users)]
+    st.users = update_users(st, data)
     base = elbo(st, data, hp)
     for _ in range(10):
         pert = st.copy()

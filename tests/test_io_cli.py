@@ -394,6 +394,29 @@ def test_cli_eval_rejects_single_fold(cli_artifacts):
     assert "folds" in res.stderr
 
 
+# The input paths do not exist: exit 2 rather than 1 shows that the value is
+# rejected before any file is read.
+@pytest.mark.parametrize("flag, value", [("--max-iters", "-1"), ("--tol", "0"),
+                                         ("--styles", "0")])
+def test_cli_train_rejects_bad_value_as_usage_error(tmp_path, flag, value):
+    args = {"--events": str(tmp_path / "absent.jsonl"), "--styles": "2",
+            "--checkpoint-out": str(tmp_path / "model.json"),
+            "--trace-out": str(tmp_path / "trace.csv"), flag: value}
+    res = _run_cli("train", *[tok for pair in args.items() for tok in pair])
+    assert res.returncode == 2
+    assert flag in res.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_rank_rejects_k_zero_as_usage_error(tmp_path):
+    res = _run_cli("rank", "--checkpoint", str(tmp_path / "absent.json"),
+                   "--events", str(tmp_path / "absent.jsonl"), "--user", "u0",
+                   "--k", "0", "--out", str(tmp_path / "ranking.json"))
+    assert res.returncode == 2
+    assert "--k" in res.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_unknown_flag_is_usage_error():
     res = _run_cli("train", "--nonsense")
     assert res.returncode == 2
