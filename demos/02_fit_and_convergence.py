@@ -30,4 +30,4 @@ print("posterior precision means:",
 
 # hard style memberships found for the brands
 print("brands per fitted style:",
-      np.bincount(state.resp.mu.argmax(axis=1), minlength=hp.num_styles))
+      np.bincount(state.resp.argmax(axis=1), minlength=hp.num_styles))

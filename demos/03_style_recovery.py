@@ -22,7 +22,7 @@ print(f"true style separation: {sep:.2f} (brand spread around a style: "
       f"{100.0 ** -0.5:.2f})")
 
 state, report = fit(data, fit_hp, seed=1, restarts=3)
-fitted = state.resp.mu.argmax(axis=1)
+fitted = state.resp.argmax(axis=1)
 
 confusion = np.zeros((3, 3), dtype=int)
 for true_j, fit_j in zip(truth.style_assignments, fitted):
@@ -32,5 +32,5 @@ print(confusion)
 print("a single non-zero entry per row/column means perfect recovery "
       "up to relabeling")
 
-soft = state.resp.mu.max(axis=1)
+soft = state.resp.max(axis=1)
 print(f"responsibility confidence: min {soft.min():.3f}, mean {soft.mean():.3f}")

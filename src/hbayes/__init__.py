@@ -25,7 +25,7 @@ from .inference import (
     update_brands,
     update_precisions,
     update_responsibilities,
-    update_style,
+    update_styles,
     update_theta,
     update_users,
     update_w,
@@ -45,10 +45,8 @@ from .model import (
     Dataset,
     EventRecord,
     GammaPosterior,
-    GaussianPosterior,
     HyperParams,
     NumericalError,
-    Responsibilities,
     VariationalState,
     elbo,
     elbo_terms,
@@ -64,6 +62,7 @@ from .predictor import (
     predictive_moments,
     rank_top_k,
     score_candidate,
+    score_candidates,
     user_prior,
 )
 
@@ -86,7 +85,7 @@ __all__ = [
     "update_brands",
     "update_precisions",
     "update_responsibilities",
-    "update_style",
+    "update_styles",
     "update_theta",
     "update_users",
     "update_w",
@@ -102,10 +101,8 @@ __all__ = [
     "Dataset",
     "EventRecord",
     "GammaPosterior",
-    "GaussianPosterior",
     "HyperParams",
     "NumericalError",
-    "Responsibilities",
     "VariationalState",
     "elbo",
     "elbo_terms",
@@ -119,6 +116,7 @@ __all__ = [
     "predictive_moments",
     "rank_top_k",
     "score_candidate",
+    "score_candidates",
     "user_prior",
     "__version__",
 ]

@@ -64,7 +64,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args, parser) -> int:
+    for flag in ("users", "brands", "events", "dim", "styles"):
+        if getattr(args, flag) < 1:
+            parser.error(f"--{flag} must be >= 1")
+    if args.feature_scale < 0:
+        parser.error("--feature-scale must be non-negative")
+    for flag in ("user", "brand", "style", "w"):
+        if not getattr(args, f"prec_{flag}") > 0:
+            parser.error(f"--prec-{flag} must be positive")
+
     hp = HyperParams(num_styles=args.styles, feature_dim=args.dim)
     precisions = (args.prec_user, args.prec_brand, args.prec_style, args.prec_w)
     data, truth = generator.sample_dataset(
@@ -146,6 +155,8 @@ def _cmd_eval(args, parser) -> int:
         parser.error("--k must be a comma-separated list of integers")
     if any(k < 1 for k in k_values):
         parser.error("--k cutoffs must be >= 1")
+    if args.styles < 1:
+        parser.error("--styles must be >= 1")
 
     data = io.load_events(args.events)
     hp = HyperParams(num_styles=args.styles, feature_dim=data.feature_dim)
@@ -165,7 +176,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "generate":
-            return _cmd_generate(args)
+            return _cmd_generate(args, parser)
         if args.command == "train":
             return _cmd_train(args, parser)
         if args.command == "rank":

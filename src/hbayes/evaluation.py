@@ -6,7 +6,7 @@ import numpy as np
 
 from .inference import fit
 from .model import Dataset, HyperParams
-from .predictor import score_candidate
+from .predictor import score_candidates
 
 __all__ = [
     "MetricReport",
@@ -107,8 +107,7 @@ def hbayes_scorer_factory(train: Dataset, hp: HyperParams, seed: int):
     state, _ = fit(train, hp, seed=seed)
 
     def score(user_id, candidates):
-        return np.array([score_candidate(user_id, x, brand, state).prob
-                         for _, x, brand in candidates])
+        return score_candidates(user_id, candidates, state)[2]
 
     return score
 

@@ -7,7 +7,7 @@ maximizer of the bounded objective in ``model.elbo``, so the ELBO trace is
 non-decreasing.  All updates are pure; ``fit`` owns the only mutable copy.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import digamma, logsumexp
@@ -16,9 +16,7 @@ from .linalg import NumericalError, spd_inverse
 from .model import (
     Dataset,
     GammaPosterior,
-    GaussianPosterior,
     HyperParams,
-    Responsibilities,
     VariationalState,
     elbo,
     lambda_of_xi,
@@ -31,7 +29,7 @@ __all__ = [
     "update_theta",
     "update_users",
     "update_brands",
-    "update_style",
+    "update_styles",
     "update_w",
     "update_precisions",
     "update_xi",
@@ -64,20 +62,22 @@ def initial_state(data: Dataset, hp: HyperParams, seed: int) -> VariationalState
     d = hp.feature_dim
     U, B, S = data.num_users, data.num_brands, hp.num_styles
 
-    users = [GaussianPosterior(0.01 * rng.standard_normal(d), np.eye(d)) for _ in range(U)]
-    brands = [GaussianPosterior(0.01 * rng.standard_normal(d), np.eye(d)) for _ in range(B)]
-    styles = [GaussianPosterior(0.1 * rng.standard_normal(d), 1.0) for _ in range(S)]
-    w = GaussianPosterior(np.zeros(d), 1.0)
-
+    user_mean = 0.01 * rng.standard_normal((U, d))
+    brand_mean = 0.01 * rng.standard_normal((B, d))
+    style_mean = 0.1 * rng.standard_normal((S, d))
     resp = (np.full((B, S), 1.0 / S) + rng.dirichlet(np.ones(S), size=B)) / 2.0
 
     return VariationalState(
-        users=users,
-        brands=brands,
-        styles=styles,
-        w=w,
+        user_mean=user_mean,
+        user_cov=np.tile(np.eye(d), (U, 1, 1)),
+        brand_mean=brand_mean,
+        brand_cov=np.tile(np.eye(d), (B, 1, 1)),
+        style_mean=style_mean,
+        style_var=np.ones(S),
+        w_mean=np.zeros(d),
+        w_var=1.0,
         theta_gamma=np.full(S, 1.0 / S),
-        resp=Responsibilities(resp),
+        resp=resp,
         prec_u=GammaPosterior(hp.alpha0, hp.beta0),
         prec_b=GammaPosterior(hp.alpha0, hp.beta0),
         prec_s=GammaPosterior(hp.alpha0, hp.beta0),
@@ -87,7 +87,7 @@ def initial_state(data: Dataset, hp: HyperParams, seed: int) -> VariationalState
 
 
 def update_responsibilities(state: VariationalState, data: Dataset,
-                            hp: HyperParams) -> Responsibilities:
+                            hp: HyperParams) -> np.ndarray:
     """Brand-to-style membership probabilities (the E-step).
 
     log rho_{ij} = E[log theta_j] + (d/2) E[log delta_b] - (d/2) log 2pi
@@ -104,30 +104,32 @@ def update_responsibilities(state: VariationalState, data: Dataset,
         mu = np.exp(log_rho - logsumexp(log_rho, axis=1, keepdims=True))
     if not np.all(np.isfinite(mu)):
         raise NumericalError("responsibilities are not finite after normalization")
-    return Responsibilities(mu)
+    return mu
 
 
-def update_theta(resp: Responsibilities, hp: HyperParams) -> np.ndarray:
+def update_theta(resp: np.ndarray, hp: HyperParams) -> np.ndarray:
     """Dirichlet parameters: prior concentration plus responsibility column sums."""
-    return hp.gamma0 + resp.mu.sum(axis=0)
+    return hp.gamma0 + resp.sum(axis=0)
 
 
-def update_users(state: VariationalState, data: Dataset) -> list:
-    """Gaussian factors for every user given current brands, precisions and xi."""
+def update_users(state: VariationalState, data: Dataset):
+    """(mean (U, d), cov (U, d, d)) of every user given current brands,
+    precisions and xi."""
     return _update_family(np.full(state.num_users, state.prec_u.mean), 0.0,
-                          state.brand_means()[data.brands], data.user_order, state, data)
+                          state.brand_mean[data.brands], data.user_order, state, data)
 
 
-def update_brands(state: VariationalState, data: Dataset) -> list:
-    """Gaussian factors for every brand; the style mixture acts as their prior."""
+def update_brands(state: VariationalState, data: Dataset):
+    """(mean (B, d), cov (B, d, d)) of every brand; the style mixture acts
+    as their prior."""
     e_db = state.prec_b.mean
-    mu = state.resp.mu
+    mu = state.resp
     return _update_family(e_db * mu.sum(axis=1),  # rows sum to 1, so this is e_db
-                          e_db * (mu @ state.style_means()),
-                          state.user_means()[data.users], data.brand_order, state, data)
+                          e_db * (mu @ state.style_mean),
+                          state.user_mean[data.users], data.brand_order, state, data)
 
 
-def _update_family(prior_prec, prior_pull, other_means, grouping, state, data) -> list:
+def _update_family(prior_prec, prior_pull, other_means, grouping, state, data):
     """Joint update of all users or all brands: entity k gets precision
     prior_prec[k] I + 2 sum lam x x' and mean cov (prior_pull[k] + sum x c)
     over its events, with c = y - 1/2 - 2 lam x'm and m the event's mean in
@@ -147,26 +149,26 @@ def _update_family(prior_prec, prior_pull, other_means, grouping, state, data) -
         np.matmul(X[lo:hi].T, Z[lo:hi], out=sums[k])
     cov = spd_inverse(prior_prec[:, None, None] * np.eye(d) + sums[:, :, :d])
     mean = np.einsum("kde,ke->kd", cov, prior_pull + sums[:, :, d])
-    return [GaussianPosterior(m, c) for m, c in zip(mean, cov)]
+    return mean, cov
 
 
-def update_style(j: int, state: VariationalState) -> GaussianPosterior:
-    """Isotropic Gaussian factor for style j from its member brands and w."""
+def update_styles(state: VariationalState):
+    """(mean (S, d), isotropic variance (S,)) of every style from its member
+    brands and w."""
     e_ds = state.prec_s.mean
     e_db = state.prec_b.mean
-    col = state.resp.mu[:, j]
-    var = 1.0 / (e_ds + e_db * col.sum())
-    mean = var * (e_ds * state.w.mean + e_db * (col @ state.brand_means()))
-    return GaussianPosterior(mean, var)
+    var = 1.0 / (e_ds + e_db * state.resp.sum(axis=0))
+    mean = var[:, None] * (e_ds * state.w_mean + e_db * (state.resp.T @ state.brand_mean))
+    return mean, var
 
 
-def update_w(state: VariationalState, hp: HyperParams) -> GaussianPosterior:
-    """Isotropic Gaussian factor for the style-prior mean."""
+def update_w(state: VariationalState, hp: HyperParams):
+    """(mean (d,), isotropic variance) of the style-prior mean."""
     e_dw = state.prec_w.mean
     e_ds = state.prec_s.mean
     var = 1.0 / (e_dw + e_ds * state.num_styles)
-    mean = var * e_ds * state.style_means().sum(axis=0)
-    return GaussianPosterior(mean, var)
+    mean = var * e_ds * state.style_mean.sum(axis=0)
+    return mean, var
 
 
 def update_precisions(state: VariationalState, data: Dataset, hp: HyperParams):
@@ -180,18 +182,16 @@ def update_precisions(state: VariationalState, data: Dataset, hp: HyperParams):
     U, B, S = state.num_users, state.num_brands, state.num_styles
     a0, b0 = hp.alpha0, hp.beta0
 
-    user_means = state.user_means()
-    user_sq = float(np.einsum("ud,ud->", user_means, user_means)
-                    + sum(g.cov_trace() for g in state.users))
+    user_sq = float(np.einsum("ud,ud->", state.user_mean, state.user_mean)
+                    + np.einsum("kii->", state.user_cov))
     prec_u = GammaPosterior(a0 + 0.5 * d * U, b0 + 0.5 * user_sq)
 
     prec_b = GammaPosterior(a0 + 0.5 * d * B,
-                            b0 + 0.5 * float(np.sum(state.resp.mu * state.brand_style_sq())))
+                            b0 + 0.5 * float(np.sum(state.resp * state.brand_style_sq())))
 
-    w_mean, w_var = state.w.mean, float(state.w.cov)
-    style_means, style_vars = state.style_means(), state.style_vars()
-    sw = style_means - w_mean[None, :]
-    style_sq = float(np.einsum("sd,sd->", sw, sw) + d * style_vars.sum() + d * w_var * S)
+    w_mean, w_var = state.w_mean, state.w_var
+    sw = state.style_mean - w_mean[None, :]
+    style_sq = float(np.einsum("sd,sd->", sw, sw) + d * state.style_var.sum() + d * w_var * S)
     prec_s = GammaPosterior(a0 + 0.5 * d * S, b0 + 0.5 * style_sq)
 
     prec_w = GammaPosterior(a0 + 0.5 * d, b0 + 0.5 * float(w_mean @ w_mean + d * w_var))
@@ -203,10 +203,9 @@ def update_xi(state: VariationalState, data: Dataset) -> np.ndarray:
     if len(data) == 0:
         return np.zeros(0)
     X = data.X
-    m = np.einsum("nd,nd->n", X,
-                  state.brand_means()[data.brands] + state.user_means()[data.users])
-    bcov = state.brand_covs()[data.brands]
-    ucov = state.user_covs()[data.users]
+    m = np.einsum("nd,nd->n", X, state.brand_mean[data.brands] + state.user_mean[data.users])
+    bcov = state.brand_cov[data.brands]
+    ucov = state.user_cov[data.users]
     s2 = np.einsum("nd,nde,ne->n", X, bcov, X) + np.einsum("nd,nde,ne->n", X, ucov, X)
     return np.sqrt(np.maximum(m * m + s2, 0.0))
 
@@ -217,14 +216,16 @@ def cavi_sweep(state: VariationalState, data: Dataset, hp: HyperParams) -> Varia
     Later updates within the sweep see the values produced by earlier ones.
     Members of one family (all users, all brands, ...) are mutually
     independent given the rest, so each family is updated in one pass.
+    No update writes into its input, so a shallow copy is enough: by the end
+    of the sweep every field holds a fresh value.
     """
-    work = state.copy()
+    work = replace(state)
     work.resp = update_responsibilities(work, data, hp)
     work.theta_gamma = update_theta(work.resp, hp)
-    work.users = update_users(work, data)
-    work.brands = update_brands(work, data)
-    work.styles = [update_style(j, work) for j in range(work.num_styles)]
-    work.w = update_w(work, hp)
+    work.user_mean, work.user_cov = update_users(work, data)
+    work.brand_mean, work.brand_cov = update_brands(work, data)
+    work.style_mean, work.style_var = update_styles(work)
+    work.w_mean, work.w_var = update_w(work, hp)
     work.prec_u, work.prec_b, work.prec_s, work.prec_w = update_precisions(work, data, hp)
     work.xi = update_xi(work, data)
     return work

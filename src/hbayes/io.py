@@ -26,9 +26,7 @@ from .model import (
     Dataset,
     EventRecord,
     GammaPosterior,
-    GaussianPosterior,
     HyperParams,
-    Responsibilities,
     VariationalState,
 )
 
@@ -204,18 +202,22 @@ class Checkpoint:
     brand_ids: list | None = None
 
 
-def _gaussian_to_obj(g: GaussianPosterior):
-    if g.isotropic:
-        return {"mean": [float(v) for v in g.mean], "iso_var": float(g.cov)}
-    return {"mean": [float(v) for v in g.mean],
-            "cov": [[float(v) for v in row] for row in g.cov]}
+def _factor_obj(mean, spread):
+    """One Gaussian factor: a dense covariance under "cov", an isotropic
+    variance v (covariance v * I) under "iso_var"."""
+    if np.ndim(spread) == 0:
+        return {"mean": [float(v) for v in mean], "iso_var": float(spread)}
+    return {"mean": [float(v) for v in mean], "cov": [[float(v) for v in row] for row in spread]}
 
 
-def _gaussian_from_obj(obj) -> GaussianPosterior:
-    if "iso_var" in obj:
-        return GaussianPosterior(np.asarray(obj["mean"], dtype=float), float(obj["iso_var"]))
-    return GaussianPosterior(np.asarray(obj["mean"], dtype=float),
-                             np.asarray(obj["cov"], dtype=float))
+def _factors_from_objs(objs, spread, d):
+    """Stack a family of factor objects that all store ``spread``."""
+    if not all(spread in o for o in objs):
+        raise CheckpointError(f"every factor of this family must store {spread!r}")
+    if not objs:
+        return np.zeros((0, d)), np.zeros((0, d, d) if spread == "cov" else (0,))
+    return (np.asarray([o["mean"] for o in objs], dtype=float),
+            np.asarray([o[spread] for o in objs], dtype=float))
 
 
 def save_checkpoint(state: VariationalState, meta: dict, path):
@@ -242,12 +244,12 @@ def save_checkpoint(state: VariationalState, meta: dict, path):
         "num_users": int(meta["num_users"]),
         "num_brands": int(meta["num_brands"]),
         "state": {
-            "users": [_gaussian_to_obj(g) for g in state.users],
-            "brands": [_gaussian_to_obj(g) for g in state.brands],
-            "styles": [_gaussian_to_obj(g) for g in state.styles],
-            "w": _gaussian_to_obj(state.w),
+            "users": [_factor_obj(*g) for g in zip(state.user_mean, state.user_cov)],
+            "brands": [_factor_obj(*g) for g in zip(state.brand_mean, state.brand_cov)],
+            "styles": [_factor_obj(*g) for g in zip(state.style_mean, state.style_var)],
+            "w": _factor_obj(state.w_mean, state.w_var),
             "theta_gamma": [float(v) for v in state.theta_gamma],
-            "resp": [[float(v) for v in row] for row in state.resp.mu],
+            "resp": [[float(v) for v in row] for row in state.resp],
             "prec_u": {"shape": state.prec_u.shape, "rate": state.prec_u.rate},
             "prec_b": {"shape": state.prec_b.shape, "rate": state.prec_b.rate},
             "prec_s": {"shape": state.prec_s.shape, "rate": state.prec_s.rate},
@@ -290,13 +292,18 @@ def load_checkpoint(path) -> Checkpoint:
             rel_tol=hp_obj["rel_tol"],
         )
         s = doc["state"]
+        d = hp.feature_dim
+        user_mean, user_cov = _factors_from_objs(s["users"], "cov", d)
+        brand_mean, brand_cov = _factors_from_objs(s["brands"], "cov", d)
+        style_mean, style_var = _factors_from_objs(s["styles"], "iso_var", d)
+        (w_mean,), (w_var,) = _factors_from_objs([s["w"]], "iso_var", d)
         state = VariationalState(
-            users=[_gaussian_from_obj(o) for o in s["users"]],
-            brands=[_gaussian_from_obj(o) for o in s["brands"]],
-            styles=[_gaussian_from_obj(o) for o in s["styles"]],
-            w=_gaussian_from_obj(s["w"]),
+            user_mean=user_mean, user_cov=user_cov,
+            brand_mean=brand_mean, brand_cov=brand_cov,
+            style_mean=style_mean, style_var=style_var,
+            w_mean=w_mean, w_var=w_var,
             theta_gamma=np.asarray(s["theta_gamma"], dtype=float),
-            resp=Responsibilities(np.asarray(s["resp"], dtype=float)),
+            resp=np.asarray(s["resp"], dtype=float),
             prec_u=GammaPosterior(**s["prec_u"]),
             prec_b=GammaPosterior(**s["prec_b"]),
             prec_s=GammaPosterior(**s["prec_s"]),
@@ -312,7 +319,7 @@ def load_checkpoint(path) -> Checkpoint:
         num_brands = doc["num_brands"]
         user_ids = doc.get("user_ids")
         brand_ids = doc.get("brand_ids")
-    except (KeyError, TypeError) as err:
+    except (KeyError, TypeError, ValueError) as err:
         raise CheckpointError(f"malformed checkpoint: {err}") from None
 
     try:

@@ -13,6 +13,7 @@ Everything here is a pure function of its inputs.  The evidence lower bound
 bound; its term-by-term derivation lives in ``docs/elbo.md``.
 """
 
+from copy import deepcopy
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,9 +26,7 @@ __all__ = [
     "HyperParams",
     "EventRecord",
     "Dataset",
-    "GaussianPosterior",
     "GammaPosterior",
-    "Responsibilities",
     "VariationalState",
     "NumericalError",
     "sigmoid",
@@ -236,61 +235,6 @@ def _sort_by_entity(keys, num_entities):
 
 
 @dataclass
-class GaussianPosterior:
-    """Gaussian factor: mean plus either a dense SPD covariance (d, d) or a
-    positive scalar c standing for the isotropic covariance c * I."""
-
-    mean: np.ndarray
-    cov: object  # (d, d) ndarray or positive scalar
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float)
-        if np.ndim(self.cov) == 0:
-            self.cov = float(self.cov)
-        else:
-            self.cov = np.asarray(self.cov, dtype=float)
-
-    @property
-    def isotropic(self) -> bool:
-        return np.ndim(self.cov) == 0
-
-    @property
-    def dim(self) -> int:
-        return self.mean.size
-
-    def cov_matrix(self) -> np.ndarray:
-        if self.isotropic:
-            return self.cov * np.eye(self.dim)
-        return self.cov
-
-    def cov_trace(self) -> float:
-        if self.isotropic:
-            return self.cov * self.dim
-        return float(np.trace(self.cov))
-
-    def quad(self, x: np.ndarray) -> float:
-        """x @ cov @ x."""
-        if self.isotropic:
-            return self.cov * float(x @ x)
-        return float(x @ self.cov @ x)
-
-    def validate(self):
-        if not np.all(np.isfinite(self.mean)):
-            raise ValueError("Gaussian mean must be finite")
-        if self.isotropic:
-            if not self.cov > 0:
-                raise ValueError("isotropic covariance scalar must be positive")
-            return
-        if self.cov.shape != (self.dim, self.dim):
-            raise ValueError("covariance shape does not match mean")
-        if not np.allclose(self.cov, self.cov.T, atol=1e-8, rtol=1e-8):
-            raise ValueError("covariance must be symmetric")
-        eigvals = np.linalg.eigvalsh(self.cov)
-        if not np.all(eigvals > 0):
-            raise ValueError("covariance must be positive definite")
-
-
-@dataclass
 class GammaPosterior:
     """Gamma factor over a precision, in shape/rate parameterization."""
 
@@ -320,33 +264,21 @@ class GammaPosterior:
 
 
 @dataclass
-class Responsibilities:
-    """Brand-to-style membership probabilities, rows on the simplex."""
-
-    mu: np.ndarray
-
-    def __post_init__(self):
-        self.mu = np.asarray(self.mu, dtype=float)
-
-    def validate(self):
-        if self.mu.ndim != 2:
-            raise ValueError("responsibilities must be a B x S matrix")
-        if np.any(self.mu < -1e-12) or np.any(self.mu > 1.0 + 1e-12):
-            raise ValueError("responsibilities must lie in [0, 1]")
-        if self.mu.shape[0] > 0 and not np.allclose(self.mu.sum(axis=1), 1.0, atol=1e-9):
-            raise ValueError("responsibility rows must sum to 1")
-
-
-@dataclass
 class VariationalState:
-    """All factor parameters of the mean-field posterior."""
+    """All factor parameters of the mean-field posterior, one array set per
+    family.  Users and brands carry dense covariances; every style and w
+    carries one isotropic variance v standing for v * I."""
 
-    users: list  # U GaussianPosteriors, dense covariance
-    brands: list  # B GaussianPosteriors, dense covariance
-    styles: list  # S GaussianPosteriors, isotropic
-    w: GaussianPosterior  # isotropic
+    user_mean: np.ndarray  # (U, d)
+    user_cov: np.ndarray  # (U, d, d)
+    brand_mean: np.ndarray  # (B, d)
+    brand_cov: np.ndarray  # (B, d, d)
+    style_mean: np.ndarray  # (S, d)
+    style_var: np.ndarray  # (S,)
+    w_mean: np.ndarray  # (d,)
+    w_var: float
     theta_gamma: np.ndarray  # (S,) Dirichlet parameters
-    resp: Responsibilities  # (B, S)
+    resp: np.ndarray  # (B, S) brand-to-style membership probabilities
     prec_u: GammaPosterior
     prec_b: GammaPosterior
     prec_s: GammaPosterior
@@ -354,89 +286,61 @@ class VariationalState:
     xi: np.ndarray  # (N,) per-event bound locations, >= 0
 
     def __post_init__(self):
-        self.theta_gamma = np.asarray(self.theta_gamma, dtype=float)
-        self.xi = np.asarray(self.xi, dtype=float)
+        for name in ("user_mean", "user_cov", "brand_mean", "brand_cov", "style_mean",
+                     "style_var", "w_mean", "theta_gamma", "resp", "xi"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+        self.w_var = float(self.w_var)
 
     @property
     def num_users(self) -> int:
-        return len(self.users)
+        return self.user_mean.shape[0]
 
     @property
     def num_brands(self) -> int:
-        return len(self.brands)
+        return self.brand_mean.shape[0]
 
     @property
     def num_styles(self) -> int:
-        return len(self.styles)
+        return self.style_mean.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.w.dim
-
-    # Stacked views used by the vectorized updates and the ELBO.
-    def user_means(self) -> np.ndarray:
-        if not self.users:
-            return np.zeros((0, self.dim))
-        return np.stack([g.mean for g in self.users])
-
-    def user_covs(self) -> np.ndarray:
-        if not self.users:
-            return np.zeros((0, self.dim, self.dim))
-        return np.stack([g.cov_matrix() for g in self.users])
-
-    def brand_means(self) -> np.ndarray:
-        if not self.brands:
-            return np.zeros((0, self.dim))
-        return np.stack([g.mean for g in self.brands])
-
-    def brand_covs(self) -> np.ndarray:
-        if not self.brands:
-            return np.zeros((0, self.dim, self.dim))
-        return np.stack([g.cov_matrix() for g in self.brands])
-
-    def style_means(self) -> np.ndarray:
-        return np.stack([g.mean for g in self.styles])
-
-    def style_vars(self) -> np.ndarray:
-        """Isotropic variance scalar per style."""
-        return np.array([g.cov if g.isotropic else float(np.trace(g.cov)) / g.dim
-                         for g in self.styles])
+        return self.w_mean.size
 
     def brand_style_sq(self) -> np.ndarray:
         """E[(B_i - S_j)'(B_i - S_j)] for every brand i and style j, shape (B, S)."""
-        diff = self.brand_means()[:, None, :] - self.style_means()[None, :, :]
-        brand_traces = np.array([g.cov_trace() for g in self.brands])
+        diff = self.brand_mean[:, None, :] - self.style_mean[None, :, :]
+        brand_traces = np.einsum("kii->k", self.brand_cov)
         return (np.einsum("bsd,bsd->bs", diff, diff) + brand_traces[:, None]
-                + self.dim * self.style_vars()[None, :])
+                + self.dim * self.style_var[None, :])
 
     def copy(self) -> "VariationalState":
-        return VariationalState(
-            users=[GaussianPosterior(g.mean.copy(), np.copy(g.cov) if not g.isotropic else g.cov)
-                   for g in self.users],
-            brands=[GaussianPosterior(g.mean.copy(), np.copy(g.cov) if not g.isotropic else g.cov)
-                    for g in self.brands],
-            styles=[GaussianPosterior(g.mean.copy(), g.cov) for g in self.styles],
-            w=GaussianPosterior(self.w.mean.copy(), self.w.cov),
-            theta_gamma=self.theta_gamma.copy(),
-            resp=Responsibilities(self.resp.mu.copy()),
-            prec_u=GammaPosterior(self.prec_u.shape, self.prec_u.rate),
-            prec_b=GammaPosterior(self.prec_b.shape, self.prec_b.rate),
-            prec_s=GammaPosterior(self.prec_s.shape, self.prec_s.rate),
-            prec_w=GammaPosterior(self.prec_w.shape, self.prec_w.rate),
-            xi=self.xi.copy(),
-        )
+        return deepcopy(self)
 
     def validate(self):
-        for g in self.users + self.brands + self.styles + [self.w]:
-            g.validate()
-        for g in self.styles + [self.w]:
-            if not g.isotropic:
-                raise ValueError("styles and w must use the isotropic compact form")
+        U, B, S, d = self.num_users, self.num_brands, self.num_styles, self.dim
+        shapes = {"user_mean": (U, d), "user_cov": (U, d, d), "brand_mean": (B, d),
+                  "brand_cov": (B, d, d), "style_mean": (S, d), "style_var": (S,),
+                  "theta_gamma": (S,), "resp": (B, S)}
+        for name, shape in shapes.items():
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"{name} must have shape {shape}")
+        for mean in (self.user_mean, self.brand_mean, self.style_mean, self.w_mean):
+            if not np.all(np.isfinite(mean)):
+                raise ValueError("Gaussian means must be finite")
+        for cov in (self.user_cov, self.brand_cov):
+            if not np.allclose(cov, np.swapaxes(cov, -1, -2), atol=1e-8, rtol=1e-8):
+                raise ValueError("covariance must be symmetric")
+            if not np.all(np.linalg.eigvalsh(cov) > 0):
+                raise ValueError("covariance must be positive definite")
+        if not (np.all(self.style_var > 0) and self.w_var > 0):
+            raise ValueError("isotropic variances must be positive")
         if not np.all(self.theta_gamma > 0):
             raise ValueError("theta_gamma entries must be positive")
-        self.resp.validate()
-        if self.resp.mu.shape != (self.num_brands, self.num_styles):
-            raise ValueError("responsibilities shape must be (num_brands, num_styles)")
+        if np.any(self.resp < -1e-12) or np.any(self.resp > 1.0 + 1e-12):
+            raise ValueError("responsibilities must lie in [0, 1]")
+        if B > 0 and not np.allclose(self.resp.sum(axis=1), 1.0, atol=1e-9):
+            raise ValueError("responsibility rows must sum to 1")
         for p in (self.prec_u, self.prec_b, self.prec_s, self.prec_w):
             p.validate()
         if np.any(self.xi < 0) or not np.all(np.isfinite(self.xi)):
@@ -468,7 +372,7 @@ def elbo_terms(state: VariationalState, data: Dataset, hp: HyperParams) -> dict:
     their sum.  See docs/elbo.md for the derivation of each expectation.
     """
     d = hp.feature_dim
-    mu = state.resp.mu
+    mu = state.resp
 
     e_du, e_db, e_ds, e_dw = (p.mean for p in
                               (state.prec_u, state.prec_b, state.prec_s, state.prec_w))
@@ -478,18 +382,9 @@ def elbo_terms(state: VariationalState, data: Dataset, hp: HyperParams) -> dict:
     gamma = state.theta_gamma
     eln_theta = digamma(gamma) - digamma(gamma.sum())
 
-    user_means = state.user_means()
-    brand_means = state.brand_means()
-    style_means = state.style_means()
-    style_vars = state.style_vars()
-    w_mean = state.w.mean
-    w_var = float(state.w.cov)
-
-    user_covs = state.user_covs()
-    brand_covs = state.brand_covs()
-    user_traces = np.einsum("kii->k", user_covs)
-    user_logdets = spd_logdet(user_covs)
-    brand_logdets = spd_logdet(brand_covs)
+    user_traces = np.einsum("kii->k", state.user_cov)
+    user_logdets = spd_logdet(state.user_cov)
+    brand_logdets = spd_logdet(state.brand_cov)
 
     terms = {}
 
@@ -499,11 +394,11 @@ def elbo_terms(state: VariationalState, data: Dataset, hp: HyperParams) -> dict:
         raise ValueError(f"state has {state.xi.size} xi entries for {n} events")
     if n > 0:
         X = data.X
-        bm = brand_means[data.brands]
-        um = user_means[data.users]
+        bm = state.brand_mean[data.brands]
+        um = state.user_mean[data.users]
         m = np.einsum("nd,nd->n", X, bm + um)
-        bcov = brand_covs[data.brands]
-        ucov = user_covs[data.users]
+        bcov = state.brand_cov[data.brands]
+        ucov = state.user_cov[data.users]
         s2 = np.einsum("nd,nde,ne->n", X, bcov, X) + np.einsum("nd,nde,ne->n", X, ucov, X)
         xi = state.xi
         lam = lambda_of_xi(xi)
@@ -523,8 +418,8 @@ def elbo_terms(state: VariationalState, data: Dataset, hp: HyperParams) -> dict:
     terms["assignments_given_theta"] = float(np.sum(mu * eln_theta[None, :]))
 
     # E[log p(S_j | w, delta_s)]
-    sw = style_means - w_mean[None, :]
-    sq = np.einsum("sd,sd->s", sw, sw) + d * style_vars + d * w_var
+    sw = state.style_mean - state.w_mean[None, :]
+    sq = np.einsum("sd,sd->s", sw, sw) + d * state.style_var + d * state.w_var
     terms["styles_given_w"] = float(np.sum(0.5 * d * (eln_ds - _LOG_2PI) - 0.5 * e_ds * sq))
 
     # E[log p(theta | gamma0)]
@@ -534,13 +429,12 @@ def elbo_terms(state: VariationalState, data: Dataset, hp: HyperParams) -> dict:
     )
 
     # E[log p(U_k | delta_u)]
-    usq = np.einsum("ud,ud->u", user_means, user_means) + user_traces
+    usq = np.einsum("ud,ud->u", state.user_mean, state.user_mean) + user_traces
     terms["users_prior"] = float(np.sum(0.5 * d * (eln_du - _LOG_2PI) - 0.5 * e_du * usq))
 
     # E[log p(w | delta_w)]
-    terms["w_prior"] = float(
-        0.5 * d * (eln_dw - _LOG_2PI) - 0.5 * e_dw * (w_mean @ w_mean + d * w_var)
-    )
+    w_sq = state.w_mean @ state.w_mean + d * state.w_var
+    terms["w_prior"] = float(0.5 * d * (eln_dw - _LOG_2PI) - 0.5 * e_dw * w_sq)
 
     # E[log p(delta_* | alpha0, beta0)] for the four precisions.
     a0, b0 = hp.alpha0, hp.beta0
@@ -553,9 +447,9 @@ def elbo_terms(state: VariationalState, data: Dataset, hp: HyperParams) -> dict:
     terms["entropy_users"] = float(sum(_gaussian_entropy(ld, d) for ld in user_logdets))
     terms["entropy_brands"] = float(sum(_gaussian_entropy(ld, d) for ld in brand_logdets))
     terms["entropy_styles"] = float(sum(
-        _gaussian_entropy(d * np.log(v), d) for v in style_vars
+        _gaussian_entropy(d * np.log(v), d) for v in state.style_var
     ))
-    terms["entropy_w"] = _gaussian_entropy(d * np.log(w_var), d)
+    terms["entropy_w"] = _gaussian_entropy(d * np.log(state.w_var), d)
     terms["entropy_theta"] = _dirichlet_entropy(gamma)
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(mu > 0, mu * np.log(np.where(mu > 0, mu, 1.0)), 0.0)

@@ -4,13 +4,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GaussianPosterior, VariationalState, sigmoid
+from .model import VariationalState, sigmoid
 
 __all__ = [
     "PredictionScore",
     "predictive_moments",
     "predict_prob",
     "score_candidate",
+    "score_candidates",
     "rank_top_k",
     "brand_prior",
     "user_prior",
@@ -34,65 +35,82 @@ class PredictionScore:
             raise ValueError("probability 0.5 must coincide with zero mean")
 
 
-def predictive_moments(x: np.ndarray, brand_post: GaussianPosterior,
-                       user_post: GaussianPosterior):
-    """Mean and variance of x @ (B + U) under independent Gaussian factors."""
-    x = np.asarray(x, dtype=float)
-    if brand_post.mean.shape != x.shape or user_post.mean.shape != x.shape:
+def predictive_moments(X, brand_mean, brand_cov, user_mean, user_cov):
+    """Mean and variance of x @ (B + U) under independent Gaussian factors.
+
+    Leading axes broadcast: X and the means are (..., d), the covariances
+    (..., d, d); one score per row of X.
+    """
+    X = np.asarray(X, dtype=float)
+    d = X.shape[-1]
+    if (np.shape(brand_mean)[-1:] != (d,) or np.shape(user_mean)[-1:] != (d,)
+            or np.shape(brand_cov)[-2:] != (d, d) or np.shape(user_cov)[-2:] != (d, d)):
         raise ValueError(
-            f"dimension mismatch: x has shape {x.shape}, posteriors have dims "
-            f"{brand_post.dim} and {user_post.dim}"
+            f"dimension mismatch: x has shape {X.shape}, brand moments have shapes "
+            f"{np.shape(brand_mean)} and {np.shape(brand_cov)}, user moments "
+            f"{np.shape(user_mean)} and {np.shape(user_cov)}"
         )
-    mu = float(x @ (brand_post.mean + user_post.mean))
-    sigma2 = brand_post.quad(x) + user_post.quad(x)
-    return mu, float(sigma2)
+    mu = np.einsum("...d,...d->...", X, brand_mean + user_mean)
+    sigma2 = np.einsum("...d,...de,...e->...", X, brand_cov + user_cov, X)
+    return mu, sigma2
 
 
-def predict_prob(mu: float, sigma2: float) -> float:
+def predict_prob(mu, sigma2):
     """Expected sigmoid of a Gaussian score via the probit-style shortcut.
 
     Returns sigmoid(mu / sqrt(1 + pi * sigma2 / 8)); exact at sigma2 = 0.
+    Accepts scalars or arrays.
     """
-    if sigma2 < 0:
+    if np.any(np.asarray(sigma2) < 0):
         raise ValueError("sigma2 must be non-negative")
     return sigmoid(mu / np.sqrt(1.0 + np.pi * sigma2 / 8.0))
 
 
-def brand_prior(state: VariationalState) -> GaussianPosterior:
-    """Moments used to score an item from a brand unseen in training.
+def brand_prior(state: VariationalState):
+    """(mean (d,), cov (d, d)) used to score an item from a brand unseen in
+    training.
 
     Mean is the proportion-weighted style mean; covariance is the brand
     noise 1/E[delta_b] * I plus the proportion-weighted style covariances.
     """
     weights = state.theta_gamma / state.theta_gamma.sum()
-    mean = weights @ state.style_means()
-    var = 1.0 / state.prec_b.mean + float(weights @ state.style_vars())
-    return GaussianPosterior(mean, var)
+    var = 1.0 / state.prec_b.mean + float(weights @ state.style_var)
+    return weights @ state.style_mean, var * np.eye(state.dim)
 
 
-def user_prior(state: VariationalState) -> GaussianPosterior:
-    """Moments used for a user unseen in training: zero mean, prior spread."""
-    return GaussianPosterior(np.zeros(state.dim), 1.0 / state.prec_u.mean)
+def user_prior(state: VariationalState):
+    """(mean, cov) for a user unseen in training: zero mean, prior spread."""
+    return np.zeros(state.dim), np.eye(state.dim) / state.prec_u.mean
 
 
-def _resolve_user(state, user_id):
+def score_candidates(user_id, candidates, state: VariationalState):
+    """Score a batch of items for one user; returns (mu, sigma2, prob) arrays.
+
+    ``candidates`` is a sequence of (item_id, x, brand_id).  Unknown brand
+    or user ids (None or out of range) are scored with prior moments.  The
+    cold-brand prior is computed once and appended as row B of the brand
+    moments, so every candidate takes its moments from one gather.
+    """
+    B = state.num_brands
+    X = (np.array([x for _, x, _ in candidates], dtype=float) if candidates
+         else np.zeros((0, state.dim)))
+    rows = np.array([b if b is not None and 0 <= b < B else B for _, _, b in candidates],
+                    dtype=int)
+    prior_mean, prior_cov = brand_prior(state)
+    brand_mean = np.concatenate([state.brand_mean, prior_mean[None]])[rows]
+    brand_cov = np.concatenate([state.brand_cov, prior_cov[None]])[rows]
     if user_id is not None and 0 <= user_id < state.num_users:
-        return state.users[user_id]
-    return user_prior(state)
-
-
-def _resolve_brand(state, brand_id):
-    if brand_id is not None and 0 <= brand_id < state.num_brands:
-        return state.brands[brand_id]
-    return brand_prior(state)
+        user_mean, user_cov = state.user_mean[user_id], state.user_cov[user_id]
+    else:
+        user_mean, user_cov = user_prior(state)
+    mu, sigma2 = predictive_moments(X, brand_mean, brand_cov, user_mean, user_cov)
+    return mu, sigma2, predict_prob(mu, sigma2)
 
 
 def score_candidate(user_id, x, brand_id, state: VariationalState) -> PredictionScore:
     """Score one (user, item) pair; unknown ids fall back to prior moments."""
-    mu, sigma2 = predictive_moments(np.asarray(x, dtype=float),
-                                    _resolve_brand(state, brand_id),
-                                    _resolve_user(state, user_id))
-    return PredictionScore(mu=mu, sigma2=sigma2, prob=predict_prob(mu, sigma2))
+    mu, sigma2, prob = score_candidates(user_id, [(None, x, brand_id)], state)
+    return PredictionScore(mu=float(mu[0]), sigma2=float(sigma2[0]), prob=float(prob[0]))
 
 
 def rank_top_k(user_id, candidates, state: VariationalState, k: int):
@@ -105,11 +123,8 @@ def rank_top_k(user_id, candidates, state: VariationalState, k: int):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    user_post = _resolve_user(state, user_id)
-    scored = []
-    for item_id, x, brand_id in candidates:
-        mu, sigma2 = predictive_moments(np.asarray(x, dtype=float),
-                                        _resolve_brand(state, brand_id), user_post)
-        scored.append((item_id, predict_prob(mu, sigma2)))
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
+    candidates = list(candidates)
+    prob = score_candidates(user_id, candidates, state)[2]
+    scored = sorted(zip([item for item, _, _ in candidates], prob.tolist()),
+                    key=lambda pair: (-pair[1], pair[0]))
     return scored[:k]

@@ -8,11 +8,10 @@ from hbayes import (
     Dataset,
     EventRecord,
     GammaPosterior,
-    GaussianPosterior,
     HyperParams,
-    Responsibilities,
     VariationalState,
     lambda_of_xi,
+    sigmoid,
 )
 from hbayes.linalg import spd_inverse
 
@@ -33,20 +32,29 @@ def random_state(hp, num_users, num_brands, num_events, seed):
     d = hp.feature_dim
     S = hp.num_styles
 
-    def dense_gaussian():
-        a = rng.standard_normal((d, d))
-        cov = a @ a.T + np.eye(d)
-        return GaussianPosterior(rng.standard_normal(d), cov)
+    def dense_family(n):
+        means, covs = np.zeros((n, d)), np.zeros((n, d, d))
+        for k in range(n):
+            a = rng.standard_normal((d, d))
+            covs[k] = a @ a.T + np.eye(d)
+            means[k] = rng.standard_normal(d)
+        return means, covs
 
     resp = rng.dirichlet(np.ones(S), size=num_brands)
+    user_mean, user_cov = dense_family(num_users)
+    brand_mean, brand_cov = dense_family(num_brands)
+    style_mean, style_var = np.zeros((S, d)), np.zeros(S)
+    for j in range(S):
+        style_mean[j] = rng.standard_normal(d)
+        style_var[j] = rng.uniform(0.2, 2.0)
+    w_mean = rng.standard_normal(d)
     return VariationalState(
-        users=[dense_gaussian() for _ in range(num_users)],
-        brands=[dense_gaussian() for _ in range(num_brands)],
-        styles=[GaussianPosterior(rng.standard_normal(d), float(rng.uniform(0.2, 2.0)))
-                for _ in range(S)],
-        w=GaussianPosterior(rng.standard_normal(d), float(rng.uniform(0.2, 2.0))),
+        user_mean=user_mean, user_cov=user_cov,
+        brand_mean=brand_mean, brand_cov=brand_cov,
+        style_mean=style_mean, style_var=style_var,
+        w_mean=w_mean, w_var=rng.uniform(0.2, 2.0),
         theta_gamma=rng.uniform(0.5, 3.0, size=S),
-        resp=Responsibilities(resp),
+        resp=resp,
         prec_u=GammaPosterior(rng.uniform(1.0, 4.0), rng.uniform(1.0, 4.0)),
         prec_b=GammaPosterior(rng.uniform(1.0, 4.0), rng.uniform(1.0, 4.0)),
         prec_s=GammaPosterior(rng.uniform(1.0, 4.0), rng.uniform(1.0, 4.0)),
@@ -61,14 +69,16 @@ def prior_matched_state(hp, num_users, num_brands, num_events=0):
     S = hp.num_styles
     prior_var = hp.beta0 / hp.alpha0
     return VariationalState(
-        users=[GaussianPosterior(np.zeros(d), prior_var * np.eye(d))
-               for _ in range(num_users)],
-        brands=[GaussianPosterior(np.zeros(d), prior_var * np.eye(d))
-                for _ in range(num_brands)],
-        styles=[GaussianPosterior(np.zeros(d), prior_var) for _ in range(S)],
-        w=GaussianPosterior(np.zeros(d), prior_var),
+        user_mean=np.zeros((num_users, d)),
+        user_cov=np.tile(prior_var * np.eye(d), (num_users, 1, 1)),
+        brand_mean=np.zeros((num_brands, d)),
+        brand_cov=np.tile(prior_var * np.eye(d), (num_brands, 1, 1)),
+        style_mean=np.zeros((S, d)),
+        style_var=np.full(S, prior_var),
+        w_mean=np.zeros(d),
+        w_var=prior_var,
         theta_gamma=hp.gamma0.copy(),
-        resp=Responsibilities(np.tile(hp.gamma0 / hp.gamma0.sum(), (num_brands, 1))),
+        resp=np.tile(hp.gamma0 / hp.gamma0.sum(), (num_brands, 1)),
         prec_u=GammaPosterior(hp.alpha0, hp.beta0),
         prec_b=GammaPosterior(hp.alpha0, hp.beta0),
         prec_s=GammaPosterior(hp.alpha0, hp.beta0),
@@ -78,47 +88,76 @@ def prior_matched_state(hp, num_users, num_brands, num_events=0):
 
 
 def reference_update_user(k, state, data):
-    """Per-entity user update: the loop reference for ``update_users``."""
+    """Per-entity user update, (mean, cov): the loop reference for ``update_users``."""
     d = data.feature_dim
     e_du = state.prec_u.mean
     idx = np.flatnonzero(data.users == k)
     if idx.size == 0:
-        return GaussianPosterior(np.zeros(d), np.eye(d) / e_du)
+        return np.zeros(d), np.eye(d) / e_du
 
     X = data.X[idx]
     lam = lambda_of_xi(state.xi[idx])
     precision = e_du * np.eye(d) + 2.0 * (X.T * lam) @ X
 
-    brand_means = state.brand_means()[data.brands[idx]]
+    brand_means = state.brand_mean[data.brands[idx]]
     xb = np.einsum("nd,nd->n", X, brand_means)
     coef = data.y[idx] - 0.5 - 2.0 * lam * xb
 
     cov = spd_inverse(precision)
-    return GaussianPosterior(cov @ (X.T @ coef), cov)
+    return cov @ (X.T @ coef), cov
 
 
 def reference_update_brand(i, state, data):
-    """Per-entity brand update: the loop reference for ``update_brands``."""
+    """Per-entity brand update, (mean, cov): the loop reference for ``update_brands``."""
     d = data.feature_dim
     e_db = state.prec_b.mean
-    mu_row = state.resp.mu[i]
+    mu_row = state.resp[i]
     prior_precision = e_db * mu_row.sum()  # row sums to 1, so this is e_db
-    prior_pull = e_db * (mu_row @ state.style_means())
+    prior_pull = e_db * (mu_row @ state.style_mean)
 
     idx = np.flatnonzero(data.brands == i)
     if idx.size == 0:
-        return GaussianPosterior(prior_pull / prior_precision, np.eye(d) / prior_precision)
+        return prior_pull / prior_precision, np.eye(d) / prior_precision
 
     X = data.X[idx]
     lam = lambda_of_xi(state.xi[idx])
     precision = prior_precision * np.eye(d) + 2.0 * (X.T * lam) @ X
 
-    user_means = state.user_means()[data.users[idx]]
+    user_means = state.user_mean[data.users[idx]]
     xu = np.einsum("nd,nd->n", X, user_means)
     coef = data.y[idx] - 0.5 - 2.0 * lam * xu
 
     cov = spd_inverse(precision)
-    return GaussianPosterior(cov @ (prior_pull + X.T @ coef), cov)
+    return cov @ (prior_pull + X.T @ coef), cov
+
+
+def reference_scores(user_id, candidates, state):
+    """Per-candidate scoring loop: the reference for the batched scorer.
+
+    Returns (mu, sigma2, prob) lists.  Unknown ids (None or out of range)
+    take prior moments: for a user zero mean and variance 1/E[delta_u],
+    for a brand the theta-weighted style mean and variance
+    1/E[delta_b] + sum_j theta_j var_j, each times the identity.
+    """
+    d = state.dim
+    if user_id is not None and 0 <= user_id < state.num_users:
+        user_mean, user_cov = state.user_mean[user_id], state.user_cov[user_id]
+    else:
+        user_mean, user_cov = np.zeros(d), np.eye(d) / state.prec_u.mean
+    weights = state.theta_gamma / state.theta_gamma.sum()
+    cold_mean = weights @ state.style_mean
+    cold_var = 1.0 / state.prec_b.mean + weights @ state.style_var
+    out = ([], [], [])
+    for _, x, b in candidates:
+        if b is not None and 0 <= b < state.num_brands:
+            mu = x @ (state.brand_mean[b] + user_mean)
+            s2 = x @ state.brand_cov[b] @ x + x @ user_cov @ x
+        else:
+            mu = x @ (cold_mean + user_mean)
+            s2 = cold_var * (x @ x) + x @ user_cov @ x
+        for col, v in zip(out, (mu, s2, sigmoid(mu / np.sqrt(1.0 + np.pi * s2 / 8.0)))):
+            col.append(float(v))
+    return out
 
 
 def mc_elbo_cross_terms(state, data, hp, n=100_000, seed=123):
@@ -133,17 +172,17 @@ def mc_elbo_cross_terms(state, data, hp, n=100_000, seed=123):
     U, B, S = state.num_users, state.num_brands, state.num_styles
 
     theta = rng.dirichlet(state.theta_gamma, size=n)  # (n, S)
-    z = np.stack([rng.choice(S, size=n, p=state.resp.mu[i]) for i in range(B)],
+    z = np.stack([rng.choice(S, size=n, p=state.resp[i]) for i in range(B)],
                  axis=1) if B else np.zeros((n, 0), dtype=int)
-    users = (np.stack([rng.multivariate_normal(g.mean, g.cov_matrix(), size=n)
-                       for g in state.users], axis=1)
+    users = (np.stack([rng.multivariate_normal(m, c, size=n)
+                       for m, c in zip(state.user_mean, state.user_cov)], axis=1)
              if U else np.zeros((n, 0, d)))
-    brands = (np.stack([rng.multivariate_normal(g.mean, g.cov_matrix(), size=n)
-                        for g in state.brands], axis=1)
+    brands = (np.stack([rng.multivariate_normal(m, c, size=n)
+                        for m, c in zip(state.brand_mean, state.brand_cov)], axis=1)
               if B else np.zeros((n, 0, d)))
-    styles = np.stack([g.mean + np.sqrt(g.cov) * rng.standard_normal((n, d))
-                       for g in state.styles], axis=1)
-    w = state.w.mean + np.sqrt(state.w.cov) * rng.standard_normal((n, d))
+    styles = np.stack([m + np.sqrt(v) * rng.standard_normal((n, d))
+                       for m, v in zip(state.style_mean, state.style_var)], axis=1)
+    w = state.w_mean + np.sqrt(state.w_var) * rng.standard_normal((n, d))
     precs = {name: rng.gamma(p.shape, 1.0 / p.rate, size=n)
              for name, p in (("u", state.prec_u), ("b", state.prec_b),
                              ("s", state.prec_s), ("w", state.prec_w))}

@@ -29,7 +29,7 @@ from hbayes import (
     sigmoid,
     stratified_user_folds,
 )
-from hbayes.inference import update_brands, update_style, update_users, update_w
+from hbayes.inference import update_brands, update_styles, update_users, update_w
 from hbayes.model import Dataset
 
 from helpers import adjusted_rand_index, popularity_scorer_factory
@@ -94,30 +94,31 @@ def test_criterion_3_coordinate_optimality(reference_fit):
         return 0.1 * v / np.linalg.norm(v)
 
     worst = -np.inf
-    families = {
-        "user": lambda st: setattr(st, "users", update_users(st, data)),
-        "brand": lambda st: setattr(st, "brands", update_brands(st, data)),
-        "style": lambda st: setattr(st, "styles",
-                                    [update_style(j, st) for j in range(st.num_styles)]),
-        "w": lambda st: setattr(st, "w", update_w(st, hp)),
+    families = {  # family: (update, mean field, spread field)
+        "user": (lambda st: update_users(st, data), "user_mean", "user_cov"),
+        "brand": (lambda st: update_brands(st, data), "brand_mean", "brand_cov"),
+        "style": (update_styles, "style_mean", "style_var"),
+        "w": (lambda st: update_w(st, hp), "w_mean", "w_var"),
     }
-    for family, apply_update in families.items():
+    for family, (update, mean_field, spread_field) in families.items():
         st = state.copy()
-        apply_update(st)
+        mean, spread = update(st)
+        setattr(st, mean_field, mean)
+        setattr(st, spread_field, spread)
         base = elbo(st, data, hp)
         for _ in range(20):
             pert = st.copy()
             if family == "user":
                 k = int(rng.integers(st.num_users))
-                pert.users[k].mean = pert.users[k].mean + perturbation()
+                pert.user_mean[k] = pert.user_mean[k] + perturbation()
             elif family == "brand":
                 i = int(rng.integers(st.num_brands))
-                pert.brands[i].mean = pert.brands[i].mean + perturbation()
+                pert.brand_mean[i] = pert.brand_mean[i] + perturbation()
             elif family == "style":
                 j = int(rng.integers(st.num_styles))
-                pert.styles[j].mean = pert.styles[j].mean + perturbation()
+                pert.style_mean[j] = pert.style_mean[j] + perturbation()
             else:
-                pert.w.mean = pert.w.mean + perturbation()
+                pert.w_mean = pert.w_mean + perturbation()
             delta = (elbo(pert, data, hp) - base) / abs(base)
             worst = max(worst, delta)
             assert delta <= 1e-9, f"{family} perturbation raised ELBO by {delta:.2e}"
@@ -139,7 +140,7 @@ def test_criterion_4_style_recovery():
                          for i, j in combinations(range(3), 2))
         assert separation >= min_separation, "instance not well-separated"
         state, _ = fit(data, fit_hp, seed=seed, restarts=3)
-        fitted = state.resp.mu.argmax(axis=1)
+        fitted = state.resp.argmax(axis=1)
         score = adjusted_rand_index(truth.style_assignments, fitted)
         scores.append(score)
         assert score >= 0.9, f"seed {seed}: ARI {score:.3f} < 0.9"

@@ -8,10 +8,8 @@ import pytest
 from hbayes import (
     Dataset,
     GammaPosterior,
-    GaussianPosterior,
     HyperParams,
     NumericalError,
-    Responsibilities,
     elbo,
     sample_dataset,
 )
@@ -23,7 +21,7 @@ from hbayes.inference import (
     update_brands,
     update_precisions,
     update_responsibilities,
-    update_style,
+    update_styles,
     update_theta,
     update_users,
     update_w,
@@ -61,18 +59,20 @@ def test_responsibilities_single_style():
     data = Dataset(events=[], num_users=1, num_brands=3, feature_dim=2)
     state = prior_matched_state(hp, 1, 3)
     resp = update_responsibilities(state, data, hp)
-    np.testing.assert_array_equal(resp.mu, np.ones((3, 1)))
+    np.testing.assert_array_equal(resp, np.ones((3, 1)))
 
 
 def test_responsibilities_uniform_for_identical_styles():
     hp = HyperParams(num_styles=3, feature_dim=2)
     state = prior_matched_state(hp, 1, 4)
     state.theta_gamma = np.full(3, 2.0)
-    state.styles = [GaussianPosterior(np.array([0.7, -0.2]), 0.5) for _ in range(3)]
-    state.brands = [GaussianPosterior(np.random.default_rng(i).standard_normal(2),
-                                      np.eye(2)) for i in range(4)]
+    state.style_mean[:] = [0.7, -0.2]
+    state.style_var[:] = 0.5
+    state.brand_mean = np.stack([np.random.default_rng(i).standard_normal(2)
+                                 for i in range(4)])
+    state.brand_cov[:] = np.eye(2)
     resp = update_responsibilities(state, Dataset([], 1, 4, 2), hp)
-    np.testing.assert_allclose(resp.mu, 1.0 / 3.0, atol=1e-12)
+    np.testing.assert_allclose(resp, 1.0 / 3.0, atol=1e-12)
 
 
 def test_responsibilities_two_style_softmax():
@@ -82,13 +82,12 @@ def test_responsibilities_two_style_softmax():
     state = prior_matched_state(hp, 1, 1)
     state.theta_gamma = np.array([3.0, 3.0])
     state.prec_b = GammaPosterior(4.0, 4.0)  # mean 1
-    state.brands = [GaussianPosterior(np.array([0.0]), np.zeros((1, 1)))]
-    state.styles = [GaussianPosterior(np.array([0.0]), 1e-300),
-                    GaussianPosterior(np.array([2.0]), 1e-300)]
+    state.brand_mean[0], state.brand_cov[0] = [0.0], np.zeros((1, 1))
+    state.style_mean[:], state.style_var[:] = [[0.0], [2.0]], 1e-300
     resp = update_responsibilities(state, Dataset([], 1, 1, 1), hp)
     expected = np.array([1.0, math.exp(-2.0)])
     expected /= expected.sum()
-    np.testing.assert_allclose(resp.mu[0], expected, atol=1e-9)
+    np.testing.assert_allclose(resp[0], expected, atol=1e-9)
 
 
 def test_responsibilities_rows_normalized_on_random_states():
@@ -96,27 +95,27 @@ def test_responsibilities_rows_normalized_on_random_states():
     for seed in range(5):
         state = random_state(hp, num_users=2, num_brands=6, num_events=0, seed=seed)
         resp = update_responsibilities(state, Dataset([], 2, 6, 3), hp)
-        np.testing.assert_allclose(resp.mu.sum(axis=1), 1.0, atol=1e-9)
-        assert np.all(resp.mu >= 0) and np.all(resp.mu <= 1)
+        np.testing.assert_allclose(resp.sum(axis=1), 1.0, atol=1e-9)
+        assert np.all(resp >= 0) and np.all(resp <= 1)
 
 
 def test_responsibilities_non_finite_raises():
     hp = HyperParams(num_styles=2, feature_dim=1)
     state = prior_matched_state(hp, 1, 1)
-    state.brands = [GaussianPosterior(np.array([np.inf]), np.eye(1))]
+    state.brand_mean[0] = [np.inf]
     with pytest.raises(NumericalError):
         update_responsibilities(state, Dataset([], 1, 1, 1), hp)
 
 
 def test_update_theta_no_brands():
     hp = HyperParams(num_styles=3, feature_dim=2)
-    out = update_theta(Responsibilities(np.zeros((0, 3))), hp)
+    out = update_theta(np.zeros((0, 3)), hp)
     np.testing.assert_array_equal(out, hp.gamma0)
 
 
 def test_update_theta_column_sums():
     hp = HyperParams(num_styles=3, feature_dim=2, gamma0=np.full(3, 1.0 / 3.0))
-    resp = Responsibilities(np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0]]))
+    resp = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
     out = update_theta(resp, hp)
     np.testing.assert_allclose(out, [1.0 / 3.0 + 1.5, 1.0 / 3.0 + 0.5, 1.0 / 3.0],
                                atol=1e-12)
@@ -125,7 +124,7 @@ def test_update_theta_column_sums():
 def test_update_theta_total_mass():
     hp = HyperParams(num_styles=4, feature_dim=2)
     rng = np.random.default_rng(3)
-    resp = Responsibilities(rng.dirichlet(np.ones(4), size=9))
+    resp = rng.dirichlet(np.ones(4), size=9)
     out = update_theta(resp, hp)
     assert out.sum() == pytest.approx(hp.gamma0.sum() + 9, abs=1e-9)
 
@@ -141,18 +140,18 @@ def test_update_user_without_events_reverts_to_prior():
                         feature_dim=2)
     state = prior_matched_state(hp, 2, 1, num_events=1)
     state.prec_u = GammaPosterior(6.0, 3.0)  # mean 2
-    post = update_users(state, data)[0]
-    np.testing.assert_array_equal(post.mean, np.zeros(2))
-    np.testing.assert_allclose(post.cov, np.eye(2) / 2.0, atol=1e-12)
+    mean, cov = update_users(state, data)
+    np.testing.assert_array_equal(mean[0], np.zeros(2))
+    np.testing.assert_allclose(cov[0], np.eye(2) / 2.0, atol=1e-12)
 
 
 def test_update_user_single_event_scalar_arithmetic():
     _, data, state = _single_event_instance()
     lam = (1.0 / (1.0 + math.exp(-1.0)) - 0.5) / 2.0
     expected_cov = 1.0 / (1.0 + 2.0 * lam)
-    post = update_users(state, data)[0]
-    assert post.cov[0, 0] == pytest.approx(expected_cov, rel=1e-12)
-    assert post.mean[0] == pytest.approx(expected_cov * 0.5, rel=1e-12)
+    mean, cov = update_users(state, data)
+    assert cov[0, 0, 0] == pytest.approx(expected_cov, rel=1e-12)
+    assert mean[0, 0] == pytest.approx(expected_cov * 0.5, rel=1e-12)
 
 
 def test_update_user_stronger_prior_shrinks_mean():
@@ -161,44 +160,42 @@ def test_update_user_stronger_prior_shrinks_mean():
     rows = [(rng.standard_normal(3), 0, 0, int(rng.integers(2))) for _ in range(20)]
     data = make_dataset(rows, num_users=1, num_brands=1, feature_dim=3)
     state = prior_matched_state(hp, 1, 1, num_events=20)
-    state.brands = [GaussianPosterior(rng.standard_normal(3), np.eye(3))]
+    state.brand_mean[0], state.brand_cov[0] = rng.standard_normal(3), np.eye(3)
     state.prec_u = GammaPosterior(2.0, 2.0)  # mean 1
-    loose = update_users(state, data)[0]
+    loose = update_users(state, data)[0][0]
     state.prec_u = GammaPosterior(4.0, 2.0)  # mean 2
-    tight = update_users(state, data)[0]
-    assert np.linalg.norm(tight.mean) < np.linalg.norm(loose.mean)
+    tight = update_users(state, data)[0][0]
+    assert np.linalg.norm(tight) < np.linalg.norm(loose)
 
 
 def test_update_brand_without_events_uses_style_mixture():
     hp = HyperParams(num_styles=2, feature_dim=2)
     state = prior_matched_state(hp, 1, 1)
     state.prec_b = GammaPosterior(4.0, 2.0)  # mean 2
-    state.styles = [GaussianPosterior(np.array([1.0, 0.0]), 0.3),
-                    GaussianPosterior(np.array([0.0, 2.0]), 0.3)]
-    state.resp = Responsibilities(np.array([[0.25, 0.75]]))
+    state.style_mean[:], state.style_var[:] = [[1.0, 0.0], [0.0, 2.0]], 0.3
+    state.resp = np.array([[0.25, 0.75]])
     data = Dataset([], 1, 1, 2)
-    post = update_brands(state, data)[0]
-    np.testing.assert_allclose(post.cov, np.eye(2) / 2.0, atol=1e-12)
-    np.testing.assert_allclose(post.mean, 0.25 * np.array([1.0, 0.0])
+    mean, cov = update_brands(state, data)
+    np.testing.assert_allclose(cov[0], np.eye(2) / 2.0, atol=1e-12)
+    np.testing.assert_allclose(mean[0], 0.25 * np.array([1.0, 0.0])
                                + 0.75 * np.array([0.0, 2.0]), atol=1e-12)
 
 
 def test_update_brand_one_hot_returns_style_mean():
     hp = HyperParams(num_styles=2, feature_dim=2)
     state = prior_matched_state(hp, 1, 1)
-    state.styles = [GaussianPosterior(np.array([3.0, -1.0]), 0.3),
-                    GaussianPosterior(np.array([0.0, 2.0]), 0.3)]
-    state.resp = Responsibilities(np.array([[1.0, 0.0]]))
-    post = update_brands(state, Dataset([], 1, 1, 2))[0]
-    np.testing.assert_allclose(post.mean, [3.0, -1.0], atol=1e-12)
+    state.style_mean[:], state.style_var[:] = [[3.0, -1.0], [0.0, 2.0]], 0.3
+    state.resp = np.array([[1.0, 0.0]])
+    mean, _ = update_brands(state, Dataset([], 1, 1, 2))
+    np.testing.assert_allclose(mean[0], [3.0, -1.0], atol=1e-12)
 
 
 def test_update_brand_mirrors_update_user():
     _, data, state = _single_event_instance()
-    user_post = update_users(state, data)[0]
-    brand_post = update_brands(state, data)[0]
-    assert brand_post.cov[0, 0] == pytest.approx(user_post.cov[0, 0], rel=1e-12)
-    assert brand_post.mean[0] == pytest.approx(user_post.mean[0], rel=1e-12)
+    user_mean, user_cov = update_users(state, data)
+    brand_mean, brand_cov = update_brands(state, data)
+    assert brand_cov[0, 0, 0] == pytest.approx(user_cov[0, 0, 0], rel=1e-12)
+    assert brand_mean[0, 0] == pytest.approx(user_mean[0, 0], rel=1e-12)
 
 
 # Family updates sum in another order than the per-entity loop, so they may
@@ -207,9 +204,10 @@ _FAMILY_RTOL = 1e-12
 
 
 def _assert_factors_close(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        for a, b in ((g.mean, w.mean), (g.cov, w.cov)):
+    """got: (means, covs) of a family; want: one (mean, cov) per entity."""
+    assert len(got[0]) == len(got[1]) == len(want)
+    for g_mean, g_cov, (w_mean, w_cov) in zip(*got, want):
+        for a, b in ((g_mean, w_mean), (g_cov, w_cov)):
             assert a.shape == b.shape
             assert np.max(np.abs(a - b)) <= _FAMILY_RTOL * np.max(np.abs(b))
 
@@ -234,7 +232,7 @@ def test_family_updates_match_per_entity_loop(d, seed):
     assert np.any(np.diff(data.users) < 0) and np.any(np.diff(data.brands) < 0)
     assert [np.sum(data.users == k) for k in (0, 1)] == [0, 1]
     assert [np.sum(data.brands == i) for i in (0, 1)] == [0, 1]
-    assert np.ptp(state.resp.mu) > 0.1
+    assert np.ptp(state.resp) > 0.1
     _assert_factors_close(update_users(state, data),
                           [reference_update_user(k, state, data) for k in range(6)])
     _assert_factors_close(update_brands(state, data),
@@ -269,24 +267,24 @@ def test_update_style_direct_arithmetic():
     state = prior_matched_state(hp, 1, 1)
     state.prec_s = GammaPosterior(2.0, 1.0)  # mean 2
     state.prec_b = GammaPosterior(1.0, 1.0)  # mean 1
-    state.w = GaussianPosterior(np.array([1.0, 1.0]), 0.1)
-    state.brands = [GaussianPosterior(np.array([4.0, 0.0]), np.eye(2))]
-    state.resp = Responsibilities(np.array([[1.0]]))
-    post = update_style(0, state)
-    assert post.isotropic
-    assert post.cov == pytest.approx(1.0 / 3.0, rel=1e-12)
-    np.testing.assert_allclose(post.mean, [2.0, 2.0 / 3.0], atol=1e-12)
+    state.w_mean, state.w_var = np.array([1.0, 1.0]), 0.1
+    state.brand_mean[0], state.brand_cov[0] = [4.0, 0.0], np.eye(2)
+    state.resp = np.array([[1.0]])
+    mean, var = update_styles(state)
+    assert var.shape == (1,)
+    assert var[0] == pytest.approx(1.0 / 3.0, rel=1e-12)
+    np.testing.assert_allclose(mean[0], [2.0, 2.0 / 3.0], atol=1e-12)
 
 
 def test_update_style_without_members_reverts_to_w():
     hp = HyperParams(num_styles=2, feature_dim=2)
     state = prior_matched_state(hp, 1, 3)
     state.prec_s = GammaPosterior(4.0, 2.0)  # mean 2
-    state.w = GaussianPosterior(np.array([0.5, -0.5]), 0.2)
-    state.resp = Responsibilities(np.tile([1.0, 0.0], (3, 1)))
-    post = update_style(1, state)
-    assert post.cov == pytest.approx(0.5, rel=1e-12)
-    np.testing.assert_allclose(post.mean, [0.5, -0.5], atol=1e-12)
+    state.w_mean, state.w_var = np.array([0.5, -0.5]), 0.2
+    state.resp = np.tile([1.0, 0.0], (3, 1))
+    mean, var = update_styles(state)
+    assert var[1] == pytest.approx(0.5, rel=1e-12)
+    np.testing.assert_allclose(mean[1], [0.5, -0.5], atol=1e-12)
 
 
 def test_update_w_direct_arithmetic():
@@ -294,11 +292,10 @@ def test_update_w_direct_arithmetic():
     state = prior_matched_state(hp, 1, 1)
     state.prec_w = GammaPosterior(1.0, 1.0)  # mean 1
     state.prec_s = GammaPosterior(2.0, 1.0)  # mean 2
-    state.styles = [GaussianPosterior(np.array([1.0, 0.0]), 0.3),
-                    GaussianPosterior(np.array([0.0, 1.0]), 0.3)]
-    post = update_w(state, hp)
-    assert post.cov == pytest.approx(0.2, rel=1e-12)
-    np.testing.assert_allclose(post.mean, [0.4, 0.4], atol=1e-12)
+    state.style_mean[:], state.style_var[:] = [[1.0, 0.0], [0.0, 1.0]], 0.3
+    mean, var = update_w(state, hp)
+    assert var == pytest.approx(0.2, rel=1e-12)
+    np.testing.assert_allclose(mean, [0.4, 0.4], atol=1e-12)
 
 
 def test_update_w_is_shrunk_style_average():
@@ -307,12 +304,13 @@ def test_update_w_is_shrunk_style_average():
     state.prec_w = GammaPosterior(3.0, 1.0)
     state.prec_s = GammaPosterior(5.0, 1.0)
     rng = np.random.default_rng(0)
-    state.styles = [GaussianPosterior(rng.standard_normal(2), 0.4) for _ in range(3)]
-    post = update_w(state, hp)
+    state.style_mean = np.stack([rng.standard_normal(2) for _ in range(3)])
+    state.style_var[:] = 0.4
+    mean, _ = update_w(state, hp)
     e_dw, e_ds, s = 3.0, 5.0, 3
     factor = e_ds * s / (e_dw + e_ds * s)
-    avg = np.mean([g.mean for g in state.styles], axis=0)
-    np.testing.assert_allclose(post.mean, factor * avg, atol=1e-12)
+    avg = np.mean(state.style_mean, axis=0)
+    np.testing.assert_allclose(mean, factor * avg, atol=1e-12)
 
 
 def test_update_w_vanishing_style_precision():
@@ -320,10 +318,10 @@ def test_update_w_vanishing_style_precision():
     state = prior_matched_state(hp, 1, 1)
     state.prec_w = GammaPosterior(2.0, 1.0)  # mean 2
     state.prec_s = GammaPosterior(1e-12, 1.0)
-    state.styles = [GaussianPosterior(np.array([5.0, 5.0]), 0.3)] * 2
-    post = update_w(state, hp)
-    np.testing.assert_allclose(post.mean, 0.0, atol=1e-10)
-    assert post.cov == pytest.approx(0.5, rel=1e-9)
+    state.style_mean[:], state.style_var[:] = [5.0, 5.0], 0.3
+    mean, var = update_w(state, hp)
+    np.testing.assert_allclose(mean, 0.0, atol=1e-10)
+    assert var == pytest.approx(0.5, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -334,13 +332,10 @@ def test_update_w_vanishing_style_precision():
 def test_update_precisions_point_masses_at_zero():
     hp = HyperParams(num_styles=2, feature_dim=3, alpha0=0.5, beta0=0.7)
     state = prior_matched_state(hp, 4, 5)
-    for g in state.users + state.brands:
-        g.mean = np.zeros(3)
-        g.cov = np.zeros((3, 3))
-    for g in state.styles:
-        g.mean = np.zeros(3)
-        g.cov = 0.0
-    state.w = GaussianPosterior(np.zeros(3), 0.0)
+    for family in ("user_mean", "user_cov", "brand_mean", "brand_cov", "style_mean",
+                   "style_var", "w_mean"):
+        getattr(state, family)[:] = 0.0
+    state.w_var = 0.0
     pu, pb, ps, pw = update_precisions(state, Dataset([], 4, 5, 3), hp)
     d, U, B, S = 3, 4, 5, 2
     assert (pu.shape, pb.shape, ps.shape, pw.shape) == (
@@ -352,7 +347,7 @@ def test_update_precisions_point_masses_at_zero():
 def test_update_precisions_user_moment_expansion():
     hp = HyperParams(num_styles=1, feature_dim=2, alpha0=1.0, beta0=1.0)
     state = prior_matched_state(hp, 1, 1)
-    state.users = [GaussianPosterior(np.array([1.0, 1.0]), 0.25 * np.eye(2))]
+    state.user_mean[0], state.user_cov[0] = [1.0, 1.0], 0.25 * np.eye(2)
     pu, _, _, _ = update_precisions(state, Dataset([], 1, 1, 2), hp)
     assert pu.rate == pytest.approx(1.0 + 0.5 * (2.0 + 0.5), abs=1e-12)
     assert pu.shape == pytest.approx(1.0 + 1.0, abs=1e-12)
@@ -361,9 +356,9 @@ def test_update_precisions_user_moment_expansion():
 def test_update_precisions_mean_decreases_with_spread():
     hp = HyperParams(num_styles=1, feature_dim=2, alpha0=1.0, beta0=1.0)
     state = prior_matched_state(hp, 1, 1)
-    state.users = [GaussianPosterior(np.array([1.0, 1.0]), 0.25 * np.eye(2))]
+    state.user_mean[0], state.user_cov[0] = [1.0, 1.0], 0.25 * np.eye(2)
     small, _, _, _ = update_precisions(state, Dataset([], 1, 1, 2), hp)
-    state.users = [GaussianPosterior(np.array([3.0, 3.0]), 0.25 * np.eye(2))]
+    state.user_mean[0] = [3.0, 3.0]
     large, _, _, _ = update_precisions(state, Dataset([], 1, 1, 2), hp)
     assert large.mean < small.mean
 
@@ -373,8 +368,8 @@ def test_update_xi_point_mass_posteriors():
     data = make_dataset([([1.0, -2.0], 0, 0, 1)], num_users=1, num_brands=1,
                         feature_dim=2)
     state = prior_matched_state(hp, 1, 1, num_events=1)
-    state.users = [GaussianPosterior(np.array([0.5, 0.5]), np.zeros((2, 2)))]
-    state.brands = [GaussianPosterior(np.array([0.5, 0.0]), np.zeros((2, 2)))]
+    state.user_mean[0], state.user_cov[0] = [0.5, 0.5], np.zeros((2, 2))
+    state.brand_mean[0], state.brand_cov[0] = [0.5, 0.0], np.zeros((2, 2))
     out = update_xi(state, data)
     assert out[0] == pytest.approx(abs(1.0 * 1.0 + (-2.0) * 0.5), rel=1e-12)
 
@@ -391,8 +386,8 @@ def test_update_xi_direct_arithmetic():
     hp = HyperParams(num_styles=1, feature_dim=1)
     data = make_dataset([([2.0], 0, 0, 1)], num_users=1, num_brands=1, feature_dim=1)
     state = prior_matched_state(hp, 1, 1, num_events=1)
-    state.users = [GaussianPosterior(np.array([0.4]), 0.25 * np.eye(1))]
-    state.brands = [GaussianPosterior(np.array([0.6]), 0.25 * np.eye(1))]
+    state.user_mean[0], state.user_cov[0] = [0.4], 0.25 * np.eye(1)
+    state.brand_mean[0], state.brand_cov[0] = [0.6], 0.25 * np.eye(1)
     assert update_xi(state, data)[0] == pytest.approx(math.sqrt(6.0), rel=1e-12)
 
 
@@ -412,8 +407,8 @@ def test_fit_zero_iterations_returns_initial_state():
     hp, data = _synthetic(max_iters=0)
     state, report = fit(data, hp, seed=9)
     init = initial_state(data, hp, seed=9)
-    np.testing.assert_array_equal(state.user_means(), init.user_means())
-    np.testing.assert_array_equal(state.resp.mu, init.resp.mu)
+    np.testing.assert_array_equal(state.user_mean, init.user_mean)
+    np.testing.assert_array_equal(state.resp, init.resp)
     assert report.elbo_trace == []
     assert report.iterations_run == 0
     assert not report.converged
@@ -446,9 +441,9 @@ def test_fit_initial_state_deterministic():
     hp, data = _synthetic()
     a = initial_state(data, hp, seed=17)
     b = initial_state(data, hp, seed=17)
-    np.testing.assert_array_equal(a.user_means(), b.user_means())
-    np.testing.assert_array_equal(a.style_means(), b.style_means())
-    np.testing.assert_array_equal(a.resp.mu, b.resp.mu)
+    np.testing.assert_array_equal(a.user_mean, b.user_mean)
+    np.testing.assert_array_equal(a.style_mean, b.style_mean)
+    np.testing.assert_array_equal(a.resp, b.resp)
 
 
 def test_fit_state_valid_after_each_sweep():
@@ -457,7 +452,7 @@ def test_fit_state_valid_after_each_sweep():
     for _ in range(5):
         state = cavi_sweep(state, data, hp)
         state.validate()
-        np.testing.assert_allclose(state.resp.mu.sum(axis=1), 1.0, atol=1e-9)
+        np.testing.assert_allclose(state.resp.sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_fit_label_switching_symmetry():
@@ -465,8 +460,9 @@ def test_fit_label_switching_symmetry():
     init = initial_state(data, hp, seed=8)
     perm = [2, 0, 1]
     permuted = init.copy()
-    permuted.styles = [init.styles[j] for j in perm]
-    permuted.resp = Responsibilities(init.resp.mu[:, perm])
+    permuted.style_mean = init.style_mean[perm]
+    permuted.style_var = init.style_var[perm]
+    permuted.resp = init.resp[:, perm]
     permuted.theta_gamma = init.theta_gamma[perm]
     _, r1 = fit(data, hp, init=init)
     _, r2 = fit(data, hp, init=permuted)
@@ -485,21 +481,21 @@ def test_fit_coordinate_updates_locally_optimal():
         return 0.1 * v / np.linalg.norm(v)
 
     st = state.copy()
-    st.users = update_users(st, data)
+    st.user_mean, st.user_cov = update_users(st, data)
     base = elbo(st, data, hp)
     for _ in range(10):
         pert = st.copy()
         k = int(rng.integers(st.num_users))
-        pert.users[k].mean = pert.users[k].mean + perturbation()
+        pert.user_mean[k] = pert.user_mean[k] + perturbation()
         assert elbo(pert, data, hp) <= base + 1e-9 * abs(base)
 
     st = state.copy()
-    st.styles = [update_style(j, st) for j in range(st.num_styles)]
+    st.style_mean, st.style_var = update_styles(st)
     base = elbo(st, data, hp)
     for _ in range(10):
         pert = st.copy()
         j = int(rng.integers(st.num_styles))
-        pert.styles[j].mean = pert.styles[j].mean + perturbation()
+        pert.style_mean[j] = pert.style_mean[j] + perturbation()
         assert elbo(pert, data, hp) <= base + 1e-9 * abs(base)
 
 

@@ -272,6 +272,25 @@ def test_checkpoint_rejects_malformed_json(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("family, index, spread, value", [
+    ("users", 0, "iso_var", 0.5), ("brands", 1, "iso_var", 0.5),
+    ("styles", 0, "cov", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    ("w", None, "cov", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+])
+def test_checkpoint_rejects_wrong_covariance_form(tmp_path, family, index, spread, value):
+    _, _, state, meta = _fitted(tmp_path)
+    path = tmp_path / "model.json"
+    save_checkpoint(state, meta, path)
+    doc = json.loads(path.read_text())
+    factor = doc["state"][family] if index is None else doc["state"][family][index]
+    factor.pop("cov", None)
+    factor.pop("iso_var", None)
+    factor[spread] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
 def test_checkpoint_rejects_dimension_mismatch(tmp_path):
     _, _, state, meta = _fitted(tmp_path)
     path = tmp_path / "model.json"
@@ -394,15 +413,33 @@ def test_cli_eval_rejects_single_fold(cli_artifacts):
     assert "folds" in res.stderr
 
 
-# The input paths do not exist: exit 2 rather than 1 shows that the value is
-# rejected before any file is read.
-@pytest.mark.parametrize("flag, value", [("--max-iters", "-1"), ("--tol", "0"),
-                                         ("--styles", "0")])
-def test_cli_train_rejects_bad_value_as_usage_error(tmp_path, flag, value):
-    args = {"--events": str(tmp_path / "absent.jsonl"), "--styles": "2",
-            "--checkpoint-out": str(tmp_path / "model.json"),
-            "--trace-out": str(tmp_path / "trace.csv"), flag: value}
-    res = _run_cli("train", *[tok for pair in args.items() for tok in pair])
+# Valid arguments per command; input paths do not exist, so exit 2 rather
+# than 1 shows that a bad value is rejected before any file is read.
+def _good_args(command, tmp_path):
+    if command == "generate":
+        return {"--users": "3", "--brands": "3", "--styles": "2", "--events": "10",
+                "--dim": "2", "--out": str(tmp_path / "events.jsonl"),
+                "--truth-out": str(tmp_path / "truth.json")}
+    if command == "train":
+        return {"--events": str(tmp_path / "absent.jsonl"), "--styles": "2",
+                "--checkpoint-out": str(tmp_path / "model.json"),
+                "--trace-out": str(tmp_path / "trace.csv")}
+    return {"--events": str(tmp_path / "absent.jsonl"), "--styles": "2",
+            "--report-out": str(tmp_path / "report.json")}
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("train", "--max-iters", "-1"), ("train", "--tol", "0"), ("train", "--styles", "0"),
+    ("generate", "--users", "0"), ("generate", "--brands", "0"),
+    ("generate", "--events", "0"), ("generate", "--dim", "0"),
+    ("generate", "--styles", "0"), ("generate", "--feature-scale", "-1"),
+    ("generate", "--prec-user", "0"), ("generate", "--prec-brand", "-1"),
+    ("generate", "--prec-style", "0"), ("generate", "--prec-w", "-0.5"),
+    ("eval", "--styles", "0"),
+])
+def test_cli_rejects_bad_value_as_usage_error(tmp_path, command, flag, value):
+    args = {**_good_args(command, tmp_path), flag: value}
+    res = _run_cli(command, *[tok for pair in args.items() for tok in pair])
     assert res.returncode == 2
     assert flag in res.stderr
     assert list(tmp_path.iterdir()) == []

@@ -11,10 +11,8 @@ from hbayes import (
     Dataset,
     EventRecord,
     GammaPosterior,
-    GaussianPosterior,
     HyperParams,
     NumericalError,
-    Responsibilities,
     elbo,
     elbo_terms,
     event_log_likelihood,
@@ -211,18 +209,31 @@ def test_dataset_validation():
         Dataset(events=[e], num_users=1, num_brands=2, feature_dim=3)
 
 
+def _valid_state():
+    hp = HyperParams(num_styles=2, feature_dim=2)
+    state = prior_matched_state(hp, 3, 3)
+    state.validate()
+    return state
+
+
 def test_gaussian_posterior_validation():
-    good = GaussianPosterior(np.zeros(2), np.eye(2))
-    good.validate()
-    iso = GaussianPosterior(np.zeros(2), 0.5)
-    iso.validate()
-    assert iso.cov_trace() == 1.0
-    with pytest.raises(ValueError):
-        GaussianPosterior(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]])).validate()
-    with pytest.raises(ValueError):
-        GaussianPosterior(np.zeros(2), -np.eye(2)).validate()
-    with pytest.raises(ValueError):
-        GaussianPosterior(np.zeros(2), 0.0).validate()
+    bad_covs = [np.array([[1.0, 0.5], [0.0, 1.0]]),  # asymmetric
+                -np.eye(2)]  # indefinite
+    for family in ("user_cov", "brand_cov"):
+        for cov in bad_covs:
+            state = _valid_state()
+            getattr(state, family)[1] = cov  # one bad slice in a stack of three
+            with pytest.raises(ValueError):
+                state.validate()
+    for var in (0.0, -0.5):
+        state = _valid_state()
+        state.style_var[1] = var
+        with pytest.raises(ValueError):
+            state.validate()
+        state = _valid_state()
+        state.w_var = var
+        with pytest.raises(ValueError):
+            state.validate()
 
 
 def test_gamma_posterior_moments():
@@ -235,11 +246,14 @@ def test_gamma_posterior_moments():
 
 
 def test_responsibilities_validation():
-    Responsibilities(np.array([[0.5, 0.5]])).validate()
-    with pytest.raises(ValueError):
-        Responsibilities(np.array([[0.6, 0.6]])).validate()
-    with pytest.raises(ValueError):
-        Responsibilities(np.array([[1.2, -0.2]])).validate()
+    state = _valid_state()
+    state.resp[0] = [0.5, 0.5]
+    state.validate()
+    for row in ([0.6, 0.6], [1.2, -0.2]):  # sums above 1; entries outside [0, 1]
+        state = _valid_state()
+        state.resp[0] = row
+        with pytest.raises(ValueError):
+            state.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -270,22 +284,22 @@ def test_elbo_cross_terms_match_monte_carlo():
 def test_elbo_entropies_match_scipy():
     hp, data, state = _tiny_instance()
     closed = elbo_terms(state, data, hp)
+    eye = np.eye(state.dim)
     assert closed["entropy_users"] == pytest.approx(
-        sum(stats.multivariate_normal(g.mean, g.cov_matrix()).entropy()
-            for g in state.users), rel=1e-10)
+        sum(stats.multivariate_normal(m, c).entropy()
+            for m, c in zip(state.user_mean, state.user_cov)), rel=1e-10)
     assert closed["entropy_brands"] == pytest.approx(
-        sum(stats.multivariate_normal(g.mean, g.cov_matrix()).entropy()
-            for g in state.brands), rel=1e-10)
+        sum(stats.multivariate_normal(m, c).entropy()
+            for m, c in zip(state.brand_mean, state.brand_cov)), rel=1e-10)
     assert closed["entropy_styles"] == pytest.approx(
-        sum(stats.multivariate_normal(g.mean, g.cov * np.eye(g.dim)).entropy()
-            for g in state.styles), rel=1e-10)
+        sum(stats.multivariate_normal(m, v * eye).entropy()
+            for m, v in zip(state.style_mean, state.style_var)), rel=1e-10)
     assert closed["entropy_w"] == pytest.approx(
-        stats.multivariate_normal(state.w.mean, state.w.cov * np.eye(state.w.dim)).entropy(),
-        rel=1e-10)
+        stats.multivariate_normal(state.w_mean, state.w_var * eye).entropy(), rel=1e-10)
     assert closed["entropy_theta"] == pytest.approx(
         stats.dirichlet(state.theta_gamma).entropy(), rel=1e-10)
     assert closed["entropy_assignments"] == pytest.approx(
-        sum(stats.entropy(row) for row in state.resp.mu), rel=1e-10)
+        sum(stats.entropy(row) for row in state.resp), rel=1e-10)
     assert closed["entropy_precisions"] == pytest.approx(
         sum(stats.gamma.entropy(p.shape, scale=1.0 / p.rate)
             for p in (state.prec_u, state.prec_b, state.prec_s, state.prec_w)),
@@ -354,8 +368,8 @@ def test_elbo_likelihood_tight_for_deterministic_posteriors():
         data1 = make_dataset([(x, 0, 0, y)], num_users=1, num_brands=1, feature_dim=2)
         data0 = Dataset(events=[], num_users=1, num_brands=1, feature_dim=2)
         state = prior_matched_state(hp, 1, 1)
-        state.users[0] = GaussianPosterior(user_mean, 1e-12 * np.eye(2))
-        state.brands[0] = GaussianPosterior(brand_mean, 1e-12 * np.eye(2))
+        state.user_mean[0], state.user_cov[0] = user_mean, 1e-12 * np.eye(2)
+        state.brand_mean[0], state.brand_cov[0] = brand_mean, 1e-12 * np.eye(2)
         state1 = state.copy()
         state1.xi = np.array([abs(h)])
         state0 = state.copy()
@@ -370,7 +384,7 @@ def test_elbo_rejects_non_positive_definite_covariance():
     hp = HyperParams(num_styles=2, feature_dim=2)
     data = Dataset(events=[], num_users=1, num_brands=1, feature_dim=2)
     state = prior_matched_state(hp, 1, 1)
-    state.users[0] = GaussianPosterior(np.zeros(2), np.array([[1.0, 0.0], [0.0, -1.0]]))
+    state.user_cov[0] = np.array([[1.0, 0.0], [0.0, -1.0]])
     with pytest.raises(NumericalError):
         elbo(state, data, hp)
 

@@ -8,19 +8,18 @@ from scipy.special import expit
 
 from hbayes import (
     GammaPosterior,
-    GaussianPosterior,
     HyperParams,
     PredictionScore,
-    Responsibilities,
     brand_prior,
     predict_prob,
     predictive_moments,
     rank_top_k,
     score_candidate,
+    score_candidates,
     user_prior,
 )
 
-from helpers import prior_matched_state
+from helpers import prior_matched_state, random_state, reference_scores
 
 
 # ---------------------------------------------------------------------------
@@ -29,33 +28,33 @@ from helpers import prior_matched_state
 
 
 def test_moments_zero_features():
-    b = GaussianPosterior(np.ones(3), np.eye(3))
-    u = GaussianPosterior(np.ones(3), 0.5)
-    assert predictive_moments(np.zeros(3), b, u) == (0.0, 0.0)
+    b = (np.ones(3), np.eye(3))
+    u = (np.ones(3), 0.5 * np.eye(3))
+    assert predictive_moments(np.zeros(3), *b, *u) == (0.0, 0.0)
 
 
 def test_moments_point_mass():
-    b = GaussianPosterior(np.array([1.0, -1.0]), np.zeros((2, 2)))
-    u = GaussianPosterior(np.array([0.5, 0.5]), np.zeros((2, 2)))
-    mu, s2 = predictive_moments(np.array([2.0, 2.0]), b, u)
+    b = (np.array([1.0, -1.0]), np.zeros((2, 2)))
+    u = (np.array([0.5, 0.5]), np.zeros((2, 2)))
+    mu, s2 = predictive_moments(np.array([2.0, 2.0]), *b, *u)
     assert s2 == 0.0
     assert mu == pytest.approx(2.0 * 1.5 + 2.0 * (-0.5))
 
 
 def test_moments_direct_arithmetic():
     x = np.array([1.0, 1.0])
-    b = GaussianPosterior(np.array([1.0, 0.0]), 0.5 * np.eye(2))
-    u = GaussianPosterior(np.array([0.0, 1.0]), 0.5 * np.eye(2))
-    mu, s2 = predictive_moments(x, b, u)
+    b = (np.array([1.0, 0.0]), 0.5 * np.eye(2))
+    u = (np.array([0.0, 1.0]), 0.5 * np.eye(2))
+    mu, s2 = predictive_moments(x, *b, *u)
     assert mu == pytest.approx(2.0)
     assert s2 == pytest.approx(2.0)
 
 
 def test_moments_dimension_mismatch():
-    b = GaussianPosterior(np.zeros(2), np.eye(2))
-    u = GaussianPosterior(np.zeros(3), np.eye(3))
+    b = (np.zeros(2), np.eye(2))
+    u = (np.zeros(3), np.eye(3))
     with pytest.raises(ValueError, match="dimension mismatch"):
-        predictive_moments(np.zeros(3), b, u)
+        predictive_moments(np.zeros(3), *b, *u)
 
 
 # ---------------------------------------------------------------------------
@@ -127,12 +126,10 @@ def test_prediction_score_validation():
 def _ranking_state():
     hp = HyperParams(num_styles=2, feature_dim=2)
     state = prior_matched_state(hp, 2, 2)
-    state.users = [GaussianPosterior(np.array([1.0, 0.0]), np.zeros((2, 2))),
-                   GaussianPosterior(np.array([0.0, 0.0]), np.zeros((2, 2)))]
-    state.brands = [GaussianPosterior(np.array([0.0, 0.0]), np.zeros((2, 2))),
-                    GaussianPosterior(np.array([0.0, 1.0]), np.zeros((2, 2)))]
-    state.styles = [GaussianPosterior(np.array([0.5, 0.5]), 0.2),
-                    GaussianPosterior(np.array([-0.5, 0.5]), 0.4)]
+    state.user_mean, state.user_cov = np.array([[1.0, 0.0], [0.0, 0.0]]), np.zeros((2, 2, 2))
+    state.brand_mean, state.brand_cov = np.array([[0.0, 0.0], [0.0, 1.0]]), np.zeros((2, 2, 2))
+    state.style_mean = np.array([[0.5, 0.5], [-0.5, 0.5]])
+    state.style_var = np.array([0.2, 0.4])
     state.theta_gamma = np.array([3.0, 1.0])
     state.prec_b = GammaPosterior(2.0, 1.0)  # mean 2
     state.prec_u = GammaPosterior(4.0, 1.0)  # mean 4
@@ -183,16 +180,17 @@ def test_rank_requires_positive_k():
 
 def test_cold_start_brand_uses_mixture_prior():
     state = _ranking_state()
-    prior = brand_prior(state)
+    prior_mean, prior_cov = brand_prior(state)
     weights = state.theta_gamma / state.theta_gamma.sum()
     np.testing.assert_allclose(
-        prior.mean, weights[0] * state.styles[0].mean + weights[1] * state.styles[1].mean)
-    assert prior.cov == pytest.approx(1.0 / 2.0 + weights[0] * 0.2 + weights[1] * 0.4)
+        prior_mean, weights[0] * state.style_mean[0] + weights[1] * state.style_mean[1])
+    np.testing.assert_allclose(
+        prior_cov, (1.0 / 2.0 + weights[0] * 0.2 + weights[1] * 0.4) * np.eye(2))
 
     x = np.array([1.0, 1.0])
     known = score_candidate(0, x, 0, state)
     unknown = score_candidate(0, x, None, state)
-    expected_mu = float(x @ (prior.mean + state.users[0].mean))
+    expected_mu = float(x @ (prior_mean + state.user_mean[0]))
     assert unknown.mu == pytest.approx(expected_mu)
     assert unknown.sigma2 > known.sigma2
     out_of_range = score_candidate(0, x, 99, state)
@@ -201,11 +199,42 @@ def test_cold_start_brand_uses_mixture_prior():
 
 def test_cold_start_user_uses_prior_moments():
     state = _ranking_state()
-    prior = user_prior(state)
-    np.testing.assert_array_equal(prior.mean, np.zeros(2))
-    assert prior.cov == pytest.approx(0.25)
+    prior_mean, prior_cov = user_prior(state)
+    np.testing.assert_array_equal(prior_mean, np.zeros(2))
+    np.testing.assert_allclose(prior_cov, 0.25 * np.eye(2))
     x = np.array([2.0, 0.0])
     s = score_candidate(None, x, 0, state)
     assert s.mu == pytest.approx(0.0)
     assert s.sigma2 == pytest.approx(4.0 * 0.25)
     assert s.prob == 0.5
+
+
+# The batched scorer sums in another order than the per-candidate loop, so
+# it may differ from it in the last bits: |got - want| <= 1e-12 * |want|.
+_BATCH_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 4])
+def test_batched_scores_match_per_candidate_loop(d):
+    hp = HyperParams(num_styles=3, feature_dim=d)
+    state = random_state(hp, num_users=3, num_brands=4, num_events=0, seed=d)
+    rng = np.random.default_rng(d)
+    brand_ids = [0, 3, None, 4, -1, 99, 2, 1, None, 3]  # known and cold brands mixed
+    cands = [(i, rng.standard_normal(d), b) for i, b in enumerate(brand_ids)]
+    for user_id in (0, 2, None, 3, -1):  # known users, unseen and out of range
+        got = score_candidates(user_id, cands, state)
+        want = reference_scores(user_id, cands, state)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=_BATCH_RTOL, atol=0.0)
+        ranked = rank_top_k(user_id, cands, state, k=len(cands))
+        np.testing.assert_allclose(sorted(p for _, p in ranked), sorted(want[2]),
+                                   rtol=_BATCH_RTOL, atol=0.0)
+        for item, x, b in cands:
+            one = score_candidate(user_id, x, b, state)
+            np.testing.assert_allclose([one.mu, one.sigma2, one.prob],
+                                       [w[item] for w in want], rtol=_BATCH_RTOL, atol=0.0)
+
+
+def test_rank_empty_candidate_list():
+    assert rank_top_k(0, [], _ranking_state(), k=3) == []
+    assert rank_top_k(None, iter([]), _ranking_state(), k=1) == []
