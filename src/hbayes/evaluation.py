@@ -94,10 +94,11 @@ def stratified_user_folds(data: Dataset, folds: int, seed: int) -> np.ndarray:
         raise ValueError("folds must be >= 2")
     rng = np.random.default_rng(seed)
     fold_of = np.full(len(data), -1, dtype=int)
-    for idx in data.user_groups:
-        if idx.size < folds:
+    order, bounds = data.user_order
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if hi - lo < folds:
             continue
-        perm = rng.permutation(idx)
+        perm = rng.permutation(order[lo:hi])
         fold_of[perm] = np.arange(perm.size) % folds
     return fold_of
 
@@ -166,8 +167,6 @@ def cross_validate(data: Dataset, hp: HyperParams, folds: int = 5, seed: int = 0
     held-out events.  Metrics are macro-averaged over users that have at
     least one held-out positive.  Deterministic given the seed.
     """
-    if folds < 2:
-        raise ValueError("folds must be >= 2")
     if scorer_factory is None:
         scorer_factory = hbayes_scorer_factory
 

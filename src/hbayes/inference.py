@@ -8,17 +8,20 @@ non-decreasing.  All updates are pure; ``fit`` owns the only mutable copy.
 """
 
 from dataclasses import dataclass, replace
+from itertools import pairwise
 
 import numpy as np
 from scipy.special import digamma, logsumexp
 
 from .linalg import NumericalError, spd_inverse
 from .model import (
+    _LOG_2PI,
     Dataset,
     GammaPosterior,
     HyperParams,
     VariationalState,
     elbo,
+    event_moments,
     lambda_of_xi,
 )
 
@@ -36,9 +39,6 @@ __all__ = [
     "cavi_sweep",
     "fit",
 ]
-
-_LOG_2PI = float(np.log(2.0 * np.pi))
-
 
 @dataclass
 class FitReport:
@@ -144,8 +144,7 @@ def _update_family(prior_prec, prior_pull, other_means, grouping, state, data):
     np.multiply(X, 2.0 * lam[order, None], out=Z[:, :d])
     Z[:, d] = coef[order]
     sums = np.zeros((len(prior_prec), d, d + 1))
-    bounds = bounds.tolist()
-    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+    for k, (lo, hi) in enumerate(pairwise(bounds.tolist())):
         np.matmul(X[lo:hi].T, Z[lo:hi], out=sums[k])
     cov = spd_inverse(prior_prec[:, None, None] * np.eye(d) + sums[:, :, :d])
     mean = np.einsum("kde,ke->kd", cov, prior_pull + sums[:, :, d])
@@ -199,14 +198,8 @@ def update_precisions(state: VariationalState, data: Dataset, hp: HyperParams):
 
 
 def update_xi(state: VariationalState, data: Dataset) -> np.ndarray:
-    """Per-event bound locations: xi_t = sqrt(E[(x'(B + U))^2])."""
-    if len(data) == 0:
-        return np.zeros(0)
-    X = data.X
-    m = np.einsum("nd,nd->n", X, state.brand_mean[data.brands] + state.user_mean[data.users])
-    bcov = state.brand_cov[data.brands]
-    ucov = state.user_cov[data.users]
-    s2 = np.einsum("nd,nde,ne->n", X, bcov, X) + np.einsum("nd,nde,ne->n", X, ucov, X)
+    """Per-event bound locations: xi_t = sqrt(E[(x'(B + U))^2]) = sqrt(m_t^2 + s2_t)."""
+    m, s2 = event_moments(state, data)
     return np.sqrt(np.maximum(m * m + s2, 0.0))
 
 

@@ -68,6 +68,19 @@ def _dump_canonical(obj, path):
 # ---------------------------------------------------------------------------
 
 
+def _json_lines(path):
+    """(line number, parsed object) for every non-blank line of a JSON Lines file."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as err:
+                raise EventParseError(f"line {lineno}: invalid JSON ({err.msg})") from None
+            yield lineno, obj
+
+
 def _parse_event_line(obj, lineno, feature_dim, require_label=True):
     if not isinstance(obj, dict):
         raise EventParseError(f"line {lineno}: expected a JSON object")
@@ -80,6 +93,8 @@ def _parse_event_line(obj, lineno, feature_dim, require_label=True):
     if not isinstance(x, list) or not all(isinstance(v, (int, float)) and
                                           not isinstance(v, bool) for v in x):
         raise EventParseError(f"line {lineno}: x must be an array of numbers")
+    if not x:
+        raise EventParseError(f"line {lineno}: x must not be empty")
     xv = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xv)):
         raise EventParseError(f"line {lineno}: x contains non-finite values")
@@ -104,19 +119,12 @@ def load_events(path) -> Dataset:
     user_index, brand_index = {}, {}
     events = []
     feature_dim = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise EventParseError(f"line {lineno}: invalid JSON ({err.msg})") from None
-            user, brand, xv, y = _parse_event_line(obj, lineno, feature_dim)
-            feature_dim = xv.size if feature_dim is None else feature_dim
-            uid = user_index.setdefault(user, len(user_index))
-            bid = brand_index.setdefault(brand, len(brand_index))
-            events.append(EventRecord(x=xv, brand=bid, user=uid, y=int(y)))
+    for lineno, obj in _json_lines(path):
+        user, brand, xv, y = _parse_event_line(obj, lineno, feature_dim)
+        feature_dim = xv.size if feature_dim is None else feature_dim
+        uid = user_index.setdefault(user, len(user_index))
+        bid = brand_index.setdefault(brand, len(brand_index))
+        events.append(EventRecord(x=xv, brand=bid, user=uid, y=int(y)))
     if not events:
         raise EventParseError("empty dataset")
     return Dataset(events=events, num_users=len(user_index), num_brands=len(brand_index),
@@ -140,18 +148,10 @@ def load_candidates(path):
     optional.  Returns (item, ...) tuples of (index, x, brand_id, user_id)."""
     out = []
     feature_dim = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise EventParseError(f"line {lineno}: invalid JSON ({err.msg})") from None
-            user, brand, xv, _ = _parse_event_line(obj, lineno, feature_dim,
-                                                   require_label=False)
-            feature_dim = xv.size if feature_dim is None else feature_dim
-            out.append((len(out), xv, brand, user))
+    for lineno, obj in _json_lines(path):
+        user, brand, xv, _ = _parse_event_line(obj, lineno, feature_dim, require_label=False)
+        feature_dim = xv.size if feature_dim is None else feature_dim
+        out.append((len(out), xv, brand, user))
     if not out:
         raise EventParseError("empty candidate file")
     return out
@@ -274,7 +274,8 @@ def load_checkpoint(path) -> Checkpoint:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
         raise CheckpointError(f"invalid JSON: {err.msg}") from None
-
+    if not isinstance(doc, dict):
+        raise CheckpointError("checkpoint must be a JSON object")
     version = doc.get("schema_version")
     if version != CHECKPOINT_SCHEMA_VERSION:
         raise CheckpointError(

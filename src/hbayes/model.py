@@ -16,6 +16,7 @@ bound; its term-by-term derivation lives in ``docs/elbo.md``.
 from copy import deepcopy
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import pairwise
 
 import numpy as np
 from scipy.special import digamma, expit, gammaln
@@ -33,6 +34,7 @@ __all__ = [
     "lambda_of_xi",
     "jj_lower_bound",
     "event_log_likelihood",
+    "event_moments",
     "elbo",
     "elbo_terms",
 ]
@@ -221,12 +223,6 @@ class Dataset:
         """(order, bounds) as in ``user_order``, by brand."""
         return _sort_by_entity(self.brands, self.num_brands)
 
-    @cached_property
-    def user_groups(self) -> list:
-        """Event indices per user (list of index arrays, length num_users)."""
-        order, bounds = self.user_order
-        return np.split(order, bounds[1:-1])
-
 
 def _sort_by_entity(keys, num_entities):
     order = np.argsort(keys, kind="stable")
@@ -352,6 +348,27 @@ class VariationalState:
 # ---------------------------------------------------------------------------
 
 
+def event_moments(state: VariationalState, data: Dataset):
+    """(m, s2): mean and variance of h_t = x_t'(B + U) under q for every event,
+    m_t = x_t'(mu^b + mu^u) and s2_t = x_t' Sigma^b x_t + x_t' Sigma^u x_t.
+
+    Each quadratic form is summed one entity at a time over X sorted by that
+    entity, so no (N, d, d) covariance stack is built: memory is O(N d).
+    """
+    X = data.X
+    m = (np.einsum("nd,nd->n", X, state.brand_mean[data.brands])
+         + np.einsum("nd,nd->n", X, state.user_mean[data.users]))
+    s2 = np.zeros(len(data))
+    Xs, XC = np.empty_like(X), np.empty_like(X)
+    for cov, (order, bounds) in ((state.user_cov, data.user_order),
+                                 (state.brand_cov, data.brand_order)):
+        np.take(X, order, axis=0, out=Xs, mode="clip")  # mode="raise" would buffer
+        for k, (lo, hi) in enumerate(pairwise(bounds.tolist())):
+            np.matmul(Xs[lo:hi], cov[k], out=XC[lo:hi])
+        s2[order] += np.einsum("nd,nd->n", XC, Xs)
+    return m, s2
+
+
 def _dirichlet_entropy(gamma: np.ndarray) -> float:
     total = gamma.sum()
     log_b = float(np.sum(gammaln(gamma)) - gammaln(total))
@@ -389,25 +406,14 @@ def elbo_terms(state: VariationalState, data: Dataset, hp: HyperParams) -> dict:
     terms = {}
 
     # Bounded Bernoulli likelihood, expectation under q with xi fixed.
-    n = len(data)
-    if n != state.xi.size:
-        raise ValueError(f"state has {state.xi.size} xi entries for {n} events")
-    if n > 0:
-        X = data.X
-        bm = state.brand_mean[data.brands]
-        um = state.user_mean[data.users]
-        m = np.einsum("nd,nd->n", X, bm + um)
-        bcov = state.brand_cov[data.brands]
-        ucov = state.user_cov[data.users]
-        s2 = np.einsum("nd,nde,ne->n", X, bcov, X) + np.einsum("nd,nde,ne->n", X, ucov, X)
-        xi = state.xi
-        lam = lambda_of_xi(xi)
-        log_sig_xi = -np.logaddexp(0.0, -xi)
-        terms["likelihood_bound"] = float(np.sum(
-            data.y * m + log_sig_xi - 0.5 * (m + xi) - lam * (m * m + s2 - xi * xi)
-        ))
-    else:
-        terms["likelihood_bound"] = 0.0
+    if len(data) != state.xi.size:
+        raise ValueError(f"state has {state.xi.size} xi entries for {len(data)} events")
+    m, s2 = event_moments(state, data)
+    xi = state.xi
+    log_sig_xi = -np.logaddexp(0.0, -xi)
+    terms["likelihood_bound"] = float(np.sum(
+        data.y * m + log_sig_xi - 0.5 * (m + xi) - lambda_of_xi(xi) * (m * m + s2 - xi * xi)
+    ))
 
     # E[log p(B_i | z_i, S, delta_b)], responsibilities-weighted.
     terms["brands_given_styles"] = float(np.sum(

@@ -131,6 +131,16 @@ def reference_update_brand(i, state, data):
     return cov @ (prior_pull + X.T @ coef), cov
 
 
+def reference_event_moments(state, data):
+    """(m, s2) of every event from gathered (N, d, d) covariance stacks: the
+    reference for ``event_moments``."""
+    X = data.X
+    m = np.einsum("nd,nd->n", X, state.brand_mean[data.brands] + state.user_mean[data.users])
+    s2 = (np.einsum("nd,nde,ne->n", X, state.brand_cov[data.brands], X)
+          + np.einsum("nd,nde,ne->n", X, state.user_cov[data.users], X))
+    return m, s2
+
+
 def reference_scores(user_id, candidates, state):
     """Per-candidate scoring loop: the reference for the batched scorer.
 

@@ -1,6 +1,7 @@
 """Tests for the coordinate-ascent updates and the fitting loop."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from hbayes import (
     HyperParams,
     NumericalError,
     elbo,
+    elbo_terms,
+    lambda_of_xi,
     sample_dataset,
 )
 from hbayes import inference
@@ -33,6 +36,7 @@ from helpers import (
     make_dataset,
     prior_matched_state,
     random_state,
+    reference_event_moments,
     reference_update_brand,
     reference_update_user,
 )
@@ -198,8 +202,9 @@ def test_update_brand_mirrors_update_user():
     assert brand_mean[0, 0] == pytest.approx(user_mean[0, 0], rel=1e-12)
 
 
-# Family updates sum in another order than the per-entity loop, so they may
-# differ from it in the last bits: max |got - want| <= 1e-12 * max |want|.
+# Family updates and the grouped event moments sum in another order than
+# their references (the per-entity loop, the (N, d, d) formula), so they may
+# differ from them in the last bits: max |got - want| <= 1e-12 * max |want|.
 _FAMILY_RTOL = 1e-12
 
 
@@ -389,6 +394,55 @@ def test_update_xi_direct_arithmetic():
     state.user_mean[0], state.user_cov[0] = [0.4], 0.25 * np.eye(1)
     state.brand_mean[0], state.brand_cov[0] = [0.6], 0.25 * np.eye(1)
     assert update_xi(state, data)[0] == pytest.approx(math.sqrt(6.0), rel=1e-12)
+
+
+def _assert_close(got, want):
+    got, want = np.atleast_1d(got), np.atleast_1d(want)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= _FAMILY_RTOL * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("d, seed", [(1, 0), (10, 2)])
+def test_grouped_moments_match_gathered_covariances(d, seed):
+    """update_xi and the likelihood bound against the (N, d, d) formula, on
+    interleaved events with an empty and a single-event user and brand."""
+    data, state = _family_instance(d, seed)
+    m, s2 = reference_event_moments(state, data)
+    _assert_close(update_xi(state, data), np.sqrt(m * m + s2))
+    xi, lam = state.xi, lambda_of_xi(state.xi)
+    bound = np.sum(data.y * m - np.logaddexp(0.0, -xi) - 0.5 * (m + xi)
+                   - lam * (m * m + s2 - xi * xi))
+    hp = HyperParams(num_styles=3, feature_dim=d)
+    _assert_close(elbo_terms(state, data, hp)["likelihood_bound"], bound)
+
+
+def test_grouped_moments_without_events():
+    hp = HyperParams(num_styles=2, feature_dim=3)
+    data = Dataset(events=[], num_users=2, num_brands=3, feature_dim=3)
+    state = random_state(hp, num_users=2, num_brands=3, num_events=0, seed=0)
+    assert update_xi(state, data).shape == (0,)
+    assert elbo_terms(state, data, hp)["likelihood_bound"] == 0.0
+
+
+def test_update_xi_memory_is_linear_in_events():
+    """Peak allocation at N = 20k, d = 20 stays below 4 N d doubles; one
+    (N, d, d) covariance stack alone is d / 4 = 5 times that."""
+    n, d = 20_000, 20
+    hp = HyperParams(num_styles=2, feature_dim=d)
+    rng = np.random.default_rng(0)
+    rows = zip(rng.standard_normal((n, d)), rng.integers(100, size=n).tolist(),
+               rng.integers(200, size=n).tolist(), rng.integers(2, size=n).tolist())
+    data = make_dataset(rows, num_users=200, num_brands=100, feature_dim=d)
+    state = random_state(hp, num_users=200, num_brands=100, num_events=n, seed=1)
+    # Build the cached event arrays first, so that only update_xi is traced.
+    _ = data.X, data.users, data.brands, data.user_order, data.brand_order
+    tracemalloc.start()
+    try:
+        update_xi(state, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n * d * 8
 
 
 # ---------------------------------------------------------------------------

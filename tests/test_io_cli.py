@@ -87,6 +87,14 @@ def test_load_events_requires_string_ids(tmp_path):
         load_events(path)
 
 
+@pytest.mark.parametrize("loader", [load_events, load_candidates])
+def test_loaders_reject_empty_features_with_line_number(tmp_path, loader):
+    path = tmp_path / "events.jsonl"
+    _write_lines(path, [json.dumps({"user": "u0", "brand": "b0", "x": [], "y": 1})])
+    with pytest.raises(EventParseError, match="line 1: x must not be empty"):
+        loader(path)
+
+
 def test_load_events_skips_blank_lines(tmp_path):
     path = tmp_path / "events.jsonl"
     path.write_text(
@@ -267,9 +275,10 @@ def test_checkpoint_rejects_version_mismatch(tmp_path):
 
 def test_checkpoint_rejects_malformed_json(tmp_path):
     path = tmp_path / "model.json"
-    path.write_text("{broken")
-    with pytest.raises(CheckpointError, match="invalid JSON"):
-        load_checkpoint(path)
+    for text, message in (("{broken", "invalid JSON"), ("[]", "must be a JSON object")):
+        path.write_text(text)
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
 
 
 @pytest.mark.parametrize("family, index, spread, value", [
@@ -464,6 +473,25 @@ def test_cli_missing_file_is_runtime_error(tmp_path):
                    "--checkpoint-out", str(tmp_path / "m.json"))
     assert res.returncode == 1
     assert "error:" in res.stderr
+
+
+@pytest.mark.parametrize("text", ["[]", "null"])
+def test_cli_rank_non_object_checkpoint_is_one_error_line(tmp_path, text):
+    ckpt = tmp_path / "model.json"
+    ckpt.write_text(text)
+    res = _run_cli("rank", "--checkpoint", str(ckpt), "--events", str(tmp_path / "c.jsonl"),
+                   "--user", "u0", "--out", str(tmp_path / "ranking.json"))
+    assert res.returncode == 1
+    assert res.stderr.splitlines() == ["error: checkpoint must be a JSON object"]
+
+
+def test_cli_train_empty_features_names_the_line(tmp_path):
+    events = tmp_path / "events.jsonl"
+    _write_lines(events, [json.dumps({"user": "u0", "brand": "b0", "x": [], "y": 1})])
+    res = _run_cli("train", "--events", str(events), "--styles", "2",
+                   "--checkpoint-out", str(tmp_path / "model.json"))
+    assert res.returncode == 1
+    assert res.stderr.splitlines() == ["error: line 1: x must not be empty"]
 
 
 def test_cli_same_seed_identical_outputs(tmp_path):
