@@ -129,7 +129,7 @@ def _cmd_rank(args, parser) -> int:
     user_id = user_index.get(args.user)
 
     items = [(item, x, brand_index.get(brand)) for item, x, brand, _ in candidates]
-    if any(x.size != ckpt.hyperparams.feature_dim for _, x, _ in items):
+    if candidates[0][1].size != ckpt.hyperparams.feature_dim:  # rows of one array
         raise io.EventParseError(
             f"candidate feature length differs from model dimension "
             f"{ckpt.hyperparams.feature_dim}"

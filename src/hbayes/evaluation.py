@@ -178,12 +178,8 @@ def cross_validate(data: Dataset, hp: HyperParams, folds: int = 5, seed: int = 0
 
     fold_reports = []
     for f in range(folds):
-        train_events = [data.events[t] for t in range(len(data))
-                        if fold_of[t] != f and fold_of[t] >= 0]
+        train = data.subset((fold_of != f) & (fold_of >= 0))
         test_idx = np.flatnonzero(fold_of == f)
-        train = Dataset(events=train_events, num_users=data.num_users,
-                        num_brands=data.num_brands, feature_dim=data.feature_dim,
-                        user_ids=data.user_ids, brand_ids=data.brand_ids)
         score = scorer_factory(train, hp, seed * folds + f)
 
         per_user = {}

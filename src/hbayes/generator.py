@@ -3,9 +3,8 @@
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
-from .model import Dataset, EventRecord, HyperParams
+from .model import Dataset, HyperParams, expit
 
 __all__ = ["GroundTruth", "sample_dataset"]
 
@@ -68,11 +67,7 @@ def sample_dataset(hp: HyperParams, num_users: int, num_brands: int, num_events:
     h = np.einsum("nd,nd->n", X, brands[event_brands] + users[event_users])
     labels = (rng.random(num_events) < expit(h)).astype(int)
 
-    events = [EventRecord(x=X[t], brand=int(event_brands[t]),
-                          user=int(event_users[t]), y=int(labels[t]))
-              for t in range(num_events)]
-    data = Dataset(events=events, num_users=num_users, num_brands=num_brands,
-                   feature_dim=d)
+    data = Dataset.from_arrays(X, event_users, event_brands, labels, num_users, num_brands)
     truth = GroundTruth(style_vectors=styles, brand_vectors=brands, user_vectors=users,
                         style_assignments=assignments, theta=theta, w=w)
     return data, truth

@@ -11,7 +11,6 @@ from dataclasses import dataclass, replace
 from itertools import pairwise
 
 import numpy as np
-from scipy.special import digamma, logsumexp
 
 from .linalg import NumericalError, spd_inverse
 from .model import (
@@ -20,9 +19,11 @@ from .model import (
     GammaPosterior,
     HyperParams,
     VariationalState,
+    digamma,
     elbo,
     event_moments,
     lambda_of_xi,
+    logsumexp,
 )
 
 __all__ = [
@@ -101,7 +102,7 @@ def update_responsibilities(state: VariationalState, data: Dataset,
                + 0.5 * d * (state.prec_b.mean_log - _LOG_2PI)
                - 0.5 * state.prec_b.mean * state.brand_style_sq())
     with np.errstate(invalid="ignore"):
-        mu = np.exp(log_rho - logsumexp(log_rho, axis=1, keepdims=True))
+        mu = np.exp(log_rho - logsumexp(log_rho, axis=1))
     if not np.all(np.isfinite(mu)):
         raise NumericalError("responsibilities are not finite after normalization")
     return mu
@@ -116,7 +117,8 @@ def update_users(state: VariationalState, data: Dataset):
     """(mean (U, d), cov (U, d, d)) of every user given current brands,
     precisions and xi."""
     return _update_family(np.full(state.num_users, state.prec_u.mean), 0.0,
-                          state.brand_mean[data.brands], data.user_order, state, data)
+                          state.brand_mean[data.brands],
+                          (*data.user_order, data.X_by_user), state, data)
 
 
 def update_brands(state: VariationalState, data: Dataset):
@@ -126,19 +128,19 @@ def update_brands(state: VariationalState, data: Dataset):
     mu = state.resp
     return _update_family(e_db * mu.sum(axis=1),  # rows sum to 1, so this is e_db
                           e_db * (mu @ state.style_mean),
-                          state.user_mean[data.users], data.brand_order, state, data)
+                          state.user_mean[data.users],
+                          (*data.brand_order, data.X_by_brand), state, data)
 
 
 def _update_family(prior_prec, prior_pull, other_means, grouping, state, data):
     """Joint update of all users or all brands: entity k gets precision
     prior_prec[k] I + 2 sum lam x x' and mean cov (prior_pull[k] + sum x c)
     over its events, with c = y - 1/2 - 2 lam x'm and m the event's mean in
-    the other family."""
-    order, bounds = grouping
+    the other family.  ``grouping`` is (order, bounds, X sorted by order)."""
+    order, bounds, X = grouping
     d = data.feature_dim
     lam = lambda_of_xi(state.xi)
     coef = data.y - 0.5 - 2.0 * lam * np.einsum("nd,nd->n", data.X, other_means)
-    X = np.take(data.X, order, axis=0)
     # One product per entity gives [2 sum lam x x' | sum x c] with no (N, d, d) buffer.
     Z = np.empty((len(order), d + 1))
     np.multiply(X, 2.0 * lam[order, None], out=Z[:, :d])

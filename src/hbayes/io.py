@@ -24,7 +24,6 @@ import numpy as np
 from .inference import FitReport
 from .model import (
     Dataset,
-    EventRecord,
     GammaPosterior,
     HyperParams,
     VariationalState,
@@ -81,32 +80,67 @@ def _json_lines(path):
             yield lineno, obj
 
 
-def _parse_event_line(obj, lineno, feature_dim, require_label=True):
-    if not isinstance(obj, dict):
-        raise EventParseError(f"line {lineno}: expected a JSON object")
-    for key in ("user", "brand", "x") + (("y",) if require_label else ()):
-        if key not in obj:
-            raise EventParseError(f"line {lineno}: missing field {key!r}")
-    user, brand, x = obj["user"], obj["brand"], obj["x"]
-    if not isinstance(user, str) or not isinstance(brand, str):
-        raise EventParseError(f"line {lineno}: user and brand must be strings")
-    if not isinstance(x, list) or not all(isinstance(v, (int, float)) and
-                                          not isinstance(v, bool) for v in x):
-        raise EventParseError(f"line {lineno}: x must be an array of numbers")
-    if not x:
-        raise EventParseError(f"line {lineno}: x must not be empty")
-    xv = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(xv)):
-        raise EventParseError(f"line {lineno}: x contains non-finite values")
-    if feature_dim is not None and xv.size != feature_dim:
-        raise EventParseError(
-            f"line {lineno}: feature length {xv.size} != {feature_dim}"
-        )
-    y = obj.get("y")
-    if y is not None or require_label:
-        if isinstance(y, bool) or y not in (0, 1):
-            raise EventParseError(f"line {lineno}: label y must be 0 or 1, got {y!r}")
-    return user, brand, xv, y
+# json.loads gives exactly these types for JSON numbers; bool is excluded.
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _read_columns(path, require_label=True):
+    """Parse an event-format file into columns: (user ids, brand ids, X (N, d),
+    labels), one entry per non-blank line.
+
+    Each line is checked in turn; the finiteness of x is checked once over
+    all rows, and before any later failure is reported, so the first bad
+    line is named with the same message as a line-by-line reader would give.
+    """
+    lines, users, brands, rows, labels = [], [], [], [], []
+    try:
+        for lineno, obj in _json_lines(path):
+            if not isinstance(obj, dict):
+                raise EventParseError(f"line {lineno}: expected a JSON object")
+            for key in ("user", "brand", "x") + (("y",) if require_label else ()):
+                if key not in obj:
+                    raise EventParseError(f"line {lineno}: missing field {key!r}")
+            user, brand, x = obj["user"], obj["brand"], obj["x"]
+            if not isinstance(user, str) or not isinstance(brand, str):
+                raise EventParseError(f"line {lineno}: user and brand must be strings")
+            if not isinstance(x, list) or not _NUMBER_TYPES.issuperset(map(type, x)):
+                raise EventParseError(f"line {lineno}: x must be an array of numbers")
+            if not x:
+                raise EventParseError(f"line {lineno}: x must not be empty")
+            lines.append(lineno)
+            rows.append(x)
+            if len(x) != len(rows[0]):
+                raise EventParseError(
+                    f"line {lineno}: feature length {len(x)} != {len(rows[0])}")
+            y = obj.get("y")
+            if y is not None or require_label:
+                if isinstance(y, bool) or y not in (0, 1):
+                    raise EventParseError(f"line {lineno}: label y must be 0 or 1, got {y!r}")
+            users.append(user)
+            brands.append(brand)
+            labels.append(y)
+    except EventParseError:
+        _raise_first_non_finite(rows, lines)  # an earlier non-finite x comes first
+        raise
+    try:
+        X = np.array(rows, dtype=float)
+    except OverflowError:  # an integer past float range
+        X = None
+    if X is None or not np.isfinite(X).all():
+        _raise_first_non_finite(rows, lines)
+    return users, brands, X, labels
+
+
+def _raise_first_non_finite(rows, lines):
+    """Raise EventParseError for the first row of x that holds a non-finite
+    value or an integer too large for a float."""
+    for lineno, x in zip(lines, rows):
+        try:
+            finite = np.isfinite(np.array(x, dtype=float)).all()
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise EventParseError(f"line {lineno}: x contains non-finite values")
 
 
 def load_events(path) -> Dataset:
@@ -116,45 +150,36 @@ def load_events(path) -> Dataset:
     the feature dimension is inferred from the first record and enforced on
     the rest.  Malformed input raises EventParseError with the line number.
     """
-    user_index, brand_index = {}, {}
-    events = []
-    feature_dim = None
-    for lineno, obj in _json_lines(path):
-        user, brand, xv, y = _parse_event_line(obj, lineno, feature_dim)
-        feature_dim = xv.size if feature_dim is None else feature_dim
-        uid = user_index.setdefault(user, len(user_index))
-        bid = brand_index.setdefault(brand, len(brand_index))
-        events.append(EventRecord(x=xv, brand=bid, user=uid, y=int(y)))
-    if not events:
+    users, brands, X, labels = _read_columns(path)
+    if not labels:
         raise EventParseError("empty dataset")
-    return Dataset(events=events, num_users=len(user_index), num_brands=len(brand_index),
-                   feature_dim=feature_dim, user_ids=list(user_index),
-                   brand_ids=list(brand_index))
+    user_index, brand_index = {}, {}
+    users = [user_index.setdefault(u, len(user_index)) for u in users]
+    brands = [brand_index.setdefault(b, len(brand_index)) for b in brands]
+    return Dataset.from_arrays(X, users, brands, labels, len(user_index), len(brand_index),
+                               user_ids=list(user_index), brand_ids=list(brand_index))
 
 
 def save_events(data: Dataset, path):
     """Write a Dataset as JSON Lines; indices become "u<k>"/"b<i>" ids unless
     the dataset carries original string ids."""
+    user_ids = data.user_ids or [f"u{k}" for k in range(data.num_users)]
+    brand_ids = data.brand_ids or [f"b{i}" for i in range(data.num_brands)]
     with open(path, "w", encoding="utf-8") as fh:
-        for e in data.events:
-            user = data.user_ids[e.user] if data.user_ids else f"u{e.user}"
-            brand = data.brand_ids[e.brand] if data.brand_ids else f"b{e.brand}"
-            obj = {"brand": brand, "user": user, "x": [float(v) for v in e.x], "y": int(e.y)}
+        for x, b, u, y in zip(data.X, data.brands.tolist(), data.users.tolist(),
+                              data.y.tolist()):
+            obj = {"brand": brand_ids[b], "user": user_ids[u], "x": x.tolist(), "y": int(y)}
             fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_candidates(path):
     """Read candidate items for ranking: same line format as events, ``y``
-    optional.  Returns (item, ...) tuples of (index, x, brand_id, user_id)."""
-    out = []
-    feature_dim = None
-    for lineno, obj in _json_lines(path):
-        user, brand, xv, _ = _parse_event_line(obj, lineno, feature_dim, require_label=False)
-        feature_dim = xv.size if feature_dim is None else feature_dim
-        out.append((len(out), xv, brand, user))
-    if not out:
+    optional.  Returns (item, ...) tuples of (index, x, brand_id, user_id),
+    each x a row view of one (N, d) array."""
+    users, brands, X, _ = _read_columns(path, require_label=False)
+    if not users:
         raise EventParseError("empty candidate file")
-    return out
+    return list(zip(range(len(users)), X, brands, users))
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,13 @@ Everything here is a pure function of its inputs.  The evidence lower bound
 bound; its term-by-term derivation lives in ``docs/elbo.md``.
 """
 
+import math
 from copy import deepcopy
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import pairwise
 
 import numpy as np
-from scipy.special import digamma, expit, gammaln
 
 from .linalg import NumericalError, spd_logdet
 
@@ -49,6 +49,57 @@ _LAMBDA_TAYLOR_CUTOFF = 1e-2
 # ---------------------------------------------------------------------------
 # scalar math
 # ---------------------------------------------------------------------------
+
+# The four special functions below serve this package only (they are not in
+# __all__), so that starting a process does not import scipy.
+
+
+def _elementwise(scalar_fn):
+    """Lift a float -> float function to scalars (giving a float) and arrays."""
+
+    @wraps(scalar_fn)
+    def fn(x):
+        if np.ndim(x) == 0:
+            return scalar_fn(float(x))
+        x = np.asarray(x, dtype=float)
+        return np.fromiter(map(scalar_fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+    return fn
+
+
+@_elementwise
+def digamma(x):
+    """psi(x) for x > 0 (nan otherwise): the recurrence psi(x) = psi(x + 1) - 1/x
+    up to x >= 10, then the asymptotic series in 1/x^2 through B_12."""
+    if not x > 0:
+        return math.nan
+    acc = 0.0
+    while x < 10.0:
+        acc -= 1.0 / x
+        x += 1.0
+    r = 1.0 / (x * x)
+    series = r * (1 / 12 - r * (1 / 120 - r * (1 / 252 - r * (1 / 240 - r * (
+        1 / 132 - r * 691 / 32760)))))
+    return acc + math.log(x) - 0.5 / x - series
+
+
+gammaln = _elementwise(math.lgamma)
+
+
+def expit(v):
+    """1 / (1 + exp(-v)); exp overflows to inf for v < -709, giving 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(v, dtype=float)))
+
+
+def logsumexp(a, axis):
+    """log(sum(exp(a))) along ``axis``, kept as a length-1 axis; the sum is
+    shifted by the finite maximum."""
+    a = np.asarray(a, dtype=float)
+    top = np.max(a, axis=axis, keepdims=True)
+    top = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.sum(np.exp(a - top), axis=axis, keepdims=True)) + top
 
 
 def sigmoid(v):
@@ -166,51 +217,77 @@ class EventRecord:
             raise ValueError(f"label must be 0 or 1, got {self.y!r}")
 
 
-@dataclass
 class Dataset:
-    """An ordered collection of events plus the entity universe sizes.
+    """Events as columns: features ``X`` (N, d), user and brand indices
+    ``users`` and ``brands`` (N,) and click labels ``y`` (N,) as floats,
+    plus the entity universe sizes.
 
+    Build one with ``Dataset.from_arrays``.  ``Dataset(events, num_users,
+    num_brands, feature_dim)`` converts a list of EventRecord to columns
+    once, and ``events`` is the reverse view, built on first access.
     ``user_ids`` / ``brand_ids`` optionally record the original string ids
-    (index -> id) when the data came from a file.
+    (index -> id) when the data came from a file.  Validation is vectorized
+    and names the first bad event.
     """
 
-    events: list
-    num_users: int
-    num_brands: int
-    feature_dim: int
-    user_ids: list | None = None
-    brand_ids: list | None = None
+    def __init__(self, events, num_users: int, num_brands: int, feature_dim: int,
+                 user_ids: list | None = None, brand_ids: list | None = None):
+        events = list(events)
+        sizes = np.array([e.x.size for e in events], dtype=int)
+        _check_events([(sizes != feature_dim,
+                        lambda t: f"event {t}: feature length {sizes[t]} != {feature_dim}")])
+        X = np.stack([e.x for e in events]) if events else np.zeros((0, feature_dim))
+        self._set_columns(X, [e.user for e in events], [e.brand for e in events],
+                          [e.y for e in events], num_users, num_brands, user_ids, brand_ids)
 
-    def __post_init__(self):
-        for t, e in enumerate(self.events):
-            if e.x.shape != (self.feature_dim,):
-                raise ValueError(f"event {t}: feature length {e.x.size} != {self.feature_dim}")
-            if not 0 <= e.brand < self.num_brands:
-                raise ValueError(f"event {t}: brand index {e.brand} out of range")
-            if not 0 <= e.user < self.num_users:
-                raise ValueError(f"event {t}: user index {e.user} out of range")
+    @classmethod
+    def from_arrays(cls, X, users, brands, y, num_users: int, num_brands: int,
+                    user_ids: list | None = None, brand_ids: list | None = None) -> "Dataset":
+        """A dataset over the columns X (N, d), users, brands and y (N,);
+        the feature dimension is X.shape[1]."""
+        data = cls.__new__(cls)
+        data._set_columns(X, users, brands, y, num_users, num_brands, user_ids, brand_ids)
+        return data
+
+    def _set_columns(self, X, users, brands, y, num_users, num_brands, user_ids, brand_ids):
+        X = np.ascontiguousarray(X, dtype=float)
+        users, brands = np.asarray(users), np.asarray(brands)
+        if any(a.size and a.dtype.kind not in "iu" for a in (users, brands)):
+            raise ValueError("users and brands must be integer indices")
+        users, brands = users.astype(int, copy=False), brands.astype(int, copy=False)
+        y = np.asarray(y, dtype=float)
+        if X.ndim != 2 or any(a.shape != (len(X),) for a in (users, brands, y)):
+            raise ValueError("X must have shape (N, d) and users, brands and y shape (N,)")
+        _check_events([
+            (~np.isfinite(X).all(axis=1),
+             lambda t: f"event {t}: x must be finite in every coordinate"),
+            ((y != 0) & (y != 1), lambda t: f"event {t}: label must be 0 or 1, got {y[t]:g}"),
+            ((brands < 0) | (brands >= num_brands),
+             lambda t: f"event {t}: brand index {brands[t]} out of range"),
+            ((users < 0) | (users >= num_users),
+             lambda t: f"event {t}: user index {users[t]} out of range"),
+        ])
+        self.X, self.users, self.brands, self.y = X, users, brands, y
+        self.num_users, self.num_brands = num_users, num_brands
+        self.feature_dim = X.shape[1]
+        self.user_ids, self.brand_ids = user_ids, brand_ids
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.y)
+
+    def subset(self, idx) -> "Dataset":
+        """The events at ``idx`` (indices or a boolean mask), in that order,
+        over the same entities and ids."""
+        return Dataset.from_arrays(self.X[idx], self.users[idx], self.brands[idx], self.y[idx],
+                                   self.num_users, self.num_brands,
+                                   self.user_ids, self.brand_ids)
 
     @cached_property
-    def X(self) -> np.ndarray:
-        """Feature matrix, shape (N, d)."""
-        if not self.events:
-            return np.zeros((0, self.feature_dim))
-        return np.stack([e.x for e in self.events])
-
-    @cached_property
-    def users(self) -> np.ndarray:
-        return np.array([e.user for e in self.events], dtype=int)
-
-    @cached_property
-    def brands(self) -> np.ndarray:
-        return np.array([e.brand for e in self.events], dtype=int)
-
-    @cached_property
-    def y(self) -> np.ndarray:
-        return np.array([e.y for e in self.events], dtype=float)
+    def events(self) -> list:
+        """One EventRecord per event; each x is a row view of X."""
+        return [EventRecord(x=x, brand=b, user=u, y=y) for x, b, u, y in
+                zip(self.X, self.brands.tolist(), self.users.tolist(),
+                    self.y.astype(int).tolist())]
 
     @cached_property
     def user_order(self) -> tuple:
@@ -222,6 +299,27 @@ class Dataset:
     def brand_order(self) -> tuple:
         """(order, bounds) as in ``user_order``, by brand."""
         return _sort_by_entity(self.brands, self.num_brands)
+
+    @cached_property
+    def X_by_user(self) -> np.ndarray:
+        """X with its rows in ``user_order``, sorted once."""
+        return self.X[self.user_order[0]]
+
+    @cached_property
+    def X_by_brand(self) -> np.ndarray:
+        """X with its rows in ``brand_order``, sorted once."""
+        return self.X[self.brand_order[0]]
+
+
+def _check_events(checks):
+    """Raise ValueError for the first event that fails any of ``checks``,
+    (bad mask (N,), message for event t) pairs; at that event the earliest
+    failing check in the list gives the message."""
+    bad = np.array([mask for mask, _ in checks], dtype=bool).reshape(len(checks), -1)
+    failing = np.flatnonzero(bad.any(axis=0))
+    if failing.size:
+        t = int(failing[0])
+        raise ValueError(next(message(t) for mask, message in checks if mask[t]))
 
 
 def _sort_by_entity(keys, num_entities):
@@ -353,16 +451,15 @@ def event_moments(state: VariationalState, data: Dataset):
     m_t = x_t'(mu^b + mu^u) and s2_t = x_t' Sigma^b x_t + x_t' Sigma^u x_t.
 
     Each quadratic form is summed one entity at a time over X sorted by that
-    entity, so no (N, d, d) covariance stack is built: memory is O(N d).
+    entity (cached on the dataset), so no (N, d, d) covariance stack is built: memory is O(N d).
     """
     X = data.X
     m = (np.einsum("nd,nd->n", X, state.brand_mean[data.brands])
          + np.einsum("nd,nd->n", X, state.user_mean[data.users]))
     s2 = np.zeros(len(data))
-    Xs, XC = np.empty_like(X), np.empty_like(X)
-    for cov, (order, bounds) in ((state.user_cov, data.user_order),
-                                 (state.brand_cov, data.brand_order)):
-        np.take(X, order, axis=0, out=Xs, mode="clip")  # mode="raise" would buffer
+    XC = np.empty_like(X)
+    for cov, (order, bounds), Xs in ((state.user_cov, data.user_order, data.X_by_user),
+                                     (state.brand_cov, data.brand_order, data.X_by_brand)):
         for k, (lo, hi) in enumerate(pairwise(bounds.tolist())):
             np.matmul(Xs[lo:hi], cov[k], out=XC[lo:hi])
         s2[order] += np.einsum("nd,nd->n", XC, Xs)

@@ -95,6 +95,69 @@ def test_loaders_reject_empty_features_with_line_number(tmp_path, loader):
         loader(path)
 
 
+def _event_line(x='[1.0, 2.0]', y="1"):
+    """One event line with ``x`` and ``y`` spliced in as raw JSON text, so
+    that non-standard tokens such as NaN, Infinity and 1e999 survive."""
+    return f'{{"user": "u0", "brand": "b0", "x": {x}, "y": {y}}}'
+
+
+# Each file holds one or more faults; the loaders check finiteness once over
+# all rows, so these pin that the first faulty line is still the one named.
+_FAULTY_FILES = {
+    "nan_then_short_row": (["[1.0, 2.0]", "[NaN, 2.0]", "[1.0, 2.0]", "[1.0]"],
+                           "line 2: x contains non-finite values"),
+    "short_row_then_nan": (["[1.0, 2.0]", "[1.0]", "[1.0, 2.0]", "[NaN, 2.0]"],
+                           "line 2: feature length 1 != 2"),
+    "string_entry": (["[1.0, 2.0]", '["1.0", 2.0]'], "line 2: x must be an array of numbers"),
+    "bool_entry": (["[1.0, 2.0]", "[true, 2.0]"], "line 2: x must be an array of numbers"),
+    "overflowing_literal": (["[1.0, 2.0]", "[1e999, 2.0]"],
+                            "line 2: x contains non-finite values"),
+    "infinity": (["[1.0, 2.0]", "[1.0, -Infinity]"], "line 2: x contains non-finite values"),
+    "nan_after_blank_lines": (["[1.0, 2.0]", "", "  ", "[NaN, 2.0]"],
+                              "line 4: x contains non-finite values"),
+    "infinity_after_blank_lines": (["", "[1.0, 2.0]", "", "[2.0, Infinity]", "[1.0, 2.0]"],
+                                   "line 4: x contains non-finite values"),
+    "nan_and_short_row_on_one_line": (["[1.0, 2.0]", "[NaN]"],
+                                      "line 2: x contains non-finite values"),
+    "nan_then_invalid_json": (["[NaN, 2.0]", None], "line 1: x contains non-finite values"),
+    "string_then_nan": (['[1.0, "a"]', "[NaN, 2.0]"], "line 1: x must be an array of numbers"),
+    "integer_past_float_range": (["[1.0, 2.0]", "[1" + "0" * 400 + ", 2.0]"],
+                                 "line 2: x contains non-finite values"),
+}
+
+
+@pytest.mark.parametrize("loader", [load_events, load_candidates])
+@pytest.mark.parametrize("case", sorted(_FAULTY_FILES))
+def test_loaders_name_the_first_faulty_line(tmp_path, loader, case):
+    rows, message = _FAULTY_FILES[case]
+    path = tmp_path / "events.jsonl"
+    _write_lines(path, ["{not json" if x is None else _event_line(x) if x.strip() else x
+                        for x in rows])
+    with pytest.raises(EventParseError) as err:
+        loader(path)
+    assert str(err.value) == message
+
+
+def test_load_events_label_fault_after_nan_names_the_nan(tmp_path):
+    path = tmp_path / "events.jsonl"
+    _write_lines(path, [_event_line("[NaN, 1.0]", y="2"), _event_line(y="2")])
+    with pytest.raises(EventParseError, match="^line 1: x contains non-finite values$"):
+        load_events(path)
+
+
+def test_loaders_return_columns(tmp_path):
+    path = tmp_path / "events.jsonl"
+    _write_lines(path, [_event_line("[1, 2.5]"), "", _event_line("[-0.0, 3]", y="0")])
+    data = load_events(path)
+    assert data.X.dtype == float and data.X.shape == (2, 2)
+    np.testing.assert_array_equal(data.X, [[1.0, 2.5], [-0.0, 3.0]])
+    np.testing.assert_array_equal(data.y, [1.0, 0.0])
+    cands = load_candidates(path)
+    assert [(i, b, u) for i, _, b, u in cands] == [(0, "b0", "u0"), (1, "b0", "u0")]
+    assert cands[0][1].base is cands[1][1].base is not None  # rows of one array
+    np.testing.assert_array_equal(np.stack([x for _, x, _, _ in cands]), data.X)
+
+
 def test_load_events_skips_blank_lines(tmp_path):
     path = tmp_path / "events.jsonl"
     path.write_text(

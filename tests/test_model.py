@@ -209,6 +209,81 @@ def test_dataset_validation():
         Dataset(events=[e], num_users=1, num_brands=2, feature_dim=3)
 
 
+def _columns(n=6, d=3, seed=0):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((n, d)), rng.integers(0, 3, n), rng.integers(0, 4, n),
+            rng.integers(0, 2, n))
+
+
+def test_dataset_from_arrays_holds_columns():
+    X, users, brands, y = _columns()
+    data = Dataset.from_arrays(X, users, brands, y, num_users=3, num_brands=4,
+                               user_ids=["a", "b", "c"])
+    assert len(data) == 6 and data.feature_dim == 3 and data.user_ids == ["a", "b", "c"]
+    assert data.X.dtype == float and data.y.dtype == float
+    np.testing.assert_array_equal(data.X, X)
+    np.testing.assert_array_equal(data.users, users)
+    np.testing.assert_array_equal(data.brands, brands)
+    np.testing.assert_array_equal(data.y, y)
+    # the record view and the record adapter both agree with the columns
+    assert [(e.user, e.brand, e.y) for e in data.events] == list(zip(users, brands, y))
+    assert all(e.x.base is data.X for e in data.events)
+    again = Dataset(data.events, 3, 4, 3)
+    for name in ("X", "users", "brands", "y"):
+        np.testing.assert_array_equal(getattr(again, name), getattr(data, name))
+    empty = Dataset.from_arrays(np.zeros((0, 2)), [], [], [], num_users=1, num_brands=1)
+    assert len(empty) == 0 and empty.feature_dim == 2 and empty.events == []
+
+
+def test_dataset_sorted_features_follow_the_orders():
+    data = Dataset.from_arrays(*_columns(n=40, d=2, seed=3), num_users=3, num_brands=4)
+    np.testing.assert_array_equal(data.X_by_user, data.X[data.user_order[0]])
+    np.testing.assert_array_equal(data.X_by_brand, data.X[data.brand_order[0]])
+    assert data.X_by_user is data.X_by_user  # sorted once
+
+
+def test_dataset_subset_keeps_order_entities_and_ids():
+    X, users, brands, y = _columns(n=8)
+    data = Dataset.from_arrays(X, users, brands, y, 3, 4, brand_ids=list("pqrs"))
+    idx = np.array([5, 1, 6])
+    sub = data.subset(idx)
+    np.testing.assert_array_equal(sub.X, X[idx])
+    np.testing.assert_array_equal(sub.users, users[idx])
+    np.testing.assert_array_equal(sub.y, y[idx])
+    assert (sub.num_users, sub.num_brands, sub.brand_ids) == (3, 4, list("pqrs"))
+    mask = np.arange(8) % 3 == 0
+    np.testing.assert_array_equal(data.subset(mask).brands, brands[mask])
+
+
+def test_dataset_validation_names_the_first_bad_event():
+    X, users, brands, y = _columns(n=6)
+    X[4, 1] = np.inf
+    brands[2] = 9
+    y[3] = 2
+    with pytest.raises(ValueError, match=r"^event 2: brand index 9 out of range$"):
+        Dataset.from_arrays(X, users, brands, y, num_users=3, num_brands=4)
+    brands[2] = 0
+    with pytest.raises(ValueError, match=r"^event 3: label must be 0 or 1, got 2$"):
+        Dataset.from_arrays(X, users, brands, y, num_users=3, num_brands=4)
+    y[3] = 1
+    with pytest.raises(ValueError, match=r"^event 4: x must be finite in every coordinate$"):
+        Dataset.from_arrays(X, users, brands, y, num_users=3, num_brands=4)
+    X[4, 1] = 0.0
+    users[5] = -1
+    with pytest.raises(ValueError, match=r"^event 5: user index -1 out of range$"):
+        Dataset.from_arrays(X, users, brands, y, num_users=3, num_brands=4)
+    with pytest.raises(ValueError, match="integer indices"):
+        Dataset.from_arrays(X, users + 0.5, brands, y, num_users=3, num_brands=4)
+    with pytest.raises(ValueError, match="shape"):
+        Dataset.from_arrays(X[0], users, brands, y, num_users=3, num_brands=4)
+    with pytest.raises(ValueError, match="shape"):
+        Dataset.from_arrays(X, users[:5], brands, y, num_users=3, num_brands=4)
+    records = [EventRecord(x=np.zeros(2), brand=0, user=0, y=0),
+               EventRecord(x=np.zeros(3), brand=0, user=0, y=0)]
+    with pytest.raises(ValueError, match=r"^event 1: feature length 3 != 2$"):
+        Dataset(records, num_users=1, num_brands=1, feature_dim=2)
+
+
 def _valid_state():
     hp = HyperParams(num_styles=2, feature_dim=2)
     state = prior_matched_state(hp, 3, 3)
