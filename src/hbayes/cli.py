@@ -141,7 +141,7 @@ def _cmd_rank(args, parser) -> int:
         "k": args.k,
         "ranking": [{"item_id": item, "prob": float(p)} for item, p in top],
     }
-    io.save_ranking(doc, args.out)
+    io.save_json(doc, args.out)
     print(f"wrote top-{len(top)} ranking to {args.out}")
     return 0
 
@@ -162,10 +162,10 @@ def _cmd_eval(args, parser) -> int:
     hp = HyperParams(num_styles=args.styles, feature_dim=data.feature_dim)
     result = evaluation.cross_validate(data, hp, folds=args.folds, seed=args.seed,
                                        k_values=k_values)
-    io.save_metrics_report(result.summary(), args.report_out)
-    means = result.summary()["mean"]
+    summary = result.summary()
+    io.save_json(summary, args.report_out)
     for k in k_values:
-        row = means[str(k)]
+        row = summary["mean"][str(k)]
         print(f"K={k}: precision={row['precision']:.4f} recall={row['recall']:.4f} "
               f"ndcg={row['ndcg']:.4f}")
     return 0

@@ -6,7 +6,7 @@ import numpy as np
 
 from .inference import fit
 from .model import Dataset, HyperParams
-from .predictor import score_candidates
+from .predictor import by_score, score_candidates
 
 __all__ = [
     "MetricReport",
@@ -194,8 +194,7 @@ def cross_validate(data: Dataset, hp: HyperParams, folds: int = 5, seed: int = 0
                 continue
             candidates = [(t, data.X[t], int(data.brands[t])) for t in items]
             scores = np.asarray(score(user_id, candidates), dtype=float)
-            order = sorted(range(len(items)), key=lambda i: (-scores[i], items[i]))
-            ranked = [items[i] for i in order]
+            ranked = [t for t, _ in by_score(items, scores.tolist())]
             evaluated += 1
             for k in k_values:
                 sums[k] += (precision_at_k(ranked, relevant, k),

@@ -19,7 +19,6 @@ from .model import (
     GammaPosterior,
     HyperParams,
     VariationalState,
-    digamma,
     elbo,
     event_moments,
     lambda_of_xi,
@@ -87,19 +86,15 @@ def initial_state(data: Dataset, hp: HyperParams, seed: int) -> VariationalState
     )
 
 
-def update_responsibilities(state: VariationalState, data: Dataset,
-                            hp: HyperParams) -> np.ndarray:
+def update_responsibilities(state: VariationalState) -> np.ndarray:
     """Brand-to-style membership probabilities (the E-step).
 
     log rho_{ij} = E[log theta_j] + (d/2) E[log delta_b] - (d/2) log 2pi
     - (1/2) E[delta_b] * E[(B_i - S_j)'(B_i - S_j)]; rows are normalized
     with log-sum-exp.
     """
-    d = hp.feature_dim
-    gamma = state.theta_gamma
-    eln_theta = digamma(gamma) - digamma(gamma.sum())
-    log_rho = (eln_theta[None, :]
-               + 0.5 * d * (state.prec_b.mean_log - _LOG_2PI)
+    log_rho = (state.theta_mean_log[None, :]
+               + 0.5 * state.dim * (state.prec_b.mean_log - _LOG_2PI)
                - 0.5 * state.prec_b.mean * state.brand_style_sq())
     with np.errstate(invalid="ignore"):
         mu = np.exp(log_rho - logsumexp(log_rho, axis=1))
@@ -163,7 +158,7 @@ def update_styles(state: VariationalState):
     return mean, var
 
 
-def update_w(state: VariationalState, hp: HyperParams):
+def update_w(state: VariationalState):
     """(mean (d,), isotropic variance) of the style-prior mean."""
     e_dw = state.prec_w.mean
     e_ds = state.prec_s.mean
@@ -172,31 +167,16 @@ def update_w(state: VariationalState, hp: HyperParams):
     return mean, var
 
 
-def update_precisions(state: VariationalState, data: Dataset, hp: HyperParams):
+def update_precisions(state: VariationalState, hp: HyperParams):
     """Gamma factors for the four precisions, recomputed from the prior.
 
-    Shapes grow by half the number of Gaussian coordinates each precision
-    governs; rates grow by half the relevant expected squared norms, with
-    E[v'v] = ||mean||^2 + tr(cov) for independent factors.
+    Each edge of ``state.edge_sq_norms()`` governs n d-vectors with summed
+    expected squared distance sq to their prior means; its precision gets
+    shape alpha0 + d n / 2 and rate beta0 + sq / 2.
     """
-    d = hp.feature_dim
-    U, B, S = state.num_users, state.num_brands, state.num_styles
-    a0, b0 = hp.alpha0, hp.beta0
-
-    user_sq = float(np.einsum("ud,ud->", state.user_mean, state.user_mean)
-                    + np.einsum("kii->", state.user_cov))
-    prec_u = GammaPosterior(a0 + 0.5 * d * U, b0 + 0.5 * user_sq)
-
-    prec_b = GammaPosterior(a0 + 0.5 * d * B,
-                            b0 + 0.5 * float(np.sum(state.resp * state.brand_style_sq())))
-
-    w_mean, w_var = state.w_mean, state.w_var
-    sw = state.style_mean - w_mean[None, :]
-    style_sq = float(np.einsum("sd,sd->", sw, sw) + d * state.style_var.sum() + d * w_var * S)
-    prec_s = GammaPosterior(a0 + 0.5 * d * S, b0 + 0.5 * style_sq)
-
-    prec_w = GammaPosterior(a0 + 0.5 * d, b0 + 0.5 * float(w_mean @ w_mean + d * w_var))
-    return prec_u, prec_b, prec_s, prec_w
+    d, a0, b0 = state.dim, hp.alpha0, hp.beta0
+    return tuple(GammaPosterior(a0 + 0.5 * d * n, b0 + 0.5 * sq)
+                 for n, sq in state.edge_sq_norms())
 
 
 def update_xi(state: VariationalState, data: Dataset) -> np.ndarray:
@@ -215,13 +195,13 @@ def cavi_sweep(state: VariationalState, data: Dataset, hp: HyperParams) -> Varia
     of the sweep every field holds a fresh value.
     """
     work = replace(state)
-    work.resp = update_responsibilities(work, data, hp)
+    work.resp = update_responsibilities(work)
     work.theta_gamma = update_theta(work.resp, hp)
     work.user_mean, work.user_cov = update_users(work, data)
     work.brand_mean, work.brand_cov = update_brands(work, data)
     work.style_mean, work.style_var = update_styles(work)
-    work.w_mean, work.w_var = update_w(work, hp)
-    work.prec_u, work.prec_b, work.prec_s, work.prec_w = update_precisions(work, data, hp)
+    work.w_mean, work.w_var = update_w(work)
+    work.prec_u, work.prec_b, work.prec_s, work.prec_w = update_precisions(work, hp)
     work.xi = update_xi(work, data)
     return work
 

@@ -41,8 +41,7 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "save_ground_truth",
-    "save_metrics_report",
-    "save_ranking",
+    "save_json",
     "save_trace_csv",
 ]
 
@@ -57,7 +56,9 @@ class CheckpointError(ValueError):
     """Raised when a checkpoint file is malformed or violates invariants."""
 
 
-def _dump_canonical(obj, path):
+def save_json(obj, path):
+    """Write ``obj`` as canonical JSON: sorted keys, compact separators, no
+    NaN or infinity, one trailing newline."""
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
     Path(path).write_text(text + "\n", encoding="utf-8")
 
@@ -289,7 +290,7 @@ def save_checkpoint(state: VariationalState, meta: dict, path):
         "user_ids": meta.get("user_ids"),
         "brand_ids": meta.get("brand_ids"),
     }
-    _dump_canonical(doc, path)
+    save_json(doc, path)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -380,17 +381,7 @@ def save_ground_truth(truth, true_precisions, feature_scale, path):
         "true_precisions": {"user": prec_u, "brand": prec_b, "style": prec_s, "w": prec_w},
         "feature_scale": float(feature_scale),
     }
-    _dump_canonical(doc, path)
-
-
-def save_metrics_report(summary: dict, path):
-    """Write a cross-validation summary (see CrossValidationResult.summary)."""
-    _dump_canonical(summary, path)
-
-
-def save_ranking(doc: dict, path):
-    """Write a ranking result document as canonical JSON."""
-    _dump_canonical(doc, path)
+    save_json(doc, path)
 
 
 def save_trace_csv(trace, path):

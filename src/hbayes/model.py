@@ -41,6 +41,10 @@ __all__ = [
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
+# elbo_terms keys of the four Gaussian prior edges, in the order of
+# VariationalState.precisions.
+_EDGE_TERMS = ("users_prior", "brands_given_styles", "styles_given_w", "w_prior")
+
 # Below this point the direct formula for lambda loses precision to
 # cancellation; switch to the series 1/8 - xi^2/96 + xi^4/960 - O(xi^6).
 _LAMBDA_TAYLOR_CUTOFF = 1e-2
@@ -188,10 +192,10 @@ class HyperParams:
         self.gamma0 = np.asarray(self.gamma0, dtype=float)
         if self.gamma0.shape != (self.num_styles,):
             raise ValueError("gamma0 must have one entry per style")
-        if not np.all(self.gamma0 > 0):
-            raise ValueError("gamma0 entries must be positive")
-        if self.alpha0 <= 0 or self.beta0 <= 0:
-            raise ValueError("alpha0 and beta0 must be positive")
+        if not np.all((self.gamma0 > 0) & (self.gamma0 < math.inf)):
+            raise ValueError("gamma0 entries must be positive and finite")
+        if not (0 < self.alpha0 < math.inf and 0 < self.beta0 < math.inf):
+            raise ValueError("alpha0 and beta0 must be positive and finite")
         if self.max_iters < 0:
             raise ValueError("max_iters must be non-negative")
         if self.rel_tol <= 0:
@@ -353,8 +357,8 @@ class GammaPosterior:
         return float(a - np.log(b) + gammaln(a) + (1.0 - a) * digamma(a))
 
     def validate(self):
-        if not (self.shape > 0 and self.rate > 0):
-            raise ValueError("Gamma shape and rate must be positive")
+        if not (0 < self.shape < math.inf and 0 < self.rate < math.inf):
+            raise ValueError("Gamma shape and rate must be positive and finite")
 
 
 @dataclass
@@ -379,9 +383,11 @@ class VariationalState:
     prec_w: GammaPosterior
     xi: np.ndarray  # (N,) per-event bound locations, >= 0
 
+    _ARRAYS = ("user_mean", "user_cov", "brand_mean", "brand_cov", "style_mean", "style_var",
+               "w_mean", "theta_gamma", "resp", "xi")
+
     def __post_init__(self):
-        for name in ("user_mean", "user_cov", "brand_mean", "brand_cov", "style_mean",
-                     "style_var", "w_mean", "theta_gamma", "resp", "xi"):
+        for name in self._ARRAYS:
             setattr(self, name, np.asarray(getattr(self, name), dtype=float))
         self.w_var = float(self.w_var)
 
@@ -401,6 +407,30 @@ class VariationalState:
     def dim(self) -> int:
         return self.w_mean.size
 
+    @property
+    def precisions(self) -> tuple:
+        """The four Gamma factors in edge order: users, brands, styles, w."""
+        return self.prec_u, self.prec_b, self.prec_s, self.prec_w
+
+    @property
+    def theta_mean_log(self) -> np.ndarray:
+        """E[log theta_j] = digamma(gamma_j) - digamma(sum_p gamma_p), shape (S,)."""
+        return digamma(self.theta_gamma) - digamma(self.theta_gamma.sum())
+
+    def edge_sq_norms(self) -> list:
+        """(n, sq) for each Gaussian edge, in the order of ``precisions``: the
+        number n of d-vectors the edge's precision governs and the summed
+        E||v - prior mean||^2 over them, the brand terms weighted by resp."""
+        d, S = self.dim, self.num_styles
+        user_sq = (np.einsum("ud,ud->", self.user_mean, self.user_mean)
+                   + np.einsum("kii->", self.user_cov))
+        brand_sq = np.sum(self.resp * self.brand_style_sq())
+        sw = self.style_mean - self.w_mean[None, :]
+        style_sq = np.einsum("sd,sd->", sw, sw) + d * self.style_var.sum() + d * self.w_var * S
+        w_sq = self.w_mean @ self.w_mean + d * self.w_var
+        return [(self.num_users, float(user_sq)), (self.num_brands, float(brand_sq)),
+                (S, float(style_sq)), (1, float(w_sq))]
+
     def brand_style_sq(self) -> np.ndarray:
         """E[(B_i - S_j)'(B_i - S_j)] for every brand i and style j, shape (B, S)."""
         diff = self.brand_mean[:, None, :] - self.style_mean[None, :, :]
@@ -419,9 +449,9 @@ class VariationalState:
         for name, shape in shapes.items():
             if getattr(self, name).shape != shape:
                 raise ValueError(f"{name} must have shape {shape}")
-        for mean in (self.user_mean, self.brand_mean, self.style_mean, self.w_mean):
-            if not np.all(np.isfinite(mean)):
-                raise ValueError("Gaussian means must be finite")
+        for name in (*self._ARRAYS, "w_var"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         for cov in (self.user_cov, self.brand_cov):
             if not np.allclose(cov, np.swapaxes(cov, -1, -2), atol=1e-8, rtol=1e-8):
                 raise ValueError("covariance must be symmetric")
@@ -435,10 +465,10 @@ class VariationalState:
             raise ValueError("responsibilities must lie in [0, 1]")
         if B > 0 and not np.allclose(self.resp.sum(axis=1), 1.0, atol=1e-9):
             raise ValueError("responsibility rows must sum to 1")
-        for p in (self.prec_u, self.prec_b, self.prec_s, self.prec_w):
+        for p in self.precisions:
             p.validate()
-        if np.any(self.xi < 0) or not np.all(np.isfinite(self.xi)):
-            raise ValueError("xi entries must be finite and non-negative")
+        if np.any(self.xi < 0):
+            raise ValueError("xi entries must be non-negative")
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +504,7 @@ def _dirichlet_entropy(gamma: np.ndarray) -> float:
     )
 
 
-def _gaussian_entropy(logdet: float, d: int) -> float:
+def _gaussian_entropy(logdet, d: int):
     return 0.5 * (d * (1.0 + _LOG_2PI) + logdet)
 
 
@@ -487,19 +517,7 @@ def elbo_terms(state: VariationalState, data: Dataset, hp: HyperParams) -> dict:
     """
     d = hp.feature_dim
     mu = state.resp
-
-    e_du, e_db, e_ds, e_dw = (p.mean for p in
-                              (state.prec_u, state.prec_b, state.prec_s, state.prec_w))
-    eln_du, eln_db, eln_ds, eln_dw = (p.mean_log for p in
-                                      (state.prec_u, state.prec_b, state.prec_s, state.prec_w))
-
-    gamma = state.theta_gamma
-    eln_theta = digamma(gamma) - digamma(gamma.sum())
-
-    user_traces = np.einsum("kii->k", state.user_cov)
-    user_logdets = spd_logdet(state.user_cov)
-    brand_logdets = spd_logdet(state.brand_cov)
-
+    eln_theta = state.theta_mean_log
     terms = {}
 
     # Bounded Bernoulli likelihood, expectation under q with xi fixed.
@@ -512,18 +530,12 @@ def elbo_terms(state: VariationalState, data: Dataset, hp: HyperParams) -> dict:
         data.y * m + log_sig_xi - 0.5 * (m + xi) - lambda_of_xi(xi) * (m * m + s2 - xi * xi)
     ))
 
-    # E[log p(B_i | z_i, S, delta_b)], responsibilities-weighted.
-    terms["brands_given_styles"] = float(np.sum(
-        mu * (0.5 * d * (eln_db - _LOG_2PI) - 0.5 * e_db * state.brand_style_sq())
-    ))
+    # E[log N(v; prior mean, I / delta)] summed over each edge's n d-vectors.
+    for name, p, (n, sq) in zip(_EDGE_TERMS, state.precisions, state.edge_sq_norms()):
+        terms[name] = 0.5 * d * n * (p.mean_log - _LOG_2PI) - 0.5 * p.mean * sq
 
     # E[log p(z_i | theta)]
     terms["assignments_given_theta"] = float(np.sum(mu * eln_theta[None, :]))
-
-    # E[log p(S_j | w, delta_s)]
-    sw = state.style_mean - state.w_mean[None, :]
-    sq = np.einsum("sd,sd->s", sw, sw) + d * state.style_var + d * state.w_var
-    terms["styles_given_w"] = float(np.sum(0.5 * d * (eln_ds - _LOG_2PI) - 0.5 * e_ds * sq))
 
     # E[log p(theta | gamma0)]
     g0 = hp.gamma0
@@ -531,35 +543,23 @@ def elbo_terms(state: VariationalState, data: Dataset, hp: HyperParams) -> dict:
         gammaln(g0.sum()) - np.sum(gammaln(g0)) + np.sum((g0 - 1.0) * eln_theta)
     )
 
-    # E[log p(U_k | delta_u)]
-    usq = np.einsum("ud,ud->u", state.user_mean, state.user_mean) + user_traces
-    terms["users_prior"] = float(np.sum(0.5 * d * (eln_du - _LOG_2PI) - 0.5 * e_du * usq))
-
-    # E[log p(w | delta_w)]
-    w_sq = state.w_mean @ state.w_mean + d * state.w_var
-    terms["w_prior"] = float(0.5 * d * (eln_dw - _LOG_2PI) - 0.5 * e_dw * w_sq)
-
     # E[log p(delta_* | alpha0, beta0)] for the four precisions.
     a0, b0 = hp.alpha0, hp.beta0
     terms["precision_priors"] = float(sum(
-        a0 * np.log(b0) - gammaln(a0) + (a0 - 1.0) * eln - b0 * e
-        for eln, e in ((eln_du, e_du), (eln_db, e_db), (eln_ds, e_ds), (eln_dw, e_dw))
+        a0 * np.log(b0) - gammaln(a0) + (a0 - 1.0) * p.mean_log - b0 * p.mean
+        for p in state.precisions
     ))
 
     # Entropies of every q factor.
-    terms["entropy_users"] = float(sum(_gaussian_entropy(ld, d) for ld in user_logdets))
-    terms["entropy_brands"] = float(sum(_gaussian_entropy(ld, d) for ld in brand_logdets))
-    terms["entropy_styles"] = float(sum(
-        _gaussian_entropy(d * np.log(v), d) for v in state.style_var
-    ))
+    terms["entropy_users"] = float(np.sum(_gaussian_entropy(spd_logdet(state.user_cov), d)))
+    terms["entropy_brands"] = float(np.sum(_gaussian_entropy(spd_logdet(state.brand_cov), d)))
+    terms["entropy_styles"] = float(np.sum(_gaussian_entropy(d * np.log(state.style_var), d)))
     terms["entropy_w"] = _gaussian_entropy(d * np.log(state.w_var), d)
-    terms["entropy_theta"] = _dirichlet_entropy(gamma)
+    terms["entropy_theta"] = _dirichlet_entropy(state.theta_gamma)
     with np.errstate(divide="ignore", invalid="ignore"):
         plogp = np.where(mu > 0, mu * np.log(np.where(mu > 0, mu, 1.0)), 0.0)
     terms["entropy_assignments"] = -float(np.sum(plogp))
-    terms["entropy_precisions"] = float(sum(
-        p.entropy() for p in (state.prec_u, state.prec_b, state.prec_s, state.prec_w)
-    ))
+    terms["entropy_precisions"] = float(sum(p.entropy() for p in state.precisions))
 
     return terms
 

@@ -13,6 +13,7 @@ __all__ = [
     "score_candidate",
     "score_candidates",
     "rank_top_k",
+    "by_score",
     "brand_prior",
     "user_prior",
 ]
@@ -125,6 +126,10 @@ def rank_top_k(user_id, candidates, state: VariationalState, k: int):
         raise ValueError("k must be >= 1")
     candidates = list(candidates)
     prob = score_candidates(user_id, candidates, state)[2]
-    scored = sorted(zip([item for item, _, _ in candidates], prob.tolist()),
-                    key=lambda pair: (-pair[1], pair[0]))
-    return scored[:k]
+    return by_score([item for item, _, _ in candidates], prob.tolist())[:k]
+
+
+def by_score(items, scores) -> list:
+    """(item, score) pairs by descending score, ties broken by ascending item
+    id, so the order does not depend on the input order."""
+    return sorted(zip(items, scores), key=lambda pair: (-pair[1], pair[0]))

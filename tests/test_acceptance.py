@@ -98,7 +98,7 @@ def test_criterion_3_coordinate_optimality(reference_fit):
         "user": (lambda st: update_users(st, data), "user_mean", "user_cov"),
         "brand": (lambda st: update_brands(st, data), "brand_mean", "brand_cov"),
         "style": (update_styles, "style_mean", "style_var"),
-        "w": (lambda st: update_w(st, hp), "w_mean", "w_var"),
+        "w": (update_w, "w_mean", "w_var"),
     }
     for family, (update, mean_field, spread_field) in families.items():
         st = state.copy()

@@ -213,6 +213,27 @@ def test_cross_validate_perfect_oracle_scores_one():
             assert 0.0 <= report.recall <= 1.0
 
 
+def test_cross_validate_ties_rank_by_ascending_event_index():
+    data = _toy_dataset(num_users=8, events_per_user=12, seed=4)
+    folds, k = 3, 2  # 4 held-out events per user, so the order within them matters
+
+    def constant_factory(train, hp, seed):
+        return lambda user_id, candidates: np.zeros(len(candidates))
+
+    hp = HyperParams(num_styles=2, feature_dim=3)
+    result = cross_validate(data, hp, folds=folds, seed=0, k_values=(k,),
+                            scorer_factory=constant_factory)
+    fold_of = stratified_user_folds(data, folds, 0)
+    for f in range(folds):
+        expected = []
+        for u in range(data.num_users):
+            held = np.flatnonzero((fold_of == f) & (data.users == u))
+            if data.y[held].any():
+                expected.append(precision_at_k(held.tolist(),
+                                               set(held[data.y[held] == 1].tolist()), k))
+        assert result.fold_reports[f][0].precision == pytest.approx(np.mean(expected), abs=1e-12)
+
+
 def test_cross_validate_random_scores_match_permutation_null():
     data = _toy_dataset(num_users=30, events_per_user=10, seed=6)
     folds, k, seed = 2, 3, 1

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -60,9 +61,8 @@ def _single_event_instance():
 
 def test_responsibilities_single_style():
     hp = HyperParams(num_styles=1, feature_dim=2)
-    data = Dataset(events=[], num_users=1, num_brands=3, feature_dim=2)
     state = prior_matched_state(hp, 1, 3)
-    resp = update_responsibilities(state, data, hp)
+    resp = update_responsibilities(state)
     np.testing.assert_array_equal(resp, np.ones((3, 1)))
 
 
@@ -75,7 +75,7 @@ def test_responsibilities_uniform_for_identical_styles():
     state.brand_mean = np.stack([np.random.default_rng(i).standard_normal(2)
                                  for i in range(4)])
     state.brand_cov[:] = np.eye(2)
-    resp = update_responsibilities(state, Dataset([], 1, 4, 2), hp)
+    resp = update_responsibilities(state)
     np.testing.assert_allclose(resp, 1.0 / 3.0, atol=1e-12)
 
 
@@ -88,7 +88,7 @@ def test_responsibilities_two_style_softmax():
     state.prec_b = GammaPosterior(4.0, 4.0)  # mean 1
     state.brand_mean[0], state.brand_cov[0] = [0.0], np.zeros((1, 1))
     state.style_mean[:], state.style_var[:] = [[0.0], [2.0]], 1e-300
-    resp = update_responsibilities(state, Dataset([], 1, 1, 1), hp)
+    resp = update_responsibilities(state)
     expected = np.array([1.0, math.exp(-2.0)])
     expected /= expected.sum()
     np.testing.assert_allclose(resp[0], expected, atol=1e-9)
@@ -98,7 +98,7 @@ def test_responsibilities_rows_normalized_on_random_states():
     hp = HyperParams(num_styles=4, feature_dim=3)
     for seed in range(5):
         state = random_state(hp, num_users=2, num_brands=6, num_events=0, seed=seed)
-        resp = update_responsibilities(state, Dataset([], 2, 6, 3), hp)
+        resp = update_responsibilities(state)
         np.testing.assert_allclose(resp.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(resp >= 0) and np.all(resp <= 1)
 
@@ -108,7 +108,7 @@ def test_responsibilities_non_finite_raises():
     state = prior_matched_state(hp, 1, 1)
     state.brand_mean[0] = [np.inf]
     with pytest.raises(NumericalError):
-        update_responsibilities(state, Dataset([], 1, 1, 1), hp)
+        update_responsibilities(state)
 
 
 def test_update_theta_no_brands():
@@ -298,7 +298,7 @@ def test_update_w_direct_arithmetic():
     state.prec_w = GammaPosterior(1.0, 1.0)  # mean 1
     state.prec_s = GammaPosterior(2.0, 1.0)  # mean 2
     state.style_mean[:], state.style_var[:] = [[1.0, 0.0], [0.0, 1.0]], 0.3
-    mean, var = update_w(state, hp)
+    mean, var = update_w(state)
     assert var == pytest.approx(0.2, rel=1e-12)
     np.testing.assert_allclose(mean, [0.4, 0.4], atol=1e-12)
 
@@ -311,7 +311,7 @@ def test_update_w_is_shrunk_style_average():
     rng = np.random.default_rng(0)
     state.style_mean = np.stack([rng.standard_normal(2) for _ in range(3)])
     state.style_var[:] = 0.4
-    mean, _ = update_w(state, hp)
+    mean, _ = update_w(state)
     e_dw, e_ds, s = 3.0, 5.0, 3
     factor = e_ds * s / (e_dw + e_ds * s)
     avg = np.mean(state.style_mean, axis=0)
@@ -324,7 +324,7 @@ def test_update_w_vanishing_style_precision():
     state.prec_w = GammaPosterior(2.0, 1.0)  # mean 2
     state.prec_s = GammaPosterior(1e-12, 1.0)
     state.style_mean[:], state.style_var[:] = [5.0, 5.0], 0.3
-    mean, var = update_w(state, hp)
+    mean, var = update_w(state)
     np.testing.assert_allclose(mean, 0.0, atol=1e-10)
     assert var == pytest.approx(0.5, rel=1e-9)
 
@@ -341,7 +341,7 @@ def test_update_precisions_point_masses_at_zero():
                    "style_var", "w_mean"):
         getattr(state, family)[:] = 0.0
     state.w_var = 0.0
-    pu, pb, ps, pw = update_precisions(state, Dataset([], 4, 5, 3), hp)
+    pu, pb, ps, pw = update_precisions(state, hp)
     d, U, B, S = 3, 4, 5, 2
     assert (pu.shape, pb.shape, ps.shape, pw.shape) == (
         0.5 + d * U / 2, 0.5 + d * B / 2, 0.5 + d * S / 2, 0.5 + d / 2)
@@ -353,7 +353,7 @@ def test_update_precisions_user_moment_expansion():
     hp = HyperParams(num_styles=1, feature_dim=2, alpha0=1.0, beta0=1.0)
     state = prior_matched_state(hp, 1, 1)
     state.user_mean[0], state.user_cov[0] = [1.0, 1.0], 0.25 * np.eye(2)
-    pu, _, _, _ = update_precisions(state, Dataset([], 1, 1, 2), hp)
+    pu, _, _, _ = update_precisions(state, hp)
     assert pu.rate == pytest.approx(1.0 + 0.5 * (2.0 + 0.5), abs=1e-12)
     assert pu.shape == pytest.approx(1.0 + 1.0, abs=1e-12)
 
@@ -362,9 +362,9 @@ def test_update_precisions_mean_decreases_with_spread():
     hp = HyperParams(num_styles=1, feature_dim=2, alpha0=1.0, beta0=1.0)
     state = prior_matched_state(hp, 1, 1)
     state.user_mean[0], state.user_cov[0] = [1.0, 1.0], 0.25 * np.eye(2)
-    small, _, _, _ = update_precisions(state, Dataset([], 1, 1, 2), hp)
+    small, _, _, _ = update_precisions(state, hp)
     state.user_mean[0] = [3.0, 3.0]
-    large, _, _, _ = update_precisions(state, Dataset([], 1, 1, 2), hp)
+    large, _, _, _ = update_precisions(state, hp)
     assert large.mean < small.mean
 
 
@@ -553,10 +553,52 @@ def test_fit_coordinate_updates_locally_optimal():
         assert elbo(pert, data, hp) <= base + 1e-9 * abs(base)
 
 
+def _nudges(state, factor):
+    """Copies of ``state`` with one non-Gaussian factor moved by 1%."""
+    out = []
+    if factor == "resp":
+        for i, j in product(range(state.num_brands), range(state.num_styles)):
+            pert = state.copy()  # brand i's row mixed 1% toward style j
+            pert.resp[i] = 0.99 * pert.resp[i] + 0.01 * np.eye(state.num_styles)[j]
+            out.append(pert)
+    elif factor == "theta":
+        for j, scale in product(range(state.num_styles), (0.99, 1.01)):
+            pert = state.copy()
+            pert.theta_gamma[j] *= scale
+            out.append(pert)
+    else:
+        for r, field, scale in product(range(4), ("shape", "rate"), (0.99, 1.01)):
+            pert = state.copy()
+            gamma = pert.precisions[r]
+            setattr(gamma, field, getattr(gamma, field) * scale)
+            out.append(pert)
+    return out
+
+
+@pytest.mark.parametrize("factor", ["resp", "theta", "precisions"])
+def test_fit_non_gaussian_updates_locally_optimal(factor):
+    """Right after its update, nudging a resp row, theta_gamma or a Gamma
+    shape or rate by 1% cannot raise the ELBO by more than 1e-9 relative."""
+    hp, data = _synthetic(num_events=250)
+    state = initial_state(data, hp, seed=0)
+    for _ in range(4):
+        state = cavi_sweep(state, data, hp)
+    if factor == "resp":
+        state.resp = update_responsibilities(state)
+    elif factor == "theta":
+        state.theta_gamma = update_theta(state.resp, hp)
+    else:
+        state.prec_u, state.prec_b, state.prec_s, state.prec_w = update_precisions(state, hp)
+    base = elbo(state, data, hp)
+    changes = [(elbo(pert, data, hp) - base) / abs(base) for pert in _nudges(state, factor)]
+    assert len(changes) == {"resp": 8 * 3, "theta": 3 * 2, "precisions": 4 * 2 * 2}[factor]
+    assert max(changes) <= 1e-9
+
+
 def test_fit_error_carries_sweep_index(monkeypatch):
     hp, data = _synthetic(max_iters=5)
 
-    def boom(state, data, hp):
+    def boom(state):
         raise NumericalError("boom")
 
     monkeypatch.setattr(inference, "update_responsibilities", boom)

@@ -325,6 +325,31 @@ def test_checkpoint_rejects_invalid_gamma(tmp_path):
         load_checkpoint(path)
 
 
+# Checkpoint entries (key paths) that json.loads reads as a float infinity
+# when the file says Infinity.
+_NON_FINITE_ENTRIES = [("state", "prec_b", "rate"), ("state", "prec_u", "shape"),
+                       ("state", "theta_gamma", 0), ("state", "styles", 0, "iso_var"),
+                       ("hyperparams", "alpha0"), ("hyperparams", "gamma0", 1)]
+
+
+def _write_with_infinity(src, dst, keys):
+    obj = doc = json.loads(src.read_text())
+    for key in keys[:-1]:
+        obj = obj[key]
+    obj[keys[-1]] = float("inf")
+    dst.write_text(json.dumps(doc))  # allow_nan: writes Infinity
+
+
+@pytest.mark.parametrize("keys", _NON_FINITE_ENTRIES, ids=lambda keys: ".".join(map(str, keys)))
+def test_checkpoint_rejects_infinity(tmp_path, keys):
+    _, _, state, meta = _fitted(tmp_path)
+    path = tmp_path / "model.json"
+    save_checkpoint(state, meta, path)
+    _write_with_infinity(path, path, keys)
+    with pytest.raises(CheckpointError, match="finite"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_rejects_version_mismatch(tmp_path):
     _, _, state, meta = _fitted(tmp_path)
     path = tmp_path / "model.json"
@@ -546,6 +571,17 @@ def test_cli_rank_non_object_checkpoint_is_one_error_line(tmp_path, text):
                    "--user", "u0", "--out", str(tmp_path / "ranking.json"))
     assert res.returncode == 1
     assert res.stderr.splitlines() == ["error: checkpoint must be a JSON object"]
+
+
+@pytest.mark.parametrize("keys", _NON_FINITE_ENTRIES, ids=lambda keys: ".".join(map(str, keys)))
+def test_cli_rank_infinite_checkpoint_value_is_one_error_line(cli_artifacts, tmp_path, keys):
+    ckpt = tmp_path / "model.json"
+    _write_with_infinity(cli_artifacts["ckpt"], ckpt, keys)
+    res = _run_cli("rank", "--checkpoint", str(ckpt), "--events", str(cli_artifacts["events"]),
+                   "--user", "u0", "--out", str(tmp_path / "ranking.json"))
+    assert res.returncode == 1
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "finite" in lines[0], res.stderr
 
 
 def test_cli_train_empty_features_names_the_line(tmp_path):
