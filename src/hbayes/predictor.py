@@ -39,21 +39,24 @@ class PredictionScore:
 def predictive_moments(X, brand_mean, brand_cov, user_mean, user_cov):
     """Mean and variance of x @ (B + U) under independent Gaussian factors.
 
-    Leading axes broadcast: X and the means are (..., d), the covariances
-    (..., d, d); one score per row of X.
+    X and ``brand_mean`` are (..., d) and ``brand_cov`` is (..., d, d), one
+    brand per row of X; the user moments are one user's, (d,) and (d, d).
+    The variance is x'C_b x + x'C_u x: one batched vector-matrix product
+    for the brand term and one matrix product for the user term, so no
+    (..., d, d) sum of covariances is formed.
     """
     X = np.asarray(X, dtype=float)
     d = X.shape[-1]
-    if (np.shape(brand_mean)[-1:] != (d,) or np.shape(user_mean)[-1:] != (d,)
-            or np.shape(brand_cov)[-2:] != (d, d) or np.shape(user_cov)[-2:] != (d, d)):
+    if (np.shape(brand_mean) != X.shape or np.shape(brand_cov) != X.shape + (d,)
+            or np.shape(user_mean) != (d,) or np.shape(user_cov) != (d, d)):
         raise ValueError(
             f"dimension mismatch: x has shape {X.shape}, brand moments have shapes "
             f"{np.shape(brand_mean)} and {np.shape(brand_cov)}, user moments "
             f"{np.shape(user_mean)} and {np.shape(user_cov)}"
         )
     mu = np.einsum("...d,...d->...", X, brand_mean + user_mean)
-    sigma2 = np.einsum("...d,...de,...e->...", X, brand_cov + user_cov, X)
-    return mu, sigma2
+    XC = (X[..., None, :] @ brand_cov)[..., 0, :] + X @ user_cov
+    return mu, np.einsum("...d,...d->...", XC, X)
 
 
 def predict_prob(mu, sigma2):
@@ -90,13 +93,15 @@ def score_candidates(user_id, candidates, state: VariationalState):
     ``candidates`` is a sequence of (item_id, x, brand_id).  Unknown brand
     or user ids (None or out of range) are scored with prior moments.  The
     cold-brand prior is computed once and appended as row B of the brand
-    moments, so every candidate takes its moments from one gather.
+    moments, so every candidate takes its moments from one gather.  Raises
+    ValueError naming the first candidate whose x is not finite or so large
+    that its score overflows.
     """
     B = state.num_brands
-    X = (np.array([x for _, x, _ in candidates], dtype=float) if candidates
-         else np.zeros((0, state.dim)))
-    rows = np.array([b if b is not None and 0 <= b < B else B for _, _, b in candidates],
-                    dtype=int)
+    _, xs, brands = zip(*candidates) if candidates else ((), np.zeros((0, state.dim)), ())
+    X = np.array(xs, dtype=float)
+    ids = np.array(brands, dtype=float)  # None -> NaN, which fails both bounds
+    rows = np.where((ids >= 0) & (ids < B), ids, B).astype(np.intp)
     prior_mean, prior_cov = brand_prior(state)
     brand_mean = np.concatenate([state.brand_mean, prior_mean[None]])[rows]
     brand_cov = np.concatenate([state.brand_cov, prior_cov[None]])[rows]
@@ -105,7 +110,13 @@ def score_candidates(user_id, candidates, state: VariationalState):
     else:
         user_mean, user_cov = user_prior(state)
     mu, sigma2 = predictive_moments(X, brand_mean, brand_cov, user_mean, user_cov)
-    return mu, sigma2, predict_prob(mu, sigma2)
+    prob = predict_prob(mu, sigma2)
+    # A non-finite x, or one whose moments overflow, gives a NaN probability.
+    finite = np.isfinite(prob)
+    if not finite.all():
+        raise ValueError(f"candidate {int(np.argmin(finite))}: x is not finite "
+                         f"or too large to score")
+    return mu, sigma2, prob
 
 
 def score_candidate(user_id, x, brand_id, state: VariationalState) -> PredictionScore:
@@ -126,7 +137,11 @@ def rank_top_k(user_id, candidates, state: VariationalState, k: int):
         raise ValueError("k must be >= 1")
     candidates = list(candidates)
     prob = score_candidates(user_id, candidates, state)[2]
-    return by_score([item for item, _, _ in candidates], prob.tolist())[:k]
+    # Every member of the top k scores at least the k-th largest value, so
+    # sorting only those candidates gives the same k pairs, ties included.
+    keep = (np.flatnonzero(prob >= np.partition(prob, -k)[-k]) if k < len(prob)
+            else np.arange(len(prob)))
+    return by_score([candidates[i][0] for i in keep], prob[keep].tolist())[:k]
 
 
 def by_score(items, scores) -> list:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from hbayes import (
@@ -18,6 +20,7 @@ from hbayes import (
     score_candidates,
     user_prior,
 )
+from hbayes.predictor import by_score
 
 from helpers import prior_matched_state, random_state, reference_scores
 
@@ -238,3 +241,48 @@ def test_batched_scores_match_per_candidate_loop(d):
 def test_rank_empty_candidate_list():
     assert rank_top_k(0, [], _ranking_state(), k=3) == []
     assert rank_top_k(None, iter([]), _ranking_state(), k=1) == []
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_rank_top_k_equals_full_sort_of_reference_scores(data):
+    d = data.draw(st.integers(1, 4), label="d")
+    U, B = data.draw(st.integers(1, 3), label="U"), data.draw(st.integers(1, 3), label="B")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    state = random_state(HyperParams(num_styles=2, feature_dim=d), U, B, 0, seed)
+    # Few distinct rows, so that candidates repeat them and tie exactly.
+    rows = np.random.default_rng(seed).standard_normal((3, d))
+    n = data.draw(st.integers(1, 12), label="n")
+    picks = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n), label="rows")
+    brands = data.draw(st.lists(st.sampled_from([None, -1, B, B + 7, *range(B)]),
+                                min_size=n, max_size=n), label="brands")
+    items = data.draw(st.permutations(range(n)), label="items")
+    user = data.draw(st.sampled_from([None, -1, U, *range(U)]), label="user")
+    cands = [(item, rows[p], b) for item, p, b in zip(items, picks, brands)]
+    want = by_score(items, reference_scores(user, cands, state)[2])
+    for k in range(1, n + 3):
+        got = rank_top_k(user, cands, state, k)
+        assert [item for item, _ in got] == [item for item, _ in want[:k]]
+        np.testing.assert_allclose([p for _, p in got], [p for _, p in want[:k]],
+                                   rtol=_BATCH_RTOL, atol=0.0)
+
+
+# The last row is finite, but x @ mean and x'Cx overflow to inf: inf / inf is NaN.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [[math.inf, 0.0], [0.0, -math.inf], [math.nan, 0.0],
+                                 [1.7e308, 1.7e308]])
+def test_candidate_that_cannot_be_scored_is_rejected(bad):
+    state = _ranking_state()
+    cands = [(0, [1.0, 0.0], 0), (1, [0.5, 0.5], None), (2, bad, None), (3, bad, 0)]
+    with pytest.raises(ValueError, match="candidate 2: x is not finite or too large to score"):
+        rank_top_k(0, cands, state, k=2)
+    with pytest.raises(ValueError, match="candidate 0: x is not finite"):
+        score_candidate(0, bad, None, state)
+
+
+def test_rank_rejects_ragged_and_wrong_width_features():
+    state = _ranking_state()
+    with pytest.raises(ValueError):
+        rank_top_k(0, [(0, [1.0, 0.0], 0), (1, [1.0], 0)], state, k=1)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        rank_top_k(0, [(0, [1.0, 0.0, 2.0], 0), (1, [1.0, 0.0, 0.0], 1)], state, k=1)
