@@ -211,7 +211,10 @@ def fit(data: Dataset, hp: HyperParams, seed: int = 0,
     """Run coordinate ascent until the ELBO stabilizes.
 
     Returns (state, FitReport).  Deterministic given the seed; passing an
-    explicit ``init`` state bypasses the seeded initialization.  Stops when
+    explicit ``init`` state bypasses the seeded initialization.  An ``init``
+    whose xi does not have one entry per event of ``data`` (one fitted on
+    other events, or loaded from a checkpoint without xi) starts from
+    ``update_xi(init, data)``.  Stops when
     |ELBO change| / (|ELBO| + 1e-12) < hp.rel_tol or after hp.max_iters
     sweeps.  With ``restarts`` > 1 the loop is run from that many seeded
     initializations (seeds seed, seed + 100, ...) and the run with the
@@ -230,6 +233,10 @@ def _fit_once(data: Dataset, hp: HyperParams, seed: int,
     if len(data) == 0:
         raise ValueError("training data must contain at least one event")
     state = init.copy() if init is not None else initial_state(data, hp, seed)
+    if state.xi.size != len(data):
+        # An init fitted on other events, or loaded from a checkpoint that does
+        # not store xi: start from the exact xi-maximizer for its factors.
+        state.xi = update_xi(state, data)
 
     trace = []
     converged = False

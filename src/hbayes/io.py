@@ -5,7 +5,8 @@ Formats (documented with examples in docs/file_formats.md):
 * events: JSON Lines, one object per line with string ``user`` and
   ``brand`` ids, a binary ``y`` label, and a feature array ``x``;
 * ground truth sidecar: single JSON document of true latents;
-* checkpoint: single canonical JSON document, schema version 1;
+* checkpoint: single canonical JSON document, schema version 2 (version 1
+  files, which also store the per-event ``xi``, are still read);
 * metrics report: JSON summary of a cross-validation run;
 * ELBO trace: two-column CSV ``iteration,elbo``.
 
@@ -45,7 +46,9 @@ __all__ = [
     "save_trace_csv",
 ]
 
-CHECKPOINT_SCHEMA_VERSION = 1
+CHECKPOINT_SCHEMA_VERSION = 2
+# Version 1 is version 2 plus the per-event bound locations under "state.xi".
+_READABLE_SCHEMA_VERSIONS = (1, 2)
 
 
 class EventParseError(ValueError):
@@ -228,12 +231,11 @@ class Checkpoint:
     brand_ids: list | None = None
 
 
-def _factor_obj(mean, spread):
-    """One Gaussian factor: a dense covariance under "cov", an isotropic
-    variance v (covariance v * I) under "iso_var"."""
-    if np.ndim(spread) == 0:
-        return {"mean": [float(v) for v in mean], "iso_var": float(spread)}
-    return {"mean": [float(v) for v in mean], "cov": [[float(v) for v in row] for row in spread]}
+def _factor_objs(means, spreads, spread):
+    """One object per Gaussian factor of a family: its mean and, under the
+    key ``spread``, a dense covariance ("cov") or an isotropic variance v
+    standing for v * I ("iso_var")."""
+    return [{"mean": m, spread: v} for m, v in zip(means.tolist(), spreads.tolist())]
 
 
 def _factors_from_objs(objs, spread, d):
@@ -247,8 +249,11 @@ def _factors_from_objs(objs, spread, d):
 
 
 def save_checkpoint(state: VariationalState, meta: dict, path):
-    """Persist a fitted state as canonical JSON.
+    """Persist a fitted state as canonical JSON, schema version 2.
 
+    The per-event bound locations ``state.xi`` are not written: they are
+    working state of the fit, and ``fit(init=...)`` rebuilds them with
+    ``update_xi``, so the file grows with users and brands, not events.
     ``meta`` must provide "hyperparams" (HyperParams), "num_users",
     "num_brands" and "fit_report" (FitReport); "user_ids"/"brand_ids" are
     optional.  Saving, loading and saving again produces a byte-identical
@@ -261,7 +266,7 @@ def save_checkpoint(state: VariationalState, meta: dict, path):
         "hyperparams": {
             "num_styles": hp.num_styles,
             "feature_dim": hp.feature_dim,
-            "gamma0": [float(v) for v in hp.gamma0],
+            "gamma0": hp.gamma0.tolist(),
             "alpha0": float(hp.alpha0),
             "beta0": float(hp.beta0),
             "max_iters": hp.max_iters,
@@ -270,17 +275,16 @@ def save_checkpoint(state: VariationalState, meta: dict, path):
         "num_users": int(meta["num_users"]),
         "num_brands": int(meta["num_brands"]),
         "state": {
-            "users": [_factor_obj(*g) for g in zip(state.user_mean, state.user_cov)],
-            "brands": [_factor_obj(*g) for g in zip(state.brand_mean, state.brand_cov)],
-            "styles": [_factor_obj(*g) for g in zip(state.style_mean, state.style_var)],
-            "w": _factor_obj(state.w_mean, state.w_var),
-            "theta_gamma": [float(v) for v in state.theta_gamma],
-            "resp": [[float(v) for v in row] for row in state.resp],
+            "users": _factor_objs(state.user_mean, state.user_cov, "cov"),
+            "brands": _factor_objs(state.brand_mean, state.brand_cov, "cov"),
+            "styles": _factor_objs(state.style_mean, state.style_var, "iso_var"),
+            "w": {"mean": state.w_mean.tolist(), "iso_var": float(state.w_var)},
+            "theta_gamma": state.theta_gamma.tolist(),
+            "resp": state.resp.tolist(),
             "prec_u": {"shape": state.prec_u.shape, "rate": state.prec_u.rate},
             "prec_b": {"shape": state.prec_b.shape, "rate": state.prec_b.rate},
             "prec_s": {"shape": state.prec_s.shape, "rate": state.prec_s.rate},
             "prec_w": {"shape": state.prec_w.shape, "rate": state.prec_w.rate},
-            "xi": [float(v) for v in state.xi],
         },
         "fit_report": {
             "elbo_trace": [float(v) for v in report.elbo_trace],
@@ -295,7 +299,12 @@ def save_checkpoint(state: VariationalState, meta: dict, path):
 
 def load_checkpoint(path) -> Checkpoint:
     """Load and validate a checkpoint; any invariant violation raises
-    CheckpointError."""
+    CheckpointError.
+
+    Reads schema versions 1 and 2.  A version-1 file's ``xi`` is checked
+    and kept on the state; a version-2 file has none, so the loaded
+    ``state.xi`` is empty, shape (0,), and ``fit(init=state)`` rebuilds it.
+    """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
@@ -303,9 +312,9 @@ def load_checkpoint(path) -> Checkpoint:
     if not isinstance(doc, dict):
         raise CheckpointError("checkpoint must be a JSON object")
     version = doc.get("schema_version")
-    if version != CHECKPOINT_SCHEMA_VERSION:
+    if type(version) is not int or version not in _READABLE_SCHEMA_VERSIONS:
         raise CheckpointError(
-            f"unsupported schema_version {version!r} (expected {CHECKPOINT_SCHEMA_VERSION})"
+            f"unsupported schema_version {version!r} (expected 1 or 2)"
         )
     try:
         hp_obj = doc["hyperparams"]
@@ -335,7 +344,7 @@ def load_checkpoint(path) -> Checkpoint:
             prec_b=GammaPosterior(**s["prec_b"]),
             prec_s=GammaPosterior(**s["prec_s"]),
             prec_w=GammaPosterior(**s["prec_w"]),
-            xi=np.asarray(s["xi"], dtype=float),
+            xi=np.asarray(s["xi"] if version == 1 else (), dtype=float),
         )
         report = FitReport(
             elbo_trace=list(doc["fit_report"]["elbo_trace"]),

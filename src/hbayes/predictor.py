@@ -91,20 +91,26 @@ def score_candidates(user_id, candidates, state: VariationalState):
     """Score a batch of items for one user; returns (mu, sigma2, prob) arrays.
 
     ``candidates`` is a sequence of (item_id, x, brand_id).  Unknown brand
-    or user ids (None or out of range) are scored with prior moments.  The
-    cold-brand prior is computed once and appended as row B of the brand
-    moments, so every candidate takes its moments from one gather.  Raises
-    ValueError naming the first candidate whose x is not finite or so large
-    that its score overflows.
+    or user ids (None or out of range) are scored with prior moments.  Every
+    candidate takes its brand moments from one gather; only when a request
+    holds a cold id is the cold-brand prior computed and appended to the
+    brand table as row B.  Raises ValueError naming the first candidate
+    whose x is not finite or so large that its score overflows.
     """
     B = state.num_brands
     _, xs, brands = zip(*candidates) if candidates else ((), np.zeros((0, state.dim)), ())
     X = np.array(xs, dtype=float)
     ids = np.array(brands, dtype=float)  # None -> NaN, which fails both bounds
-    rows = np.where((ids >= 0) & (ids < B), ids, B).astype(np.intp)
-    prior_mean, prior_cov = brand_prior(state)
-    brand_mean = np.concatenate([state.brand_mean, prior_mean[None]])[rows]
-    brand_cov = np.concatenate([state.brand_cov, prior_cov[None]])[rows]
+    cold = ~((ids >= 0) & (ids < B))
+    brand_mean, brand_cov = state.brand_mean, state.brand_cov
+    if cold.any():
+        # Gathering from the table plus a prior row B is cheaper than writing
+        # the prior over the gathered cold rows when lists are long.
+        prior_mean, prior_cov = brand_prior(state)
+        brand_mean = np.concatenate([brand_mean, prior_mean[None]])
+        brand_cov = np.concatenate([brand_cov, prior_cov[None]])
+    rows = np.where(cold, B, ids).astype(np.intp)
+    brand_mean, brand_cov = brand_mean[rows], brand_cov[rows]
     if user_id is not None and 0 <= user_id < state.num_users:
         user_mean, user_cov = state.user_mean[user_id], state.user_cov[user_id]
     else:

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -15,7 +16,9 @@ from hbayes import (
     elbo,
     elbo_terms,
     lambda_of_xi,
+    load_checkpoint,
     sample_dataset,
+    save_checkpoint,
 )
 from hbayes import inference
 from hbayes.inference import (
@@ -614,3 +617,37 @@ def test_fit_restarts_pick_best_elbo():
         finals.append(rep.elbo_trace[-1])
     _, best = fit(data, hp, seed=5, restarts=3)
     assert best.elbo_trace[-1] == max(finals)
+
+
+def test_fit_warm_start_on_other_events_rebuilds_xi():
+    """A state fitted on 400 events warm-starts a fit on 300 of them: its xi
+    has the wrong length, so the fit starts from update_xi(init, subset)."""
+    hp, data = _synthetic(max_iters=10)
+    state, _ = fit(data, hp, seed=2)
+    subset = data.subset(np.flatnonzero(np.arange(len(data)) % 4 != 0))
+    warm, report = fit(subset, hp, init=state)
+    start = replace(state, xi=update_xi(state, subset))
+    trace = np.array([elbo(start, subset, hp), *report.elbo_trace])
+    assert np.all(np.diff(trace) >= -1e-9 * np.abs(trace[:-1]))
+    assert warm.xi.shape == (len(subset),)
+    assert state.xi.shape == (len(data),)  # init is not modified
+    _, explicit = fit(subset, hp, init=start)
+    assert report.elbo_trace == explicit.elbo_trace  # bit-identical
+
+
+def test_fit_warm_start_from_checkpoint_without_xi(tmp_path):
+    """A loaded checkpoint has no xi; warm-starting it on its training events
+    rebuilds exactly the xi the fit ended with (the last update of a sweep),
+    so the trace matches a warm start from the in-memory state."""
+    hp, data = _synthetic(max_iters=10)
+    state, report = fit(data, hp, seed=2)
+    path = tmp_path / "model.json"
+    save_checkpoint(state, {"hyperparams": hp, "num_users": data.num_users,
+                            "num_brands": data.num_brands, "fit_report": report}, path)
+    loaded = load_checkpoint(path).state
+    assert loaded.xi.shape == (0,)
+    with pytest.raises(ValueError, match="xi entries"):
+        elbo(loaded, data, hp)
+    _, from_file = fit(data, hp, init=loaded)
+    _, from_memory = fit(data, hp, init=state)
+    assert from_file.elbo_trace == from_memory.elbo_trace

@@ -3,13 +3,17 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from hbayes import (
     CheckpointError,
+    Dataset,
     EventParseError,
     HyperParams,
     fit,
@@ -21,7 +25,12 @@ from hbayes import (
     save_checkpoint,
     save_events,
 )
-from hbayes.io import load_candidates, save_trace_csv
+from hbayes.io import load_candidates, save_json, save_trace_csv
+
+# A schema-1 checkpoint as the version-1 writer left it: ``hbayes generate
+# --users 6 --brands 4 --styles 2 --events 300 --dim 3 --seed 1``, then
+# ``hbayes train --styles 2 --max-iters 5``.
+CHECKPOINT_V1 = Path(__file__).parent / "data" / "checkpoint_v1.json"
 
 
 # ---------------------------------------------------------------------------
@@ -355,10 +364,11 @@ def test_checkpoint_rejects_version_mismatch(tmp_path):
     path = tmp_path / "model.json"
     save_checkpoint(state, meta, path)
     doc = json.loads(path.read_text())
-    doc["schema_version"] = 99
-    path.write_text(json.dumps(doc))
-    with pytest.raises(CheckpointError, match="schema_version"):
-        load_checkpoint(path)
+    for version in (99, 0, 3, True, 1.0, "2"):  # only the integers 1 and 2 are readable
+        doc["schema_version"] = version
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="schema_version"):
+            load_checkpoint(path)
 
 
 def test_checkpoint_rejects_malformed_json(tmp_path):
@@ -397,6 +407,98 @@ def test_checkpoint_rejects_dimension_mismatch(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(CheckpointError, match="dimensions"):
         load_checkpoint(path)
+
+
+def _meta(ckpt):
+    """The save_checkpoint meta of a loaded Checkpoint."""
+    return {"hyperparams": ckpt.hyperparams, "num_users": ckpt.num_users,
+            "num_brands": ckpt.num_brands, "fit_report": ckpt.fit_report,
+            "user_ids": ckpt.user_ids, "brand_ids": ckpt.brand_ids}
+
+
+def test_checkpoint_v2_stores_no_xi(tmp_path):
+    _, data, state, meta = _fitted(tmp_path)
+    path = tmp_path / "model.json"
+    save_checkpoint(state, meta, path)
+    doc = json.loads(path.read_text())
+    assert doc["schema_version"] == 2 and "xi" not in doc["state"]
+    ckpt = load_checkpoint(path)
+    assert ckpt.schema_version == 2
+    assert ckpt.state.xi.shape == (0,)
+
+
+def test_checkpoint_v1_fixture_loads_with_xi(tmp_path):
+    doc = json.loads(CHECKPOINT_V1.read_text())
+    ckpt = load_checkpoint(CHECKPOINT_V1)
+    assert ckpt.schema_version == 1
+    assert ckpt.state.xi.tolist() == doc["state"]["xi"] and len(doc["state"]["xi"]) == 300
+
+    v2 = tmp_path / "v2.json"
+    save_checkpoint(ckpt.state, _meta(ckpt), v2)
+    del doc["state"]["xi"]
+    doc["schema_version"] = 2
+    assert json.loads(v2.read_text()) == doc
+    restored = load_checkpoint(v2)
+    rng = np.random.default_rng(5)
+    # Known brands 0-3 and cold ones; user 0 known, 9 unseen.
+    cands = [(i, rng.standard_normal(3), int(rng.integers(-1, 6))) for i in range(20)]
+    for user in (0, 9):
+        assert (rank_top_k(user, cands, restored.state, k=20)
+                == rank_top_k(user, cands, ckpt.state, k=20))
+    again = tmp_path / "again.json"
+    save_checkpoint(restored.state, _meta(restored), again)
+    assert again.read_bytes() == v2.read_bytes()
+
+
+@pytest.mark.parametrize("value, message", [(-0.5, "non-negative"), (float("inf"), "finite")])
+def test_checkpoint_v1_xi_still_checked(tmp_path, value, message):
+    doc = json.loads(CHECKPOINT_V1.read_text())
+    doc["state"]["xi"][7] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))  # allow_nan: writes Infinity
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(path)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(d=st.integers(1, 4), empty_brand=st.integers(0, 3), seed=st.integers(0, 2**16))
+def test_checkpoint_round_trip_property(tmp_path_factory, d, empty_brand, seed):
+    """Small fitted states, one brand with no events: a v2 file re-saves
+    byte-identically, the same document as v1 (plus xi) loads to the same
+    factors, and both rank identically."""
+    rng = np.random.default_rng(seed)
+    n = 40
+    brands = rng.choice([b for b in range(4) if b != empty_brand], size=n)
+    data = Dataset.from_arrays(rng.standard_normal((n, d)), rng.integers(0, 3, size=n),
+                               brands, rng.integers(0, 2, size=n), 3, 4)
+    hp = HyperParams(num_styles=2, feature_dim=d, max_iters=3)
+    state, report = fit(data, hp, seed=seed)
+    root = tmp_path_factory.mktemp("ckpt")
+    p1, p2, p3 = root / "a.json", root / "b.json", root / "v1.json"
+    save_checkpoint(state, {"hyperparams": hp, "num_users": 3, "num_brands": 4,
+                            "fit_report": report}, p1)
+    v2 = load_checkpoint(p1)
+    save_checkpoint(v2.state, _meta(v2), p2)
+    assert p1.read_bytes() == p2.read_bytes()
+
+    doc = json.loads(p1.read_text())
+    doc["schema_version"] = 1
+    doc["state"]["xi"] = state.xi.tolist()
+    save_json(doc, p3)
+    v1 = load_checkpoint(p3)
+    assert (v1.schema_version, v2.schema_version) == (1, 2)
+    np.testing.assert_array_equal(v1.state.xi, state.xi)
+    for name in ("user_mean", "user_cov", "brand_mean", "brand_cov", "style_mean",
+                 "style_var", "w_mean", "w_var", "theta_gamma", "resp",
+                 "prec_u", "prec_b", "prec_s", "prec_w"):
+        np.testing.assert_array_equal(getattr(v1.state, name), getattr(state, name))
+        np.testing.assert_array_equal(getattr(v2.state, name), getattr(state, name))
+
+    cands = [(i, rng.standard_normal(d), b) for i, b in enumerate([0, 1, 2, 3, None, 4, -1] * 2)]
+    for user in (0, 2, None):
+        want = rank_top_k(user, cands, state, k=5)
+        assert rank_top_k(user, cands, v1.state, k=5) == want
+        assert rank_top_k(user, cands, v2.state, k=5) == want
 
 
 def test_ranking_identical_after_round_trip(tmp_path):

@@ -238,6 +238,31 @@ def test_batched_scores_match_per_candidate_loop(d):
                                        [w[item] for w in want], rtol=_BATCH_RTOL, atol=0.0)
 
 
+def test_cold_brand_prior_only_for_requests_with_a_cold_id(monkeypatch):
+    """The prior is computed only when a request holds a cold brand id, the
+    state's brand table is left as it was, and with no brands at all every
+    candidate takes the prior."""
+    from hbayes import predictor
+
+    hp = HyperParams(num_styles=3, feature_dim=3)
+    calls = []
+    monkeypatch.setattr(predictor, "brand_prior",
+                        lambda state: calls.append(1) or brand_prior(state))
+    rng = np.random.default_rng(4)
+    for B, brand_ids, want_calls in ((4, [0, 3, 1, 1], 0), (4, [0, None, 7, -2], 1),
+                                     (0, [None, 0, -1], 1)):
+        state = random_state(hp, num_users=2, num_brands=B, num_events=0, seed=B)
+        table = state.brand_mean.copy(), state.brand_cov.copy()
+        cands = [(i, rng.standard_normal(3), b) for i, b in enumerate(brand_ids)]
+        calls.clear()
+        got = score_candidates(0, cands, state)
+        assert len(calls) == want_calls
+        for g, w in zip(got, reference_scores(0, cands, state)):
+            np.testing.assert_allclose(g, w, rtol=_BATCH_RTOL, atol=0.0)
+        np.testing.assert_array_equal(state.brand_mean, table[0])
+        np.testing.assert_array_equal(state.brand_cov, table[1])
+
+
 def test_rank_empty_candidate_list():
     assert rank_top_k(0, [], _ranking_state(), k=3) == []
     assert rank_top_k(None, iter([]), _ranking_state(), k=1) == []
