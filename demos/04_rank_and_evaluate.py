@@ -9,7 +9,7 @@ precision/recall/NDCG over users with held-out positives.
 import numpy as np
 
 from hbayes import (HyperParams, cross_validate, fit, rank_top_k, sample_dataset,
-                    score_candidate)
+                    score_candidates)
 
 hp = HyperParams(num_styles=3, feature_dim=10, max_iters=100, rel_tol=1e-5)
 data, _ = sample_dataset(hp, num_users=20, num_brands=15, num_events=2000, seed=7)
@@ -23,9 +23,8 @@ print("top-5 for user 3:")
 for item, prob in top:
     print(f"  item {item:2d}  p(click) = {prob:.3f}")
 
-cold = score_candidate(None, candidates[0][1], None, state)
-print(f"cold-start (unknown user & brand): p = {cold.prob:.3f}, "
-      f"variance {cold.sigma2:.2f}")
+_, (sigma2,), (prob,) = score_candidates(None, [(None, candidates[0][1], None)], state)
+print(f"cold-start (unknown user & brand): p = {prob:.3f}, variance {sigma2:.2f}")
 
 # --- cross-validated metrics ---------------------------------------------
 result = cross_validate(data, hp, folds=5, seed=0, k_values=(5, 10))

@@ -5,118 +5,20 @@ latent vectors drives Bernoulli click events through a logistic link.
 Inference is mean-field coordinate ascent made conjugate by a quadratic
 lower bound on the sigmoid; prediction integrates the posterior with a
 probit-style approximation.
+
+Each module's ``__all__`` is the one place a name is declared public;
+this package re-exports them all.
 """
 
-from .evaluation import (
-    CrossValidationResult,
-    MetricReport,
-    cross_validate,
-    ndcg_at_k,
-    precision_at_k,
-    recall_at_k,
-    stratified_user_folds,
-)
-from .generator import GroundTruth, sample_dataset
-from .inference import (
-    FitReport,
-    cavi_sweep,
-    fit,
-    initial_state,
-    update_brands,
-    update_precisions,
-    update_responsibilities,
-    update_styles,
-    update_theta,
-    update_users,
-    update_w,
-    update_xi,
-)
-from .io import (
-    Checkpoint,
-    CheckpointError,
-    EventParseError,
-    hash_features,
-    load_checkpoint,
-    load_events,
-    save_checkpoint,
-    save_events,
-)
-from .model import (
-    Dataset,
-    EventRecord,
-    GammaPosterior,
-    HyperParams,
-    NumericalError,
-    VariationalState,
-    elbo,
-    elbo_terms,
-    event_log_likelihood,
-    jj_lower_bound,
-    lambda_of_xi,
-    sigmoid,
-)
-from .predictor import (
-    PredictionScore,
-    brand_prior,
-    predict_prob,
-    predictive_moments,
-    rank_top_k,
-    score_candidate,
-    score_candidates,
-    user_prior,
-)
+from . import evaluation, generator, inference, io, model, predictor
+from .evaluation import *  # noqa: F401,F403
+from .generator import *  # noqa: F401,F403
+from .inference import *  # noqa: F401,F403
+from .io import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
+from .predictor import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CrossValidationResult",
-    "MetricReport",
-    "cross_validate",
-    "ndcg_at_k",
-    "precision_at_k",
-    "recall_at_k",
-    "stratified_user_folds",
-    "GroundTruth",
-    "sample_dataset",
-    "FitReport",
-    "cavi_sweep",
-    "fit",
-    "initial_state",
-    "update_brands",
-    "update_precisions",
-    "update_responsibilities",
-    "update_styles",
-    "update_theta",
-    "update_users",
-    "update_w",
-    "update_xi",
-    "Checkpoint",
-    "CheckpointError",
-    "EventParseError",
-    "hash_features",
-    "load_checkpoint",
-    "load_events",
-    "save_checkpoint",
-    "save_events",
-    "Dataset",
-    "EventRecord",
-    "GammaPosterior",
-    "HyperParams",
-    "NumericalError",
-    "VariationalState",
-    "elbo",
-    "elbo_terms",
-    "event_log_likelihood",
-    "jj_lower_bound",
-    "lambda_of_xi",
-    "sigmoid",
-    "PredictionScore",
-    "brand_prior",
-    "predict_prob",
-    "predictive_moments",
-    "rank_top_k",
-    "score_candidate",
-    "score_candidates",
-    "user_prior",
-    "__version__",
-]
+__all__ = [*evaluation.__all__, *generator.__all__, *inference.__all__, *io.__all__,
+           *model.__all__, *predictor.__all__, "__version__"]

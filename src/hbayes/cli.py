@@ -14,6 +14,25 @@ from .linalg import NumericalError
 from .model import HyperParams
 
 
+def _bounded(convert, ok, requirement):
+    """An argparse type: ``convert`` the string, then reject it unless ``ok``."""
+
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names the type in its errors
+    return parse
+
+
+_positive_int = _bounded(int, lambda v: v >= 1, ">= 1")
+_non_negative_int = _bounded(int, lambda v: v >= 0, ">= 0")
+_positive_float = _bounded(float, lambda v: v > 0, "positive")
+_non_negative_float = _bounded(float, lambda v: v >= 0, "non-negative")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hbayes",
@@ -23,25 +42,25 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="sample a synthetic dataset")
-    gen.add_argument("--users", type=int, required=True)
-    gen.add_argument("--brands", type=int, required=True)
-    gen.add_argument("--styles", type=int, required=True)
-    gen.add_argument("--events", type=int, required=True)
-    gen.add_argument("--dim", type=int, required=True)
+    gen.add_argument("--users", type=_positive_int, required=True)
+    gen.add_argument("--brands", type=_positive_int, required=True)
+    gen.add_argument("--styles", type=_positive_int, required=True)
+    gen.add_argument("--events", type=_positive_int, required=True)
+    gen.add_argument("--dim", type=_positive_int, required=True)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True, help="events JSONL output path")
     gen.add_argument("--truth-out", help="ground-truth sidecar JSON output path")
-    gen.add_argument("--feature-scale", type=float, default=1.0)
-    gen.add_argument("--prec-user", type=float, default=4.0)
-    gen.add_argument("--prec-brand", type=float, default=25.0)
-    gen.add_argument("--prec-style", type=float, default=2.0)
-    gen.add_argument("--prec-w", type=float, default=2.0)
+    gen.add_argument("--feature-scale", type=_non_negative_float, default=1.0)
+    gen.add_argument("--prec-user", type=_positive_float, default=4.0)
+    gen.add_argument("--prec-brand", type=_positive_float, default=25.0)
+    gen.add_argument("--prec-style", type=_positive_float, default=2.0)
+    gen.add_argument("--prec-w", type=_positive_float, default=2.0)
 
     train = sub.add_parser("train", help="fit the model on an event file")
     train.add_argument("--events", required=True)
-    train.add_argument("--styles", type=int, required=True)
-    train.add_argument("--max-iters", type=int, default=200)
-    train.add_argument("--tol", type=float, default=1e-5)
+    train.add_argument("--styles", type=_positive_int, required=True)
+    train.add_argument("--max-iters", type=_non_negative_int, default=200)
+    train.add_argument("--tol", type=_positive_float, default=1e-5)
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--checkpoint-out", required=True)
     train.add_argument("--trace-out", help="ELBO trace CSV output path")
@@ -51,12 +70,12 @@ def _build_parser() -> argparse.ArgumentParser:
     rank.add_argument("--events", required=True,
                       help="candidate items (JSONL; y optional, user ignored)")
     rank.add_argument("--user", required=True, help="user id string")
-    rank.add_argument("--k", type=int, default=10)
+    rank.add_argument("--k", type=_positive_int, default=10)
     rank.add_argument("--out", required=True)
 
     ev = sub.add_parser("eval", help="cross-validated ranking metrics")
     ev.add_argument("--events", required=True)
-    ev.add_argument("--styles", type=int, required=True)
+    ev.add_argument("--styles", type=_positive_int, required=True)
     ev.add_argument("--folds", type=int, default=5)
     ev.add_argument("--seed", type=int, default=0)
     ev.add_argument("--k", default="5,10,25,50", help="comma-separated cutoffs")
@@ -64,16 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_generate(args, parser) -> int:
-    for flag in ("users", "brands", "events", "dim", "styles"):
-        if getattr(args, flag) < 1:
-            parser.error(f"--{flag} must be >= 1")
-    if args.feature_scale < 0:
-        parser.error("--feature-scale must be non-negative")
-    for flag in ("user", "brand", "style", "w"):
-        if not getattr(args, f"prec_{flag}") > 0:
-            parser.error(f"--prec-{flag} must be positive")
-
+def _cmd_generate(args) -> int:
     hp = HyperParams(num_styles=args.styles, feature_dim=args.dim)
     precisions = (args.prec_user, args.prec_brand, args.prec_style, args.prec_w)
     data, truth = generator.sample_dataset(
@@ -87,26 +97,13 @@ def _cmd_generate(args, parser) -> int:
     return 0
 
 
-def _cmd_train(args, parser) -> int:
-    if args.styles < 1:
-        parser.error("--styles must be >= 1")
-    if args.max_iters < 0:
-        parser.error("--max-iters must be >= 0")
-    if not args.tol > 0:
-        parser.error("--tol must be positive")
-
+def _cmd_train(args) -> int:
     data = io.load_events(args.events)
     hp = HyperParams(num_styles=args.styles, feature_dim=data.feature_dim,
                      max_iters=args.max_iters, rel_tol=args.tol)
     state, report = inference.fit(data, hp, seed=args.seed)
-    io.save_checkpoint(state, {
-        "hyperparams": hp,
-        "num_users": data.num_users,
-        "num_brands": data.num_brands,
-        "fit_report": report,
-        "user_ids": data.user_ids,
-        "brand_ids": data.brand_ids,
-    }, args.checkpoint_out)
+    io.save_checkpoint(io.Checkpoint(hp, state, report, data.user_ids, data.brand_ids),
+                       args.checkpoint_out)
     if args.trace_out:
         io.save_trace_csv(report.elbo_trace, args.trace_out)
     last = report.elbo_trace[-1] if report.elbo_trace else float("nan")
@@ -115,11 +112,8 @@ def _cmd_train(args, parser) -> int:
     return 0
 
 
-def _cmd_rank(args, parser) -> int:
+def _cmd_rank(args) -> int:
     from .predictor import rank_top_k
-
-    if args.k < 1:
-        parser.error("--k must be >= 1")
 
     ckpt = io.load_checkpoint(args.checkpoint)
     candidates = io.load_candidates(args.events)
@@ -155,8 +149,6 @@ def _cmd_eval(args, parser) -> int:
         parser.error("--k must be a comma-separated list of integers")
     if any(k < 1 for k in k_values):
         parser.error("--k cutoffs must be >= 1")
-    if args.styles < 1:
-        parser.error("--styles must be >= 1")
 
     data = io.load_events(args.events)
     hp = HyperParams(num_styles=args.styles, feature_dim=data.feature_dim)
@@ -176,11 +168,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "generate":
-            return _cmd_generate(args, parser)
+            return _cmd_generate(args)
         if args.command == "train":
-            return _cmd_train(args, parser)
+            return _cmd_train(args)
         if args.command == "rank":
-            return _cmd_rank(args, parser)
+            return _cmd_rank(args)
         if args.command == "eval":
             return _cmd_eval(args, parser)
     except (OSError, ValueError, NumericalError, json.JSONDecodeError) as err:

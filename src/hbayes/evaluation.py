@@ -15,7 +15,6 @@ __all__ = [
     "recall_at_k",
     "ndcg_at_k",
     "stratified_user_folds",
-    "hbayes_scorer_factory",
     "cross_validate",
 ]
 

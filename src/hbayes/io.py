@@ -34,16 +34,11 @@ __all__ = [
     "EventParseError",
     "CheckpointError",
     "Checkpoint",
-    "CHECKPOINT_SCHEMA_VERSION",
     "load_events",
     "save_events",
-    "load_candidates",
     "hash_features",
     "save_checkpoint",
     "load_checkpoint",
-    "save_ground_truth",
-    "save_json",
-    "save_trace_csv",
 ]
 
 CHECKPOINT_SCHEMA_VERSION = 2
@@ -218,17 +213,32 @@ def hash_features(tokens, width: int) -> np.ndarray:
 
 @dataclass
 class Checkpoint:
-    """A fitted model with everything needed to rank: state, hyper-parameters,
-    dataset dimensions, fit diagnostics, and the id dictionaries."""
+    """A fitted model with everything needed to rank: hyper-parameters,
+    state, fit diagnostics and the id dictionaries.  The entity counts are
+    the state's.  ``schema_version`` is the version of the file a loaded
+    checkpoint came from; saving always writes the current version."""
 
-    schema_version: int
     hyperparams: HyperParams
     state: VariationalState
-    num_users: int
-    num_brands: int
     fit_report: FitReport
     user_ids: list | None = None
     brand_ids: list | None = None
+    schema_version: int = CHECKPOINT_SCHEMA_VERSION
+
+
+def _check_dimensions(ckpt: Checkpoint, num_users, num_brands):
+    """Raise CheckpointError unless the state agrees with the hyper-parameters
+    and with the recorded entity counts, and each id list (if any) holds one
+    id per entity."""
+    state, hp = ckpt.state, ckpt.hyperparams
+    if state.num_styles != hp.num_styles or state.dim != hp.feature_dim:
+        raise CheckpointError("state dimensions disagree with hyperparams")
+    if state.num_users != num_users or state.num_brands != num_brands:
+        raise CheckpointError("state dimensions disagree with recorded dimensions")
+    for name, ids, count in (("user_ids", ckpt.user_ids, num_users),
+                             ("brand_ids", ckpt.brand_ids, num_brands)):
+        if ids is not None and (not isinstance(ids, list) or len(ids) != count):
+            raise CheckpointError(f"{name} must be null or a list of {count} ids")
 
 
 def _factor_objs(means, spreads, spread):
@@ -248,19 +258,19 @@ def _factors_from_objs(objs, spread, d):
             np.asarray([o[spread] for o in objs], dtype=float))
 
 
-def save_checkpoint(state: VariationalState, meta: dict, path):
-    """Persist a fitted state as canonical JSON, schema version 2.
+def save_checkpoint(ckpt: Checkpoint, path):
+    """Persist a checkpoint as canonical JSON, schema version 2, whatever
+    version it was loaded from.
 
     The per-event bound locations ``state.xi`` are not written: they are
     working state of the fit, and ``fit(init=...)`` rebuilds them with
     ``update_xi``, so the file grows with users and brands, not events.
-    ``meta`` must provide "hyperparams" (HyperParams), "num_users",
-    "num_brands" and "fit_report" (FitReport); "user_ids"/"brand_ids" are
-    optional.  Saving, loading and saving again produces a byte-identical
-    file.
+    A checkpoint that ``load_checkpoint`` would reject for its dimensions
+    or id lists raises CheckpointError and nothing is written.  Saving,
+    loading and saving again produces a byte-identical file.
     """
-    hp: HyperParams = meta["hyperparams"]
-    report: FitReport = meta["fit_report"]
+    state, hp, report = ckpt.state, ckpt.hyperparams, ckpt.fit_report
+    _check_dimensions(ckpt, state.num_users, state.num_brands)
     doc = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "hyperparams": {
@@ -272,8 +282,8 @@ def save_checkpoint(state: VariationalState, meta: dict, path):
             "max_iters": hp.max_iters,
             "rel_tol": float(hp.rel_tol),
         },
-        "num_users": int(meta["num_users"]),
-        "num_brands": int(meta["num_brands"]),
+        "num_users": state.num_users,
+        "num_brands": state.num_brands,
         "state": {
             "users": _factor_objs(state.user_mean, state.user_cov, "cov"),
             "brands": _factor_objs(state.brand_mean, state.brand_cov, "cov"),
@@ -291,8 +301,8 @@ def save_checkpoint(state: VariationalState, meta: dict, path):
             "iterations_run": report.iterations_run,
             "converged": bool(report.converged),
         },
-        "user_ids": meta.get("user_ids"),
-        "brand_ids": meta.get("brand_ids"),
+        "user_ids": ckpt.user_ids,
+        "brand_ids": ckpt.brand_ids,
     }
     save_json(doc, path)
 
@@ -351,10 +361,10 @@ def load_checkpoint(path) -> Checkpoint:
             iterations_run=doc["fit_report"]["iterations_run"],
             converged=doc["fit_report"]["converged"],
         )
-        num_users = doc["num_users"]
-        num_brands = doc["num_brands"]
-        user_ids = doc.get("user_ids")
-        brand_ids = doc.get("brand_ids")
+        ckpt = Checkpoint(hyperparams=hp, state=state, fit_report=report,
+                          user_ids=doc.get("user_ids"), brand_ids=doc.get("brand_ids"),
+                          schema_version=version)
+        num_users, num_brands = doc["num_users"], doc["num_brands"]
     except (KeyError, TypeError, ValueError) as err:
         raise CheckpointError(f"malformed checkpoint: {err}") from None
 
@@ -362,14 +372,8 @@ def load_checkpoint(path) -> Checkpoint:
         state.validate()
     except ValueError as err:
         raise CheckpointError(f"invariant violation: {err}") from None
-    if state.num_users != num_users or state.num_brands != num_brands:
-        raise CheckpointError("state dimensions disagree with recorded dimensions")
-    if state.num_styles != hp.num_styles or state.dim != hp.feature_dim:
-        raise CheckpointError("state dimensions disagree with hyperparams")
-
-    return Checkpoint(schema_version=version, hyperparams=hp, state=state,
-                      num_users=num_users, num_brands=num_brands, fit_report=report,
-                      user_ids=user_ids, brand_ids=brand_ids)
+    _check_dimensions(ckpt, num_users, num_brands)
+    return ckpt
 
 
 # ---------------------------------------------------------------------------

@@ -1,39 +1,17 @@
 """Click-probability prediction and top-K ranking from a fitted state."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import VariationalState, sigmoid
 
 __all__ = [
-    "PredictionScore",
     "predictive_moments",
     "predict_prob",
-    "score_candidate",
     "score_candidates",
     "rank_top_k",
-    "by_score",
     "brand_prior",
     "user_prior",
 ]
-
-
-@dataclass
-class PredictionScore:
-    """Predictive mean/variance of the linear score and the click probability."""
-
-    mu: float
-    sigma2: float
-    prob: float
-
-    def validate(self):
-        if self.sigma2 < 0:
-            raise ValueError("predictive variance must be non-negative")
-        if not 0.0 < self.prob < 1.0:
-            raise ValueError("click probability must lie strictly inside (0, 1)")
-        if (self.prob == 0.5) != (self.mu == 0.0):
-            raise ValueError("probability 0.5 must coincide with zero mean")
 
 
 def predictive_moments(X, brand_mean, brand_cov, user_mean, user_cov):
@@ -123,12 +101,6 @@ def score_candidates(user_id, candidates, state: VariationalState):
         raise ValueError(f"candidate {int(np.argmin(finite))}: x is not finite "
                          f"or too large to score")
     return mu, sigma2, prob
-
-
-def score_candidate(user_id, x, brand_id, state: VariationalState) -> PredictionScore:
-    """Score one (user, item) pair; unknown ids fall back to prior moments."""
-    mu, sigma2, prob = score_candidates(user_id, [(None, x, brand_id)], state)
-    return PredictionScore(mu=float(mu[0]), sigma2=float(sigma2[0]), prob=float(prob[0]))
 
 
 def rank_top_k(user_id, candidates, state: VariationalState, k: int):

@@ -26,6 +26,24 @@ def make_dataset(rows, num_users, num_brands, feature_dim):
                    feature_dim=feature_dim)
 
 
+def event_log_likelihood(e: "EventRecord", brand_mean, user_mean) -> float:
+    """Bernoulli log-likelihood of one event at point estimates of the factors.
+
+    h = x @ (brand_mean + user_mean); returns y*log(sigmoid(h)) +
+    (1-y)*log(1 - sigmoid(h)) via log1p-style formulas.
+    """
+    brand_mean = np.asarray(brand_mean, dtype=float)
+    user_mean = np.asarray(user_mean, dtype=float)
+    if brand_mean.shape != e.x.shape or user_mean.shape != e.x.shape:
+        raise ValueError(
+            f"dimension mismatch: x has shape {e.x.shape}, means have shapes "
+            f"{brand_mean.shape} and {user_mean.shape}"
+        )
+    h = float(e.x @ (brand_mean + user_mean))
+    # log sigmoid(h) = -softplus(-h); log(1 - sigmoid(h)) = -softplus(h)
+    return -float(np.logaddexp(0.0, -h)) if e.y == 1 else -float(np.logaddexp(0.0, h))
+
+
 def random_state(hp, num_users, num_brands, num_events, seed):
     """A valid, non-degenerate variational state with random parameters."""
     rng = np.random.default_rng(seed)

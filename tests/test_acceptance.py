@@ -14,6 +14,7 @@ import pytest
 from scipy.special import expit
 
 from hbayes import (
+    Checkpoint,
     HyperParams,
     elbo,
     fit,
@@ -248,10 +249,8 @@ def test_criterion_8_determinism_and_persistence(reference_fit, tmp_path):
     _, report2 = fit(data, hp, seed=0)
     assert report2.elbo_trace == report.elbo_trace  # bit-identical floats
 
-    meta = {"hyperparams": hp, "num_users": data.num_users,
-            "num_brands": data.num_brands, "fit_report": report}
     path = tmp_path / "model.json"
-    save_checkpoint(state, meta, path)
+    save_checkpoint(Checkpoint(hp, state, report), path)
     restored = load_checkpoint(path).state
     rng = np.random.default_rng(4)
     cands = [(i, rng.standard_normal(hp.feature_dim),

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from hbayes import (
+    Checkpoint,
     Dataset,
     GammaPosterior,
     HyperParams,
@@ -642,8 +643,7 @@ def test_fit_warm_start_from_checkpoint_without_xi(tmp_path):
     hp, data = _synthetic(max_iters=10)
     state, report = fit(data, hp, seed=2)
     path = tmp_path / "model.json"
-    save_checkpoint(state, {"hyperparams": hp, "num_users": data.num_users,
-                            "num_brands": data.num_brands, "fit_report": report}, path)
+    save_checkpoint(Checkpoint(hp, state, report), path)
     loaded = load_checkpoint(path).state
     assert loaded.xi.shape == (0,)
     with pytest.raises(ValueError, match="xi entries"):

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from hbayes import (
+    Checkpoint,
     CheckpointError,
     Dataset,
     EventParseError,
@@ -304,29 +306,20 @@ def _fitted(tmp_path):
     save_events(data, events_path)
     data = load_events(events_path)
     state, report = fit(data, hp, seed=0)
-    meta = {"hyperparams": hp, "num_users": data.num_users,
-            "num_brands": data.num_brands, "fit_report": report,
-            "user_ids": data.user_ids, "brand_ids": data.brand_ids}
-    return hp, data, state, meta
+    return Checkpoint(hp, state, report, data.user_ids, data.brand_ids)
 
 
 def test_checkpoint_round_trip_byte_identical(tmp_path):
-    _, _, state, meta = _fitted(tmp_path)
     p1 = tmp_path / "model.json"
     p2 = tmp_path / "model2.json"
-    save_checkpoint(state, meta, p1)
-    ckpt = load_checkpoint(p1)
-    save_checkpoint(ckpt.state, {
-        "hyperparams": ckpt.hyperparams, "num_users": ckpt.num_users,
-        "num_brands": ckpt.num_brands, "fit_report": ckpt.fit_report,
-        "user_ids": ckpt.user_ids, "brand_ids": ckpt.brand_ids}, p2)
+    save_checkpoint(_fitted(tmp_path), p1)
+    save_checkpoint(load_checkpoint(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_checkpoint_rejects_invalid_gamma(tmp_path):
-    _, _, state, meta = _fitted(tmp_path)
     path = tmp_path / "model.json"
-    save_checkpoint(state, meta, path)
+    save_checkpoint(_fitted(tmp_path), path)
     doc = json.loads(path.read_text())
     doc["state"]["prec_u"]["rate"] = -1.0
     path.write_text(json.dumps(doc))
@@ -351,18 +344,16 @@ def _write_with_infinity(src, dst, keys):
 
 @pytest.mark.parametrize("keys", _NON_FINITE_ENTRIES, ids=lambda keys: ".".join(map(str, keys)))
 def test_checkpoint_rejects_infinity(tmp_path, keys):
-    _, _, state, meta = _fitted(tmp_path)
     path = tmp_path / "model.json"
-    save_checkpoint(state, meta, path)
+    save_checkpoint(_fitted(tmp_path), path)
     _write_with_infinity(path, path, keys)
     with pytest.raises(CheckpointError, match="finite"):
         load_checkpoint(path)
 
 
 def test_checkpoint_rejects_version_mismatch(tmp_path):
-    _, _, state, meta = _fitted(tmp_path)
     path = tmp_path / "model.json"
-    save_checkpoint(state, meta, path)
+    save_checkpoint(_fitted(tmp_path), path)
     doc = json.loads(path.read_text())
     for version in (99, 0, 3, True, 1.0, "2"):  # only the integers 1 and 2 are readable
         doc["schema_version"] = version
@@ -385,9 +376,8 @@ def test_checkpoint_rejects_malformed_json(tmp_path):
     ("w", None, "cov", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
 ])
 def test_checkpoint_rejects_wrong_covariance_form(tmp_path, family, index, spread, value):
-    _, _, state, meta = _fitted(tmp_path)
     path = tmp_path / "model.json"
-    save_checkpoint(state, meta, path)
+    save_checkpoint(_fitted(tmp_path), path)
     doc = json.loads(path.read_text())
     factor = doc["state"][family] if index is None else doc["state"][family][index]
     factor.pop("cov", None)
@@ -399,9 +389,8 @@ def test_checkpoint_rejects_wrong_covariance_form(tmp_path, family, index, sprea
 
 
 def test_checkpoint_rejects_dimension_mismatch(tmp_path):
-    _, _, state, meta = _fitted(tmp_path)
     path = tmp_path / "model.json"
-    save_checkpoint(state, meta, path)
+    save_checkpoint(_fitted(tmp_path), path)
     doc = json.loads(path.read_text())
     doc["num_users"] = 17
     path.write_text(json.dumps(doc))
@@ -409,17 +398,33 @@ def test_checkpoint_rejects_dimension_mismatch(tmp_path):
         load_checkpoint(path)
 
 
-def _meta(ckpt):
-    """The save_checkpoint meta of a loaded Checkpoint."""
-    return {"hyperparams": ckpt.hyperparams, "num_users": ckpt.num_users,
-            "num_brands": ckpt.num_brands, "fit_report": ckpt.fit_report,
-            "user_ids": ckpt.user_ids, "brand_ids": ckpt.brand_ids}
+@pytest.mark.parametrize("field", ["user_ids", "brand_ids", "hyperparams"])
+def test_checkpoint_dimensions_checked_on_save_and_load(tmp_path, field):
+    """An id list of the wrong length, or hyper-parameters that disagree
+    with the state, is refused by save, which then writes nothing, and by
+    load, so save cannot write a file that load rejects."""
+    ckpt = _fitted(tmp_path)  # 4 users, 3 brands, d = 3
+    wrong = {"user_ids": ckpt.user_ids[:1], "brand_ids": ckpt.brand_ids + ["w"],
+             "hyperparams": HyperParams(num_styles=2, feature_dim=4)}[field]
+    path = tmp_path / "model.json"
+    with pytest.raises(CheckpointError, match=field):
+        save_checkpoint(replace(ckpt, **{field: wrong}), path)
+    assert not path.exists()
+
+    save_checkpoint(ckpt, path)
+    doc = json.loads(path.read_text())
+    if field == "hyperparams":
+        doc["hyperparams"]["feature_dim"] = wrong.feature_dim
+    else:
+        doc[field] = wrong
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match=field):
+        load_checkpoint(path)
 
 
 def test_checkpoint_v2_stores_no_xi(tmp_path):
-    _, data, state, meta = _fitted(tmp_path)
     path = tmp_path / "model.json"
-    save_checkpoint(state, meta, path)
+    save_checkpoint(_fitted(tmp_path), path)
     doc = json.loads(path.read_text())
     assert doc["schema_version"] == 2 and "xi" not in doc["state"]
     ckpt = load_checkpoint(path)
@@ -434,7 +439,7 @@ def test_checkpoint_v1_fixture_loads_with_xi(tmp_path):
     assert ckpt.state.xi.tolist() == doc["state"]["xi"] and len(doc["state"]["xi"]) == 300
 
     v2 = tmp_path / "v2.json"
-    save_checkpoint(ckpt.state, _meta(ckpt), v2)
+    save_checkpoint(ckpt, v2)
     del doc["state"]["xi"]
     doc["schema_version"] = 2
     assert json.loads(v2.read_text()) == doc
@@ -446,7 +451,7 @@ def test_checkpoint_v1_fixture_loads_with_xi(tmp_path):
         assert (rank_top_k(user, cands, restored.state, k=20)
                 == rank_top_k(user, cands, ckpt.state, k=20))
     again = tmp_path / "again.json"
-    save_checkpoint(restored.state, _meta(restored), again)
+    save_checkpoint(restored, again)
     assert again.read_bytes() == v2.read_bytes()
 
 
@@ -475,10 +480,9 @@ def test_checkpoint_round_trip_property(tmp_path_factory, d, empty_brand, seed):
     state, report = fit(data, hp, seed=seed)
     root = tmp_path_factory.mktemp("ckpt")
     p1, p2, p3 = root / "a.json", root / "b.json", root / "v1.json"
-    save_checkpoint(state, {"hyperparams": hp, "num_users": 3, "num_brands": 4,
-                            "fit_report": report}, p1)
+    save_checkpoint(Checkpoint(hp, state, report), p1)
     v2 = load_checkpoint(p1)
-    save_checkpoint(v2.state, _meta(v2), p2)
+    save_checkpoint(v2, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
     doc = json.loads(p1.read_text())
@@ -502,13 +506,13 @@ def test_checkpoint_round_trip_property(tmp_path_factory, d, empty_brand, seed):
 
 
 def test_ranking_identical_after_round_trip(tmp_path):
-    _, data, state, meta = _fitted(tmp_path)
+    ckpt = _fitted(tmp_path)
     path = tmp_path / "model.json"
-    save_checkpoint(state, meta, path)
+    save_checkpoint(ckpt, path)
     restored = load_checkpoint(path).state
     rng = np.random.default_rng(3)
     cands = [(i, rng.standard_normal(3), int(rng.integers(3))) for i in range(25)]
-    before = rank_top_k(1, cands, state, k=10)
+    before = rank_top_k(1, cands, ckpt.state, k=10)
     after = rank_top_k(1, cands, restored, k=10)
     assert before == after  # bit-identical probabilities and order
 
@@ -562,7 +566,7 @@ def test_cli_generate_outputs_parse(cli_artifacts):
 
 def test_cli_train_outputs_parse(cli_artifacts):
     ckpt = load_checkpoint(cli_artifacts["ckpt"])
-    assert ckpt.num_users == 5
+    assert ckpt.state.num_users == 5
     lines = cli_artifacts["trace"].read_text().splitlines()
     assert lines[0] == "iteration,elbo"
     elbos = [float(line.split(",")[1]) for line in lines[1:]]

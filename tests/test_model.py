@@ -15,7 +15,6 @@ from hbayes import (
     NumericalError,
     elbo,
     elbo_terms,
-    event_log_likelihood,
     jj_lower_bound,
     lambda_of_xi,
     sample_dataset,
@@ -25,6 +24,7 @@ from hbayes.inference import cavi_sweep, initial_state
 
 from helpers import (
     LOG2PI,
+    event_log_likelihood,
     make_dataset,
     mc_elbo_cross_terms,
     prior_matched_state,

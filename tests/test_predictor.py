@@ -11,12 +11,10 @@ from scipy.special import expit
 from hbayes import (
     GammaPosterior,
     HyperParams,
-    PredictionScore,
     brand_prior,
     predict_prob,
     predictive_moments,
     rank_top_k,
-    score_candidate,
     score_candidates,
     user_prior,
 )
@@ -111,16 +109,6 @@ def test_predict_prob_shrinks_toward_half_with_variance():
         assert np.all(np.diff(gaps) < 0)
 
 
-def test_prediction_score_validation():
-    PredictionScore(mu=1.0, sigma2=0.5, prob=0.7).validate()
-    with pytest.raises(ValueError):
-        PredictionScore(mu=1.0, sigma2=-0.5, prob=0.7).validate()
-    with pytest.raises(ValueError):
-        PredictionScore(mu=1.0, sigma2=0.5, prob=1.0).validate()
-    with pytest.raises(ValueError):
-        PredictionScore(mu=1.0, sigma2=0.5, prob=0.5).validate()
-
-
 # ---------------------------------------------------------------------------
 # ranking
 # ---------------------------------------------------------------------------
@@ -191,13 +179,13 @@ def test_cold_start_brand_uses_mixture_prior():
         prior_cov, (1.0 / 2.0 + weights[0] * 0.2 + weights[1] * 0.4) * np.eye(2))
 
     x = np.array([1.0, 1.0])
-    known = score_candidate(0, x, 0, state)
-    unknown = score_candidate(0, x, None, state)
+    _, (known_sigma2,), _ = score_candidates(0, [(None, x, 0)], state)
+    (unknown_mu,), (unknown_sigma2,), _ = score_candidates(0, [(None, x, None)], state)
     expected_mu = float(x @ (prior_mean + state.user_mean[0]))
-    assert unknown.mu == pytest.approx(expected_mu)
-    assert unknown.sigma2 > known.sigma2
-    out_of_range = score_candidate(0, x, 99, state)
-    assert out_of_range.mu == unknown.mu
+    assert unknown_mu == pytest.approx(expected_mu)
+    assert unknown_sigma2 > known_sigma2
+    (out_of_range_mu,), _, _ = score_candidates(0, [(None, x, 99)], state)
+    assert out_of_range_mu == unknown_mu
 
 
 def test_cold_start_user_uses_prior_moments():
@@ -206,10 +194,10 @@ def test_cold_start_user_uses_prior_moments():
     np.testing.assert_array_equal(prior_mean, np.zeros(2))
     np.testing.assert_allclose(prior_cov, 0.25 * np.eye(2))
     x = np.array([2.0, 0.0])
-    s = score_candidate(None, x, 0, state)
-    assert s.mu == pytest.approx(0.0)
-    assert s.sigma2 == pytest.approx(4.0 * 0.25)
-    assert s.prob == 0.5
+    (mu,), (sigma2,), (prob,) = score_candidates(None, [(None, x, 0)], state)
+    assert mu == pytest.approx(0.0)
+    assert sigma2 == pytest.approx(4.0 * 0.25)
+    assert prob == 0.5
 
 
 # The batched scorer sums in another order than the per-candidate loop, so
@@ -233,8 +221,8 @@ def test_batched_scores_match_per_candidate_loop(d):
         np.testing.assert_allclose(sorted(p for _, p in ranked), sorted(want[2]),
                                    rtol=_BATCH_RTOL, atol=0.0)
         for item, x, b in cands:
-            one = score_candidate(user_id, x, b, state)
-            np.testing.assert_allclose([one.mu, one.sigma2, one.prob],
+            one = score_candidates(user_id, [(None, x, b)], state)
+            np.testing.assert_allclose([col[0] for col in one],
                                        [w[item] for w in want], rtol=_BATCH_RTOL, atol=0.0)
 
 
@@ -302,7 +290,7 @@ def test_candidate_that_cannot_be_scored_is_rejected(bad):
     with pytest.raises(ValueError, match="candidate 2: x is not finite or too large to score"):
         rank_top_k(0, cands, state, k=2)
     with pytest.raises(ValueError, match="candidate 0: x is not finite"):
-        score_candidate(0, bad, None, state)
+        score_candidates(0, [(None, bad, None)], state)
 
 
 def test_rank_rejects_ragged_and_wrong_width_features():
