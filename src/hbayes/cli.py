@@ -9,7 +9,7 @@ import argparse
 import json
 import sys
 
-from . import evaluation, generator, inference, io
+from . import evaluation, generator, inference, io, predictor
 from .linalg import NumericalError
 from .model import HyperParams
 
@@ -31,6 +31,15 @@ _positive_int = _bounded(int, lambda v: v >= 1, ">= 1")
 _non_negative_int = _bounded(int, lambda v: v >= 0, ">= 0")
 _positive_float = _bounded(float, lambda v: v > 0, "positive")
 _non_negative_float = _bounded(float, lambda v: v >= 0, "non-negative")
+_fold_count = _bounded(int, lambda v: v >= 2, ">= 2")
+
+
+def cutoffs(text):
+    """Comma-separated integers as a tuple; argparse names this type in errors."""
+    return tuple(int(tok) for tok in text.split(","))
+
+
+_cutoffs = _bounded(cutoffs, lambda ks: min(ks) >= 1, "comma-separated integers >= 1")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -76,9 +85,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="cross-validated ranking metrics")
     ev.add_argument("--events", required=True)
     ev.add_argument("--styles", type=_positive_int, required=True)
-    ev.add_argument("--folds", type=int, default=5)
+    ev.add_argument("--folds", type=_fold_count, default=5)
     ev.add_argument("--seed", type=int, default=0)
-    ev.add_argument("--k", default="5,10,25,50", help="comma-separated cutoffs")
+    ev.add_argument("--k", type=_cutoffs, default="5,10,25,50",
+                    help="comma-separated cutoffs")
     ev.add_argument("--report-out", required=True)
     return parser
 
@@ -113,8 +123,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    from .predictor import rank_top_k
-
     ckpt = io.load_checkpoint(args.checkpoint)
     candidates = io.load_candidates(args.events)
 
@@ -128,7 +136,7 @@ def _cmd_rank(args) -> int:
             f"candidate feature length differs from model dimension "
             f"{ckpt.hyperparams.feature_dim}"
         )
-    top = rank_top_k(user_id, items, ckpt.state, args.k)
+    top = predictor.rank_top_k(user_id, items, ckpt.state, args.k)
     doc = {
         "user": args.user,
         "known_user": user_id is not None,
@@ -140,23 +148,14 @@ def _cmd_rank(args) -> int:
     return 0
 
 
-def _cmd_eval(args, parser) -> int:
-    if args.folds < 2:
-        parser.error("--folds must be at least 2")
-    try:
-        k_values = tuple(int(tok) for tok in args.k.split(","))
-    except ValueError:
-        parser.error("--k must be a comma-separated list of integers")
-    if any(k < 1 for k in k_values):
-        parser.error("--k cutoffs must be >= 1")
-
+def _cmd_eval(args) -> int:
     data = io.load_events(args.events)
     hp = HyperParams(num_styles=args.styles, feature_dim=data.feature_dim)
     result = evaluation.cross_validate(data, hp, folds=args.folds, seed=args.seed,
-                                       k_values=k_values)
+                                       k_values=args.k)
     summary = result.summary()
     io.save_json(summary, args.report_out)
-    for k in k_values:
+    for k in args.k:
         row = summary["mean"][str(k)]
         print(f"K={k}: precision={row['precision']:.4f} recall={row['recall']:.4f} "
               f"ndcg={row['ndcg']:.4f}")
@@ -174,7 +173,7 @@ def main(argv=None) -> int:
         if args.command == "rank":
             return _cmd_rank(args)
         if args.command == "eval":
-            return _cmd_eval(args, parser)
+            return _cmd_eval(args)
     except (OSError, ValueError, NumericalError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

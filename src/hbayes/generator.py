@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, HyperParams, expit
+from .model import Dataset, HyperParams, sigmoid
 
 __all__ = ["GroundTruth", "sample_dataset"]
 
@@ -65,7 +65,7 @@ def sample_dataset(hp: HyperParams, num_users: int, num_brands: int, num_events:
     event_brands = rng.integers(0, num_brands, size=num_events)
     X = feature_scale * rng.standard_normal((num_events, d))
     h = np.einsum("nd,nd->n", X, brands[event_brands] + users[event_users])
-    labels = (rng.random(num_events) < expit(h)).astype(int)
+    labels = (rng.random(num_events) < sigmoid(h)).astype(int)
 
     data = Dataset.from_arrays(X, event_users, event_brands, labels, num_users, num_brands)
     truth = GroundTruth(style_vectors=styles, brand_vectors=brands, user_vectors=users,

@@ -22,7 +22,6 @@ from .model import (
     elbo,
     event_moments,
     lambda_of_xi,
-    logsumexp,
 )
 
 __all__ = [
@@ -90,14 +89,15 @@ def update_responsibilities(state: VariationalState) -> np.ndarray:
     """Brand-to-style membership probabilities (the E-step).
 
     log rho_{ij} = E[log theta_j] + (d/2) E[log delta_b] - (d/2) log 2pi
-    - (1/2) E[delta_b] * E[(B_i - S_j)'(B_i - S_j)]; rows are normalized
-    with log-sum-exp.
+    - (1/2) E[delta_b] * E[(B_i - S_j)'(B_i - S_j)]; each row is normalized
+    with a softmax shifted by its maximum.
     """
     log_rho = (state.theta_mean_log[None, :]
                + 0.5 * state.dim * (state.prec_b.mean_log - _LOG_2PI)
                - 0.5 * state.prec_b.mean * state.brand_style_sq())
     with np.errstate(invalid="ignore"):
-        mu = np.exp(log_rho - logsumexp(log_rho, axis=1))
+        rho = np.exp(log_rho - log_rho.max(axis=1, keepdims=True))
+        mu = rho / rho.sum(axis=1, keepdims=True)
     if not np.all(np.isfinite(mu)):
         raise NumericalError("responsibilities are not finite after normalization")
     return mu
@@ -211,10 +211,10 @@ def fit(data: Dataset, hp: HyperParams, seed: int = 0,
     """Run coordinate ascent until the ELBO stabilizes.
 
     Returns (state, FitReport).  Deterministic given the seed; passing an
-    explicit ``init`` state bypasses the seeded initialization.  An ``init``
-    whose xi does not have one entry per event of ``data`` (one fitted on
-    other events, or loaded from a checkpoint without xi) starts from
-    ``update_xi(init, data)``.  Stops when
+    explicit ``init`` state bypasses the seeded initialization, and the fit
+    starts from its factors with xi = ``update_xi(init, data)``; the init's
+    own xi is never read, so one fitted on other events, or loaded from a
+    checkpoint without xi, starts the same way.  Stops when
     |ELBO change| / (|ELBO| + 1e-12) < hp.rel_tol or after hp.max_iters
     sweeps.  With ``restarts`` > 1 the loop is run from that many seeded
     initializations (seeds seed, seed + 100, ...) and the run with the
@@ -232,10 +232,10 @@ def _fit_once(data: Dataset, hp: HyperParams, seed: int,
               init: VariationalState | None):
     if len(data) == 0:
         raise ValueError("training data must contain at least one event")
-    state = init.copy() if init is not None else initial_state(data, hp, seed)
-    if state.xi.size != len(data):
-        # An init fitted on other events, or loaded from a checkpoint that does
-        # not store xi: start from the exact xi-maximizer for its factors.
+    if init is None:
+        state = initial_state(data, hp, seed)
+    else:  # xi starts at the exact maximizer for the init's factors on these events
+        state = init.copy()
         state.xi = update_xi(state, data)
 
     trace = []

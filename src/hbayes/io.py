@@ -229,7 +229,7 @@ class Checkpoint:
 def _check_dimensions(ckpt: Checkpoint, num_users, num_brands):
     """Raise CheckpointError unless the state agrees with the hyper-parameters
     and with the recorded entity counts, and each id list (if any) holds one
-    id per entity."""
+    distinct string id per entity."""
     state, hp = ckpt.state, ckpt.hyperparams
     if state.num_styles != hp.num_styles or state.dim != hp.feature_dim:
         raise CheckpointError("state dimensions disagree with hyperparams")
@@ -237,8 +237,11 @@ def _check_dimensions(ckpt: Checkpoint, num_users, num_brands):
         raise CheckpointError("state dimensions disagree with recorded dimensions")
     for name, ids, count in (("user_ids", ckpt.user_ids, num_users),
                              ("brand_ids", ckpt.brand_ids, num_brands)):
-        if ids is not None and (not isinstance(ids, list) or len(ids) != count):
-            raise CheckpointError(f"{name} must be null or a list of {count} ids")
+        if ids is not None and not (isinstance(ids, list) and len(ids) == count
+                                    and all(isinstance(i, str) for i in ids)
+                                    and len(set(ids)) == count):
+            raise CheckpointError(f"{name} must be null or a list of {count} distinct "
+                                  f"string ids")
 
 
 def _factor_objs(means, spreads, spread):

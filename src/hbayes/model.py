@@ -43,17 +43,13 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 # VariationalState.precisions.
 _EDGE_TERMS = ("users_prior", "brands_given_styles", "styles_given_w", "w_prior")
 
-# Below this point the direct formula for lambda loses precision to
-# cancellation; switch to the series 1/8 - xi^2/96 + xi^4/960 - O(xi^6).
-_LAMBDA_TAYLOR_CUTOFF = 1e-2
-
 
 # ---------------------------------------------------------------------------
 # scalar math
 # ---------------------------------------------------------------------------
 
-# The four special functions below serve this package only (they are not in
-# __all__), so that starting a process does not import scipy.
+# digamma and gammaln serve this package only (they are not in __all__), so
+# that starting a process does not import scipy.
 
 
 def _elementwise(scalar_fn):
@@ -88,41 +84,35 @@ def digamma(x):
 gammaln = _elementwise(math.lgamma)
 
 
-def expit(v):
-    """1 / (1 + exp(-v)); exp overflows to inf for v < -709, giving 0."""
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-np.asarray(v, dtype=float)))
-
-
-def logsumexp(a, axis):
-    """log(sum(exp(a))) along ``axis``, kept as a length-1 axis; the sum is
-    shifted by the finite maximum."""
-    a = np.asarray(a, dtype=float)
-    top = np.max(a, axis=axis, keepdims=True)
-    top = np.where(np.isfinite(top), top, 0.0)
-    with np.errstate(divide="ignore"):
-        return np.log(np.sum(np.exp(a - top), axis=axis, keepdims=True)) + top
-
-
 def sigmoid(v):
-    """Logistic function 1 / (1 + exp(-v)); stable for large |v|."""
-    out = expit(v)
+    """Logistic function 1 / (1 + exp(-v)); exp(-v) overflows to inf for
+    v < -709, giving 0.  Accepts scalars (giving a float) or arrays."""
+    with np.errstate(over="ignore"):
+        out = 1.0 / (1.0 + np.exp(-np.asarray(v, dtype=float)))
     return float(out) if np.ndim(v) == 0 else out
 
 
 def lambda_of_xi(xi):
     """Curvature coefficient of the quadratic logistic bound.
 
-    Equals (sigmoid(xi) - 1/2) / (2 xi), extended by its limit 1/8 at
-    xi = 0.  The function is even, so negative inputs are folded to |xi|.
-    Accepts scalars or arrays.
+    Equals (sigmoid(xi) - 1/2) / (2 xi) = tanh(xi/2) / (4 xi), a form with
+    no cancellation.  Below xi = 1e-8, where 1/8 - xi^2/96 rounds to 1/8,
+    it is that limit; the cutoff also keeps subnormal xi, whose half
+    underflows to 0, out of the division.  The function is even, so
+    negative inputs are folded to |xi|.  Accepts scalars or arrays.
     """
     x = np.abs(np.asarray(xi, dtype=float))
-    safe = np.where(x < _LAMBDA_TAYLOR_CUTOFF, 1.0, x)
-    lam = (expit(safe) - 0.5) / (2.0 * safe)
-    x2 = x * x
-    lam = np.where(x < _LAMBDA_TAYLOR_CUTOFF, 0.125 - x2 / 96.0 + x2 * x2 / 960.0, lam)
+    tiny = x < 1e-8
+    safe = np.where(tiny, 1.0, x)
+    lam = np.where(tiny, 0.125, np.tanh(0.5 * safe) / (4.0 * safe))
     return float(lam) if np.ndim(xi) == 0 else lam
+
+
+def _log_bound(h, h2, xi):
+    """log of the quadratic lower bound on sigmoid(h) at xi >= 0, given h
+    and h^2 (or their expectations): log sigmoid(xi) + (h - xi)/2
+    - lambda(xi) (h^2 - xi^2)."""
+    return -np.logaddexp(0.0, -xi) + 0.5 * (h - xi) - lambda_of_xi(xi) * (h2 - xi * xi)
 
 
 def jj_lower_bound(h, xi):
@@ -132,11 +122,7 @@ def jj_lower_bound(h, xi):
     computed in log space.  Even in xi; always <= sigmoid(h).
     """
     h = np.asarray(h, dtype=float)
-    x = np.abs(np.asarray(xi, dtype=float))
-    lam = lambda_of_xi(x)
-    log_sig = -np.logaddexp(0.0, -x)
-    log_bound = log_sig + 0.5 * (h - x) - lam * (h * h - x * x)
-    out = np.exp(log_bound)
+    out = np.exp(_log_bound(h, h * h, np.abs(np.asarray(xi, dtype=float))))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -503,12 +489,11 @@ def elbo_terms(state: VariationalState, data: Dataset, hp: HyperParams) -> dict:
     # Bounded Bernoulli likelihood, expectation under q with xi fixed.
     if len(data) != state.xi.size:
         raise ValueError(f"state has {state.xi.size} xi entries for {len(data)} events")
+    # p(y | h) = sigmoid((2y - 1) h); the bound is linear in (2y - 1) h and in
+    # its square h^2, whose expectations are (2y - 1) m and m^2 + s2.
     m, s2 = event_moments(state, data)
-    xi = state.xi
-    log_sig_xi = -np.logaddexp(0.0, -xi)
-    terms["likelihood_bound"] = float(np.sum(
-        data.y * m + log_sig_xi - 0.5 * (m + xi) - lambda_of_xi(xi) * (m * m + s2 - xi * xi)
-    ))
+    terms["likelihood_bound"] = float(np.sum(_log_bound((2.0 * data.y - 1.0) * m,
+                                                        m * m + s2, state.xi)))
 
     # E[log N(v; prior mean, I / delta)] summed over each edge's n d-vectors.
     for name, p, (n, sq) in zip(_EDGE_TERMS, state.precisions, state.edge_sq_norms()):

@@ -7,6 +7,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hbayes import (
     Checkpoint,
@@ -651,3 +653,57 @@ def test_fit_warm_start_from_checkpoint_without_xi(tmp_path):
     _, from_file = fit(data, hp, init=loaded)
     _, from_memory = fit(data, hp, init=state)
     assert from_file.elbo_trace == from_memory.elbo_trace
+
+
+def test_fit_warm_start_on_as_many_other_events_rebuilds_xi():
+    """An init fitted on 400 events, warm-started on 400 other events: its xi
+    has the right length but belongs to the old events, so the fit starts
+    from update_xi(init, other) all the same."""
+    hp, data = _synthetic(max_iters=10)
+    state, _ = fit(data, hp, seed=2)
+    _, other = _synthetic(max_iters=10, seed=6)
+    assert len(other) == len(data)
+    _, warm = fit(other, hp, init=state)
+    _, explicit = fit(other, hp, init=replace(state, xi=update_xi(state, other)))
+    assert warm.elbo_trace == explicit.elbo_trace  # bit-identical
+
+
+def _scaled(scale):
+    """N=400, d=3 events with every feature multiplied by ``scale``."""
+    hp = HyperParams(num_styles=2, feature_dim=3, max_iters=30, rel_tol=1e-300)
+    data, _ = sample_dataset(hp, num_users=8, num_brands=6, num_events=400, seed=0)
+    return hp, Dataset.from_arrays(scale * data.X, data.users, data.brands, data.y,
+                                   data.num_users, data.num_brands)
+
+
+@pytest.mark.filterwarnings("error")
+def test_fit_features_near_1e150_are_clean():
+    hp, data = _scaled(1e150)
+    _, report = fit(data, hp, seed=0)
+    trace = np.array(report.elbo_trace)
+    assert len(trace) == 30 and np.all(np.isfinite(trace))
+    assert np.all(np.diff(trace) >= -1e-9 * np.abs(trace[1:]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fit_features_near_1e200_raise_at_sweep_0():
+    hp, data = _scaled(1e200)
+    with pytest.raises(NumericalError, match=r"^sweep 0: "):
+        fit(data, hp, seed=0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(d=st.integers(1, 3), num_users=st.integers(1, 4), num_brands=st.integers(1, 4),
+       num_styles=st.integers(1, 3), num_events=st.integers(1, 60),
+       scale=st.sampled_from([0.1, 1.0, 3.0]), seed=st.integers(0, 2**32 - 1))
+def test_elbo_never_decreases_on_random_small_datasets(d, num_users, num_brands, num_styles,
+                                                       num_events, scale, seed):
+    rng = np.random.default_rng(seed)
+    data = Dataset.from_arrays(scale * rng.standard_normal((num_events, d)),
+                               rng.integers(0, num_users, num_events),
+                               rng.integers(0, num_brands, num_events),
+                               rng.integers(0, 2, num_events), num_users, num_brands)
+    hp = HyperParams(num_styles=num_styles, feature_dim=d, max_iters=10, rel_tol=1e-300)
+    _, report = fit(data, hp, seed=seed)
+    trace = np.array([elbo(initial_state(data, hp, seed), data, hp), *report.elbo_trace])
+    assert np.all(np.diff(trace) >= -1e-9 * np.abs(trace[1:]))

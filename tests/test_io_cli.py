@@ -422,6 +422,29 @@ def test_checkpoint_dimensions_checked_on_save_and_load(tmp_path, field):
         load_checkpoint(path)
 
 
+# One id list per (field, how it is wrong) for the 4-user, 3-brand checkpoint
+# of _fitted: a repeated id, and an id that is not a string.
+_BAD_IDS = {"brand-repeated": ("brand_ids", ["b0", "b0", "b1"]),
+            "user-integer": ("user_ids", ["u0", "u1", "u2", 7])}
+
+
+@pytest.mark.parametrize("case", _BAD_IDS)
+def test_checkpoint_ids_must_be_distinct_strings(tmp_path, case):
+    field, wrong = _BAD_IDS[case]
+    ckpt = _fitted(tmp_path)
+    path = tmp_path / "model.json"
+    with pytest.raises(CheckpointError, match=field):
+        save_checkpoint(replace(ckpt, **{field: wrong}), path)
+    assert not path.exists()
+
+    save_checkpoint(ckpt, path)
+    doc = json.loads(path.read_text())
+    doc[field] = wrong
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match=field):
+        load_checkpoint(path)
+
+
 def test_checkpoint_v2_stores_no_xi(tmp_path):
     path = tmp_path / "model.json"
     save_checkpoint(_fitted(tmp_path), path)
@@ -638,7 +661,8 @@ def _good_args(command, tmp_path):
     ("generate", "--styles", "0"), ("generate", "--feature-scale", "-1"),
     ("generate", "--prec-user", "0"), ("generate", "--prec-brand", "-1"),
     ("generate", "--prec-style", "0"), ("generate", "--prec-w", "-0.5"),
-    ("eval", "--styles", "0"),
+    ("eval", "--styles", "0"), ("eval", "--folds", "1"), ("eval", "--folds", "x"),
+    ("eval", "--k", "0,5"), ("eval", "--k", "3,,5"), ("eval", "--k", "a"),
 ])
 def test_cli_rejects_bad_value_as_usage_error(tmp_path, command, flag, value):
     args = {**_good_args(command, tmp_path), flag: value}
@@ -688,6 +712,22 @@ def test_cli_rank_infinite_checkpoint_value_is_one_error_line(cli_artifacts, tmp
     assert res.returncode == 1
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "finite" in lines[0], res.stderr
+
+
+@pytest.mark.parametrize("case", _BAD_IDS)
+def test_cli_rank_bad_checkpoint_ids_are_one_error_line(tmp_path, case):
+    field, wrong = _BAD_IDS[case]
+    ckpt = tmp_path / "model.json"
+    save_checkpoint(_fitted(tmp_path), ckpt)
+    doc = json.loads(ckpt.read_text())
+    doc[field] = wrong
+    ckpt.write_text(json.dumps(doc))
+    res = _run_cli("rank", "--checkpoint", str(ckpt), "--events", str(tmp_path / "train.jsonl"),
+                   "--user", "u0", "--out", str(tmp_path / "ranking.json"))
+    assert res.returncode == 1
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and field in lines[0], res.stderr
+    assert not (tmp_path / "ranking.json").exists()
 
 
 def test_cli_train_empty_features_names_the_line(tmp_path):

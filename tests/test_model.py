@@ -79,7 +79,7 @@ def test_lambda_is_even():
 
 def test_lambda_continuous_at_zero():
     assert abs(lambda_of_xi(1e-8) - 0.125) < 1e-8
-    # the series branch agrees with direct evaluation at the same points
+    # agrees with direct evaluation at small xi
     for x in (1e-3, 5e-3, 0.99e-2):
         direct = (1.0 / (1.0 + math.exp(-x)) - 0.5) / (2.0 * x)
         assert abs(lambda_of_xi(x) - direct) < 1e-12
