@@ -27,8 +27,8 @@ _, (sigma2,), (prob,) = score_candidates(None, [(None, candidates[0][1], None)],
 print(f"cold-start (unknown user & brand): p = {prob:.3f}, variance {sigma2:.2f}")
 
 # --- cross-validated metrics ---------------------------------------------
-result = cross_validate(data, hp, folds=5, seed=0, k_values=(5, 10))
+report = cross_validate(data, hp, folds=5, seed=0, k_values=(5, 10))
 for k in (5, 10):
-    mean = result.mean_report(k)
-    print(f"K={k}: precision {mean.precision:.3f}, recall {mean.recall:.3f}, "
-          f"NDCG {mean.ndcg:.3f}  ({mean.num_users_evaluated} user-folds)")
+    mean = report["mean"][str(k)]
+    print(f"K={k}: precision {mean['precision']:.3f}, recall {mean['recall']:.3f}, "
+          f"NDCG {mean['ndcg']:.3f}  ({mean['num_users_evaluated']:.1f} users per fold)")

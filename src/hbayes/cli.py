@@ -151,12 +151,11 @@ def _cmd_rank(args) -> int:
 def _cmd_eval(args) -> int:
     data = io.load_events(args.events)
     hp = HyperParams(num_styles=args.styles, feature_dim=data.feature_dim)
-    result = evaluation.cross_validate(data, hp, folds=args.folds, seed=args.seed,
+    report = evaluation.cross_validate(data, hp, folds=args.folds, seed=args.seed,
                                        k_values=args.k)
-    summary = result.summary()
-    io.save_json(summary, args.report_out)
+    io.save_json(report, args.report_out)
     for k in args.k:
-        row = summary["mean"][str(k)]
+        row = report["mean"][str(k)]
         print(f"K={k}: precision={row['precision']:.4f} recall={row['recall']:.4f} "
               f"ndcg={row['ndcg']:.4f}")
     return 0

@@ -1,7 +1,5 @@
 """Ranking-quality metrics and a per-user stratified cross-validation harness."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .inference import fit
@@ -9,8 +7,6 @@ from .model import Dataset, HyperParams
 from .predictor import by_score, score_candidates
 
 __all__ = [
-    "MetricReport",
-    "CrossValidationResult",
     "precision_at_k",
     "recall_at_k",
     "ndcg_at_k",
@@ -19,17 +15,7 @@ __all__ = [
 ]
 
 DEFAULT_K_VALUES = (5, 10, 25, 50)
-
-
-@dataclass
-class MetricReport:
-    """Macro-averaged ranking metrics at one cutoff."""
-
-    k: int
-    precision: float
-    recall: float
-    ndcg: float
-    num_users_evaluated: int
+_METRICS = ("precision", "recall", "ndcg")
 
 
 def precision_at_k(ranked, relevant, k: int) -> float:
@@ -112,52 +98,8 @@ def hbayes_scorer_factory(train: Dataset, hp: HyperParams, seed: int):
     return score
 
 
-@dataclass
-class CrossValidationResult:
-    """Per-fold metric reports plus aggregates across folds."""
-
-    k_values: tuple
-    fold_reports: list  # one list of MetricReports (per k) for each fold
-
-    def mean_report(self, k: int) -> MetricReport:
-        rows = [r for fold in self.fold_reports for r in fold if r.k == k]
-        return MetricReport(
-            k=k,
-            precision=float(np.mean([r.precision for r in rows])),
-            recall=float(np.mean([r.recall for r in rows])),
-            ndcg=float(np.mean([r.ndcg for r in rows])),
-            num_users_evaluated=int(sum(r.num_users_evaluated for r in rows)),
-        )
-
-    def summary(self) -> dict:
-        """JSON-ready digest: per-fold values plus mean and standard deviation."""
-        out = {"k_values": list(self.k_values), "folds": [], "mean": {}, "std": {}}
-        for f, fold in enumerate(self.fold_reports):
-            out["folds"].append({
-                "fold": f,
-                "metrics": {str(r.k): {"precision": r.precision, "recall": r.recall,
-                                       "ndcg": r.ndcg,
-                                       "num_users_evaluated": r.num_users_evaluated}
-                            for r in fold},
-            })
-        for k in self.k_values:
-            rows = [r for fold in self.fold_reports for r in fold if r.k == k]
-            out["mean"][str(k)] = {
-                "precision": float(np.mean([r.precision for r in rows])),
-                "recall": float(np.mean([r.recall for r in rows])),
-                "ndcg": float(np.mean([r.ndcg for r in rows])),
-                "num_users_evaluated": float(np.mean([r.num_users_evaluated for r in rows])),
-            }
-            out["std"][str(k)] = {
-                "precision": float(np.std([r.precision for r in rows])),
-                "recall": float(np.std([r.recall for r in rows])),
-                "ndcg": float(np.std([r.ndcg for r in rows])),
-            }
-        return out
-
-
 def cross_validate(data: Dataset, hp: HyperParams, folds: int = 5, seed: int = 0,
-                   k_values=DEFAULT_K_VALUES, scorer_factory=None) -> CrossValidationResult:
+                   k_values=DEFAULT_K_VALUES, scorer_factory=None) -> dict:
     """K-fold evaluation with per-user stratified event splits.
 
     Users with fewer than ``folds`` events are excluded.  For each fold the
@@ -165,6 +107,10 @@ def cross_validate(data: Dataset, hp: HyperParams, folds: int = 5, seed: int = 0
     each user's held-out events are ranked; positives are the clicked
     held-out events.  Metrics are macro-averaged over users that have at
     least one held-out positive.  Deterministic given the seed.
+
+    Returns the metrics report that ``hbayes eval`` writes (layout in
+    docs/file_formats.md): ``k_values``, one entry per fold under
+    ``folds``, and the ``mean`` and ``std`` across folds at each cutoff.
     """
     if scorer_factory is None:
         scorer_factory = hbayes_scorer_factory
@@ -175,7 +121,8 @@ def cross_validate(data: Dataset, hp: HyperParams, folds: int = 5, seed: int = 0
             f"dataset too small for stratification: no user has >= {folds} events"
         )
 
-    fold_reports = []
+    metrics = np.zeros((folds, len(k_values), len(_METRICS)))  # per-fold macro-averages
+    evaluated = np.zeros(folds, dtype=int)
     for f in range(folds):
         train = data.subset((fold_of != f) & (fold_of >= 0))
         test_idx = np.flatnonzero(fold_of == f)
@@ -185,8 +132,6 @@ def cross_validate(data: Dataset, hp: HyperParams, folds: int = 5, seed: int = 0
         for t in test_idx:
             per_user.setdefault(int(data.users[t]), []).append(int(t))
 
-        sums = {k: np.zeros(3) for k in k_values}
-        evaluated = 0
         for user_id, items in sorted(per_user.items()):
             relevant = {t for t in items if data.y[t] == 1}
             if not relevant:
@@ -194,17 +139,30 @@ def cross_validate(data: Dataset, hp: HyperParams, folds: int = 5, seed: int = 0
             candidates = [(t, data.X[t], int(data.brands[t])) for t in items]
             scores = np.asarray(score(user_id, candidates), dtype=float)
             ranked = [t for t, _ in by_score(items, scores.tolist())]
-            evaluated += 1
-            for k in k_values:
-                sums[k] += (precision_at_k(ranked, relevant, k),
-                            recall_at_k(ranked, relevant, k),
-                            ndcg_at_k(ranked, {t: 1 for t in relevant}, k))
+            evaluated[f] += 1
+            for i, k in enumerate(k_values):
+                metrics[f, i] += (precision_at_k(ranked, relevant, k),
+                                  recall_at_k(ranked, relevant, k),
+                                  ndcg_at_k(ranked, {t: 1 for t in relevant}, k))
+        if evaluated[f]:
+            metrics[f] /= evaluated[f]
+    return _report(k_values, metrics, evaluated)
 
-        reports = []
-        for k in k_values:
-            p, r, n = (sums[k] / evaluated) if evaluated else (0.0, 0.0, 0.0)
-            reports.append(MetricReport(k=k, precision=float(p), recall=float(r),
-                                        ndcg=float(n), num_users_evaluated=evaluated))
-        fold_reports.append(reports)
 
-    return CrossValidationResult(k_values=tuple(k_values), fold_reports=fold_reports)
+def _report(k_values, metrics, evaluated) -> dict:
+    """The metrics report from per-fold macro-averages (folds, cutoffs, metrics)
+    and per-fold counts of evaluated users.  Each mean and std reduces one
+    1-D column of folds: reducing a block along an axis sums in another
+    order and can change the last digit."""
+    report = {"k_values": list(k_values), "folds": [], "mean": {}, "std": {}}
+    for f, count in enumerate(evaluated.tolist()):
+        report["folds"].append({"fold": f, "metrics": {
+            str(k): {**dict(zip(_METRICS, metrics[f, i].tolist())),
+                     "num_users_evaluated": count}
+            for i, k in enumerate(k_values)}})
+    for i, k in enumerate(k_values):
+        columns = dict(zip(_METRICS, metrics[:, i].T))
+        report["mean"][str(k)] = {**{m: float(np.mean(c)) for m, c in columns.items()},
+                                  "num_users_evaluated": float(np.mean(evaluated))}
+        report["std"][str(k)] = {m: float(np.std(c)) for m, c in columns.items()}
+    return report

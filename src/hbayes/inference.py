@@ -216,10 +216,11 @@ def fit(data: Dataset, hp: HyperParams, seed: int = 0,
     own xi is never read, so one fitted on other events, or loaded from a
     checkpoint without xi, starts the same way.  Stops when
     |ELBO change| / (|ELBO| + 1e-12) < hp.rel_tol or after hp.max_iters
-    sweeps.  With ``restarts`` > 1 the loop is run from that many seeded
-    initializations (seeds seed, seed + 100, ...) and the run with the
-    highest final ELBO wins; mixture-style models converge to local optima,
-    so a few restarts are cheap insurance.
+    sweeps; a sweep that lowers the ELBO by more than 1e-9 |ELBO| raises
+    NumericalError.  With ``restarts`` > 1 the loop is run from that many
+    seeded initializations (seeds seed, seed + 100, ...) and the run with
+    the highest final ELBO wins; mixture-style models converge to local
+    optima, so a few restarts are cheap insurance.
     """
     if restarts > 1 and init is None:
         runs = [_fit_once(data, hp, seed + 100 * r, None) for r in range(restarts)]
@@ -249,6 +250,9 @@ def _fit_once(data: Dataset, hp: HyperParams, seed: int,
             raise NumericalError(f"sweep {sweep_idx}: {err}") from err
         trace.append(value)
         if previous is not None:
+            if value < previous - 1e-9 * abs(previous):  # every update is a maximizer
+                raise NumericalError(f"sweep {sweep_idx}: ELBO fell from {previous} "
+                                     f"to {value}")
             if abs(value - previous) / (abs(value) + 1e-12) < hp.rel_tol:
                 converged = True
                 break

@@ -28,6 +28,7 @@ from .model import (
     GammaPosterior,
     HyperParams,
     VariationalState,
+    _check_id_lists,
 )
 
 __all__ = [
@@ -235,13 +236,7 @@ def _check_dimensions(ckpt: Checkpoint, num_users, num_brands):
         raise CheckpointError("state dimensions disagree with hyperparams")
     if state.num_users != num_users or state.num_brands != num_brands:
         raise CheckpointError("state dimensions disagree with recorded dimensions")
-    for name, ids, count in (("user_ids", ckpt.user_ids, num_users),
-                             ("brand_ids", ckpt.brand_ids, num_brands)):
-        if ids is not None and not (isinstance(ids, list) and len(ids) == count
-                                    and all(isinstance(i, str) for i in ids)
-                                    and len(set(ids)) == count):
-            raise CheckpointError(f"{name} must be null or a list of {count} distinct "
-                                  f"string ids")
+    _check_id_lists(ckpt.user_ids, ckpt.brand_ids, num_users, num_brands, CheckpointError)
 
 
 def _factor_objs(means, spreads, spread):

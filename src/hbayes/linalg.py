@@ -33,6 +33,8 @@ def _with_jitter(mat, op):
 
 def _stacked(mat, op):
     mat = np.asarray(mat, dtype=float)
+    if not np.isfinite(mat).all():  # Cholesky passes inf and NaN on without a LinAlgError
+        raise NumericalError("matrix has non-finite entries")
     try:
         return op(mat)
     except np.linalg.LinAlgError:

@@ -196,8 +196,8 @@ class Dataset:
     num_brands, feature_dim)`` converts a list of EventRecord to columns
     once, and ``events`` is the reverse view, built on first access.
     ``user_ids`` / ``brand_ids`` optionally record the original string ids
-    (index -> id) when the data came from a file.  Validation is vectorized
-    and names the first bad event.
+    (index -> id, one distinct string per entity) when the data came from a
+    file.  Validation is vectorized and names the first bad event.
     """
 
     def __init__(self, events, num_users: int, num_brands: int, feature_dim: int,
@@ -237,6 +237,7 @@ class Dataset:
             ((users < 0) | (users >= num_users),
              lambda t: f"event {t}: user index {users[t]} out of range"),
         ])
+        _check_id_lists(user_ids, brand_ids, num_users, num_brands)
         self.X, self.users, self.brands, self.y = X, users, brands, y
         self.num_users, self.num_brands = num_users, num_brands
         self.feature_dim = X.shape[1]
@@ -290,6 +291,17 @@ def _check_events(checks):
     if failing.size:
         t = int(failing[0])
         raise ValueError(next(message(t) for mask, message in checks if mask[t]))
+
+
+def _check_id_lists(user_ids, brand_ids, num_users, num_brands, error=ValueError):
+    """Raise ``error`` naming the first id list that is neither None nor one
+    distinct string id per entity."""
+    for name, ids, count in (("user_ids", user_ids, num_users),
+                             ("brand_ids", brand_ids, num_brands)):
+        if ids is not None and not (isinstance(ids, list) and len(ids) == count
+                                    and all(isinstance(i, str) for i in ids)
+                                    and len(set(ids)) == count):
+            raise error(f"{name} must be null or a list of {count} distinct string ids")
 
 
 def _sort_by_entity(keys, num_entities):

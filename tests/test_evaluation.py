@@ -206,11 +206,11 @@ def test_cross_validate_perfect_oracle_scores_one():
     hp = HyperParams(num_styles=2, feature_dim=3)
     result = cross_validate(data, hp, folds=3, seed=0, k_values=(2, 5),
                             scorer_factory=oracle_factory)
-    for fold in result.fold_reports:
-        for report in fold:
-            assert report.ndcg == pytest.approx(1.0, abs=1e-12)
-            assert 0.0 <= report.precision <= 1.0
-            assert 0.0 <= report.recall <= 1.0
+    for fold in result["folds"]:
+        for report in fold["metrics"].values():
+            assert report["ndcg"] == pytest.approx(1.0, abs=1e-12)
+            assert 0.0 <= report["precision"] <= 1.0
+            assert 0.0 <= report["recall"] <= 1.0
 
 
 def test_cross_validate_ties_rank_by_ascending_event_index():
@@ -231,7 +231,8 @@ def test_cross_validate_ties_rank_by_ascending_event_index():
             if data.y[held].any():
                 expected.append(precision_at_k(held.tolist(),
                                                set(held[data.y[held] == 1].tolist()), k))
-        assert result.fold_reports[f][0].precision == pytest.approx(np.mean(expected), abs=1e-12)
+        assert (result["folds"][f]["metrics"][str(k)]["precision"]
+                == pytest.approx(np.mean(expected), abs=1e-12))
 
 
 def test_cross_validate_random_scores_match_permutation_null():
@@ -248,7 +249,7 @@ def test_cross_validate_random_scores_match_permutation_null():
     hp = HyperParams(num_styles=2, feature_dim=3)
     result = cross_validate(data, hp, folds=folds, seed=seed, k_values=(k,),
                             scorer_factory=random_factory)
-    observed = np.mean([fold[0].ndcg for fold in result.fold_reports])
+    observed = np.mean([fold["metrics"][str(k)]["ndcg"] for fold in result["folds"]])
 
     # permutation-null oracle over the same evaluated cells
     fold_of = stratified_user_folds(data, folds, seed)
@@ -282,21 +283,34 @@ def test_cross_validate_random_scores_match_permutation_null():
     assert abs(observed - null_mean) <= 3.0 * sigma
 
 
+def test_cross_validate_repeated_cutoff_reports_it_once():
+    data = _toy_dataset(num_users=8, events_per_user=12, seed=4)
+
+    def constant_factory(train, hp, seed):
+        return lambda user_id, candidates: np.zeros(len(candidates))
+
+    hp = HyperParams(num_styles=2, feature_dim=3)
+    once = cross_validate(data, hp, folds=3, seed=0, k_values=(2,),
+                          scorer_factory=constant_factory)
+    twice = cross_validate(data, hp, folds=3, seed=0, k_values=(2, 2),
+                           scorer_factory=constant_factory)
+    assert twice["k_values"] == [2, 2]
+    assert {key: twice[key] for key in ("folds", "mean", "std")} == \
+        {key: once[key] for key in ("folds", "mean", "std")}
+
+
 def test_cross_validate_deterministic_and_bounded():
     data = _toy_dataset(num_users=6, events_per_user=10, seed=2)
     hp = HyperParams(num_styles=2, feature_dim=3, max_iters=10)
     r1 = cross_validate(data, hp, folds=2, seed=5, k_values=(3, 5))
     r2 = cross_validate(data, hp, folds=2, seed=5, k_values=(3, 5))
-    assert r1.summary() == r2.summary()
-    for fold in r1.fold_reports:
-        for report in fold:
-            assert 0.0 <= report.precision <= 1.0
-            assert 0.0 <= report.recall <= 1.0
-            assert 0.0 <= report.ndcg <= 1.0
-    mean5 = r1.mean_report(5)
-    assert mean5.k == 5
-    assert 0.0 <= mean5.ndcg <= 1.0
-    summary = r1.summary()
-    assert summary["k_values"] == [3, 5]
-    assert set(summary["mean"]) == {"3", "5"}
+    assert r1 == r2
+    for fold in r1["folds"]:
+        for report in fold["metrics"].values():
+            assert 0.0 <= report["precision"] <= 1.0
+            assert 0.0 <= report["recall"] <= 1.0
+            assert 0.0 <= report["ndcg"] <= 1.0
+    assert 0.0 <= r1["mean"]["5"]["ndcg"] <= 1.0
+    assert r1["k_values"] == [3, 5]
+    assert set(r1["mean"]) == {"3", "5"}
     assert DEFAULT_K_VALUES == (5, 10, 25, 50)

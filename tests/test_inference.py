@@ -273,6 +273,15 @@ def test_stacked_spd_indefinite_slice_raises():
         spd_logdet(stack)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_stacked_spd_non_finite_entry_raises(bad):
+    stack = np.stack([np.eye(2), 2.0 * np.eye(2)])
+    stack[1, 0, 0] = bad
+    for op in (spd_inverse, spd_logdet):
+        with pytest.raises(NumericalError, match="matrix has non-finite entries"):
+            op(stack)
+
+
 def test_update_style_direct_arithmetic():
     hp = HyperParams(num_styles=1, feature_dim=2)
     state = prior_matched_state(hp, 1, 1)
@@ -612,6 +621,27 @@ def test_fit_error_carries_sweep_index(monkeypatch):
         fit(data, hp, seed=0)
 
 
+def _fake_elbo(monkeypatch, values):
+    """Make ``fit`` see ``values`` as its ELBO trace, one per sweep."""
+    values = iter(values)
+    monkeypatch.setattr(inference, "elbo", lambda state, data, hp: next(values))
+
+
+def test_fit_raises_when_the_elbo_falls(monkeypatch):
+    hp, data = _synthetic(max_iters=5)
+    _fake_elbo(monkeypatch, [-100.0, -50.0, -60.0, -40.0, -30.0])
+    with pytest.raises(NumericalError, match=r"^sweep 2: ELBO fell from -50.0 to -60.0$"):
+        fit(data, hp, seed=0)
+
+
+def test_fit_tolerates_an_elbo_drop_below_1e_9_relative(monkeypatch):
+    hp, data = _synthetic(max_iters=4, rel_tol=1e-12)
+    trace = [-100.0, -50.0, -50.0 * (1 + 1e-10), -40.0]
+    _fake_elbo(monkeypatch, trace)
+    _, report = fit(data, hp, seed=0)
+    assert report.elbo_trace == trace and not report.converged
+
+
 def test_fit_restarts_pick_best_elbo():
     hp, data = _synthetic(max_iters=15)
     finals = []
@@ -689,6 +719,13 @@ def test_fit_features_near_1e150_are_clean():
 def test_fit_features_near_1e200_raise_at_sweep_0():
     hp, data = _scaled(1e200)
     with pytest.raises(NumericalError, match=r"^sweep 0: "):
+        fit(data, hp, seed=0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the precision sums overflow
+def test_fit_features_near_1e154_raise_at_sweep_0():
+    hp, data = _scaled(1e154)
+    with pytest.raises(NumericalError, match=r"^sweep 0: matrix has non-finite entries$"):
         fit(data, hp, seed=0)
 
 

@@ -231,6 +231,51 @@ def test_generator_round_trip_is_isomorphic(tmp_path):
         assert len(set(forward.values())) == len(forward)
 
 
+# Finite floats, with the edges of the format drawn often: both zeros, the
+# smallest subnormal, the largest finite value and their negatives.
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308]
+_FEATURE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS)
+# Ids from quotes, backslashes, control and non-ASCII characters, plus any other.
+_ID = st.text(st.sampled_from('"\\\n\x00 aé\u2028€\U0001F600') | st.characters(codec="utf-8"),
+              max_size=5)
+
+
+@st.composite
+def _event_columns(draw):
+    """(X, users, brands, y, user_ids, brand_ids), every entity with an event."""
+    user_ids = draw(st.lists(_ID, min_size=1, max_size=4, unique=True))
+    brand_ids = draw(st.lists(_ID, min_size=1, max_size=4, unique=True))
+    U, B = len(user_ids), len(brand_ids)
+    n = max(U, B) + draw(st.integers(0, 6))
+    users = list(range(U)) + draw(st.lists(st.integers(0, U - 1), min_size=n - U, max_size=n - U))
+    brands = list(range(B)) + draw(st.lists(st.integers(0, B - 1), min_size=n - B,
+                                            max_size=n - B))
+    order = draw(st.permutations(range(n)))
+    d = draw(st.integers(1, 3))
+    X = np.array(draw(st.lists(_FEATURE, min_size=n * d, max_size=n * d))).reshape(n, d)
+    y = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return (X, [users[t] for t in order], [brands[t] for t in order], y, user_ids, brand_ids)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(columns=_event_columns())
+def test_save_load_events_round_trip_property(tmp_path_factory, columns):
+    """Every x comes back bit for bit (the sign of zero too), with its label
+    and its ids; loading re-encodes entities in first-seen order, so the ids
+    are compared, not the indices."""
+    X, users, brands, y, user_ids, brand_ids = columns
+    data = Dataset.from_arrays(X, users, brands, y, len(user_ids), len(brand_ids),
+                               user_ids=user_ids, brand_ids=brand_ids)
+    path = tmp_path_factory.mktemp("events") / "events.jsonl"
+    save_events(data, path)
+    again = load_events(path)
+    np.testing.assert_array_equal(again.X.view(np.uint64), X.view(np.uint64))
+    np.testing.assert_array_equal(again.y, y)
+    assert [again.user_ids[u] for u in again.users] == [user_ids[u] for u in users]
+    assert [again.brand_ids[b] for b in again.brands] == [brand_ids[b] for b in brands]
+
+
 def test_load_candidates_label_optional(tmp_path):
     path = tmp_path / "cands.jsonl"
     _write_lines(path, [
@@ -737,6 +782,22 @@ def test_cli_train_empty_features_names_the_line(tmp_path):
                    "--checkpoint-out", str(tmp_path / "model.json"))
     assert res.returncode == 1
     assert res.stderr.splitlines() == ["error: line 1: x must not be empty"]
+
+
+def test_cli_train_overflowing_features_is_one_error_line(tmp_path):
+    """Features near 1e154 overflow the precision sums: the fit stops at sweep
+    0 and no checkpoint is written."""
+    hp = HyperParams(num_styles=2, feature_dim=3)
+    data, _ = sample_dataset(hp, num_users=8, num_brands=6, num_events=400, seed=0)
+    events, ckpt = tmp_path / "events.jsonl", tmp_path / "model.json"
+    save_events(Dataset.from_arrays(1e154 * data.X, data.users, data.brands, data.y,
+                                    data.num_users, data.num_brands), events)
+    res = _run_cli("train", "--events", str(events), "--styles", "2", "--max-iters", "30",
+                   "--checkpoint-out", str(ckpt))
+    assert res.returncode == 1
+    errors = [line for line in res.stderr.splitlines() if line.startswith("error:")]
+    assert errors == ["error: sweep 0: matrix has non-finite entries"], res.stderr
+    assert not ckpt.exists()
 
 
 def test_cli_same_seed_identical_outputs(tmp_path):

@@ -255,6 +255,25 @@ def test_dataset_subset_keeps_order_entities_and_ids():
     np.testing.assert_array_equal(data.subset(mask).brands, brands[mask])
 
 
+# Id lists that break the one-distinct-string-per-entity rule, for 2 users and
+# 2 brands: a repeated id, a list of the wrong length, and ids that are not strings.
+_BAD_ID_LISTS = {"repeated": ("user_ids", ["a", "a"]),
+                 "too-short": ("user_ids", ["a"]),
+                 "not-strings": ("brand_ids", [1, 2])}
+
+
+@pytest.mark.parametrize("case", _BAD_ID_LISTS)
+def test_dataset_id_lists_must_be_distinct_strings(case):
+    field, ids = _BAD_ID_LISTS[case]
+    X, users, brands, y = np.zeros((4, 2)), [0, 1, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]
+    with pytest.raises(ValueError, match=field):
+        Dataset.from_arrays(X, users, brands, y, 2, 2, **{field: ids})
+    data = Dataset.from_arrays(X, users, brands, y, 2, 2, user_ids=["a", "b"],
+                               brand_ids=["p", "q"])
+    with pytest.raises(ValueError, match=field):
+        Dataset(data.events, 2, 2, 2, **{field: ids})
+
+
 def test_dataset_validation_names_the_first_bad_event():
     X, users, brands, y = _columns(n=6)
     X[4, 1] = np.inf
