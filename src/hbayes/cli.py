@@ -7,6 +7,7 @@ identical command lines produce identical output files.
 
 import argparse
 import json
+import math
 import sys
 
 from . import evaluation, generator, inference, io, predictor
@@ -29,8 +30,8 @@ def _bounded(convert, ok, requirement):
 
 _positive_int = _bounded(int, lambda v: v >= 1, ">= 1")
 _non_negative_int = _bounded(int, lambda v: v >= 0, ">= 0")
-_positive_float = _bounded(float, lambda v: v > 0, "positive")
-_non_negative_float = _bounded(float, lambda v: v >= 0, "non-negative")
+_positive_float = _bounded(float, lambda v: 0 < v < math.inf, "positive and finite")
+_non_negative_float = _bounded(float, lambda v: 0 <= v < math.inf, "non-negative and finite")
 _fold_count = _bounded(int, lambda v: v >= 2, ">= 2")
 
 

@@ -45,10 +45,10 @@ def sample_dataset(hp: HyperParams, num_users: int, num_brands: int, num_events:
     if num_users < 1 or num_brands < 1 or num_events < 1:
         raise ValueError("num_users, num_brands and num_events must be >= 1")
     prec_u, prec_b, prec_s, prec_w = (float(p) for p in true_precisions)
-    if min(prec_u, prec_b, prec_s, prec_w) <= 0:
-        raise ValueError("true precisions must be positive")
-    if feature_scale < 0:
-        raise ValueError("feature_scale must be non-negative")
+    if not all(0 < p < np.inf for p in (prec_u, prec_b, prec_s, prec_w)):
+        raise ValueError("true precisions must be positive and finite")
+    if not 0 <= feature_scale < np.inf:
+        raise ValueError("feature_scale must be non-negative and finite")
 
     rng = np.random.default_rng(seed)
     d = hp.feature_dim

@@ -141,8 +141,9 @@ def _update_family(prior_prec, prior_pull, other_means, grouping, state, data):
     np.multiply(X, 2.0 * lam[order, None], out=Z[:, :d])
     Z[:, d] = coef[order]
     sums = np.zeros((len(prior_prec), d, d + 1))
-    for k, (lo, hi) in enumerate(pairwise(bounds.tolist())):
-        np.matmul(X[lo:hi].T, Z[lo:hi], out=sums[k])
+    with np.errstate(over="ignore", invalid="ignore"):  # spd_inverse refuses non-finite sums
+        for k, (lo, hi) in enumerate(pairwise(bounds.tolist())):
+            np.matmul(X[lo:hi].T, Z[lo:hi], out=sums[k])
     cov = spd_inverse(prior_prec[:, None, None] * np.eye(d) + sums[:, :, :d])
     mean = np.einsum("kde,ke->kd", cov, prior_pull + sums[:, :, d])
     return mean, cov

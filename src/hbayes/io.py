@@ -15,8 +15,10 @@ round-trip float precision), so identical inputs produce byte-identical
 files.
 """
 
+import array
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -88,59 +90,43 @@ def _read_columns(path, require_label=True):
     """Parse an event-format file into columns: (user ids, brand ids, X (N, d),
     labels), one entry per non-blank line.
 
-    Each line is checked in turn; the finiteness of x is checked once over
-    all rows, and before any later failure is reported, so the first bad
-    line is named with the same message as a line-by-line reader would give.
+    Each line is checked in full, in the order docs/file_formats.md gives,
+    before the next one is read; its x then goes into one float64 buffer
+    that becomes X without a copy.
     """
-    lines, users, brands, rows, labels = [], [], [], [], []
-    try:
-        for lineno, obj in _json_lines(path):
-            if not isinstance(obj, dict):
-                raise EventParseError(f"line {lineno}: expected a JSON object")
-            for key in ("user", "brand", "x") + (("y",) if require_label else ()):
-                if key not in obj:
-                    raise EventParseError(f"line {lineno}: missing field {key!r}")
-            user, brand, x = obj["user"], obj["brand"], obj["x"]
-            if not isinstance(user, str) or not isinstance(brand, str):
-                raise EventParseError(f"line {lineno}: user and brand must be strings")
-            if not isinstance(x, list) or not _NUMBER_TYPES.issuperset(map(type, x)):
-                raise EventParseError(f"line {lineno}: x must be an array of numbers")
-            if not x:
-                raise EventParseError(f"line {lineno}: x must not be empty")
-            lines.append(lineno)
-            rows.append(x)
-            if len(x) != len(rows[0]):
-                raise EventParseError(
-                    f"line {lineno}: feature length {len(x)} != {len(rows[0])}")
-            y = obj.get("y")
-            if y is not None or require_label:
-                if isinstance(y, bool) or y not in (0, 1):
-                    raise EventParseError(f"line {lineno}: label y must be 0 or 1, got {y!r}")
-            users.append(user)
-            brands.append(brand)
-            labels.append(y)
-    except EventParseError:
-        _raise_first_non_finite(rows, lines)  # an earlier non-finite x comes first
-        raise
-    try:
-        X = np.array(rows, dtype=float)
-    except OverflowError:  # an integer past float range
-        X = None
-    if X is None or not np.isfinite(X).all():
-        _raise_first_non_finite(rows, lines)
-    return users, brands, X, labels
-
-
-def _raise_first_non_finite(rows, lines):
-    """Raise EventParseError for the first row of x that holds a non-finite
-    value or an integer too large for a float."""
-    for lineno, x in zip(lines, rows):
+    users, brands, labels = [], [], []
+    buf, d = array.array("d"), 0
+    for lineno, obj in _json_lines(path):
+        if not isinstance(obj, dict):
+            raise EventParseError(f"line {lineno}: expected a JSON object")
+        for key in ("user", "brand", "x") + (("y",) if require_label else ()):
+            if key not in obj:
+                raise EventParseError(f"line {lineno}: missing field {key!r}")
+        user, brand, x = obj["user"], obj["brand"], obj["x"]
+        if not isinstance(user, str) or not isinstance(brand, str):
+            raise EventParseError(f"line {lineno}: user and brand must be strings")
+        if not isinstance(x, list) or not _NUMBER_TYPES.issuperset(map(type, x)):
+            raise EventParseError(f"line {lineno}: x must be an array of numbers")
+        if not x:
+            raise EventParseError(f"line {lineno}: x must not be empty")
         try:
-            finite = np.isfinite(np.array(x, dtype=float)).all()
-        except OverflowError:
+            finite = all(map(math.isfinite, x))
+        except OverflowError:  # an integer past float range
             finite = False
         if not finite:
             raise EventParseError(f"line {lineno}: x contains non-finite values")
+        d = d or len(x)
+        if len(x) != d:
+            raise EventParseError(f"line {lineno}: feature length {len(x)} != {d}")
+        y = obj.get("y")
+        if y is not None or require_label:
+            if isinstance(y, bool) or y not in (0, 1):
+                raise EventParseError(f"line {lineno}: label y must be 0 or 1, got {y!r}")
+        users.append(user)
+        brands.append(brand)
+        labels.append(y)
+        buf.fromlist(x)
+    return users, brands, np.frombuffer(buf).reshape(len(users), d), labels
 
 
 def load_events(path) -> Dataset:

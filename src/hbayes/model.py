@@ -164,8 +164,8 @@ class HyperParams:
             raise ValueError("alpha0 and beta0 must be positive and finite")
         if self.max_iters < 0:
             raise ValueError("max_iters must be non-negative")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
+        if not 0 < self.rel_tol < math.inf:
+            raise ValueError("rel_tol must be positive and finite")
 
 
 @dataclass

@@ -31,6 +31,12 @@ def test_argument_validation():
                        true_precisions=(1.0, 0.0, 1.0, 1.0))
     with pytest.raises(ValueError):
         sample_dataset(hp, num_users=1, num_brands=1, num_events=1, feature_scale=-1.0)
+    with pytest.raises(ValueError):
+        sample_dataset(hp, num_users=1, num_brands=1, num_events=1,
+                       true_precisions=(1.0, 1.0, float("inf"), 1.0))
+    for scale in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            sample_dataset(hp, num_users=1, num_brands=1, num_events=1, feature_scale=scale)
 
 
 def test_brands_concentrate_on_styles_at_high_precision():

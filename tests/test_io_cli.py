@@ -1,6 +1,7 @@
 """Tests for file formats, hashing, persistence, and the CLI."""
 
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -112,8 +113,8 @@ def _event_line(x='[1.0, 2.0]', y="1"):
     return f'{{"user": "u0", "brand": "b0", "x": {x}, "y": {y}}}'
 
 
-# Each file holds one or more faults; the loaders check finiteness once over
-# all rows, so these pin that the first faulty line is still the one named.
+# Each file holds one or more faults; the loaders check each line in full
+# before reading the next, so the first faulty line is the one named.
 _FAULTY_FILES = {
     "nan_then_short_row": (["[1.0, 2.0]", "[NaN, 2.0]", "[1.0, 2.0]", "[1.0]"],
                            "line 2: x contains non-finite values"),
@@ -147,6 +148,17 @@ def test_loaders_name_the_first_faulty_line(tmp_path, loader, case):
     with pytest.raises(EventParseError) as err:
         loader(path)
     assert str(err.value) == message
+
+
+def test_loaders_check_fields_before_finiteness(tmp_path):
+    """A line with a NaN in x and no y: a missing label is the earlier check
+    for events, and candidates do not need one."""
+    path = tmp_path / "events.jsonl"
+    _write_lines(path, ['{"user": "u0", "brand": "b0", "x": [NaN, 1.0]}'])
+    with pytest.raises(EventParseError, match="^line 1: missing field 'y'$"):
+        load_events(path)
+    with pytest.raises(EventParseError, match="^line 1: x contains non-finite values$"):
+        load_candidates(path)
 
 
 def test_load_events_label_fault_after_nan_names_the_nan(tmp_path):
@@ -599,9 +611,11 @@ def test_trace_csv_format(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def _run_cli(*args):
+def _run_cli(*args, **env):
+    """Run the CLI in a subprocess, with ``env`` added to this process's
+    environment."""
     return subprocess.run([sys.executable, "-m", "hbayes.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env={**os.environ, **env})
 
 
 @pytest.fixture(scope="module")
@@ -701,6 +715,8 @@ def _good_args(command, tmp_path):
 
 @pytest.mark.parametrize("command, flag, value", [
     ("train", "--max-iters", "-1"), ("train", "--tol", "0"), ("train", "--styles", "0"),
+    ("train", "--tol", "inf"), ("generate", "--prec-user", "inf"),
+    ("generate", "--feature-scale", "inf"),
     ("generate", "--users", "0"), ("generate", "--brands", "0"),
     ("generate", "--events", "0"), ("generate", "--dim", "0"),
     ("generate", "--styles", "0"), ("generate", "--feature-scale", "-1"),
@@ -784,19 +800,37 @@ def test_cli_train_empty_features_names_the_line(tmp_path):
     assert res.stderr.splitlines() == ["error: line 1: x must not be empty"]
 
 
-def test_cli_train_overflowing_features_is_one_error_line(tmp_path):
-    """Features near 1e154 overflow the precision sums: the fit stops at sweep
-    0 and no checkpoint is written."""
+def _train_on_scaled_features(tmp_path, scale, **env):
+    """``hbayes train`` on a 400-event file whose x are scaled by ``scale``;
+    returns the run and the checkpoint path."""
     hp = HyperParams(num_styles=2, feature_dim=3)
     data, _ = sample_dataset(hp, num_users=8, num_brands=6, num_events=400, seed=0)
     events, ckpt = tmp_path / "events.jsonl", tmp_path / "model.json"
-    save_events(Dataset.from_arrays(1e154 * data.X, data.users, data.brands, data.y,
+    save_events(Dataset.from_arrays(scale * data.X, data.users, data.brands, data.y,
                                     data.num_users, data.num_brands), events)
     res = _run_cli("train", "--events", str(events), "--styles", "2", "--max-iters", "30",
-                   "--checkpoint-out", str(ckpt))
+                   "--checkpoint-out", str(ckpt), **env)
+    return res, ckpt
+
+
+def test_cli_train_overflowing_features_is_one_error_line(tmp_path):
+    """Features near 1e154 overflow the precision sums: the fit stops at sweep
+    0 and no checkpoint is written."""
+    res, ckpt = _train_on_scaled_features(tmp_path, 1e154)
     assert res.returncode == 1
     errors = [line for line in res.stderr.splitlines() if line.startswith("error:")]
     assert errors == ["error: sweep 0: matrix has non-finite entries"], res.stderr
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("scale", [1e154, 1e200, 1e300])
+def test_cli_train_overflow_with_warnings_as_errors(tmp_path, scale):
+    """The overflowing precision sums raise no RuntimeWarning, so with
+    warnings made errors stderr is still the one error line."""
+    res, ckpt = _train_on_scaled_features(tmp_path, scale,
+                                          PYTHONWARNINGS="error::RuntimeWarning")
+    assert res.returncode == 1
+    assert res.stderr == "error: sweep 0: matrix has non-finite entries\n"
     assert not ckpt.exists()
 
 

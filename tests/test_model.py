@@ -192,6 +192,12 @@ def test_hyperparams_defaults_and_validation():
         HyperParams(num_styles=2, feature_dim=3, alpha0=0.0)
 
 
+@pytest.mark.parametrize("rel_tol", [math.nan, math.inf])
+def test_hyperparams_rel_tol_must_be_finite(rel_tol):
+    with pytest.raises(ValueError, match="rel_tol must be positive and finite"):
+        HyperParams(num_styles=2, feature_dim=3, rel_tol=rel_tol)
+
+
 def test_event_record_validation():
     with pytest.raises(ValueError):
         EventRecord(x=np.array([np.nan]), brand=0, user=0, y=1)
