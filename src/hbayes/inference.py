@@ -19,7 +19,10 @@ from .model import (
     GammaPosterior,
     HyperParams,
     VariationalState,
-    elbo,
+    _elbo_sum,
+    _elbo_terms,
+    _event_variances,
+    _project,
     event_moments,
     lambda_of_xi,
 )
@@ -111,31 +114,38 @@ def update_theta(resp: np.ndarray, hp: HyperParams) -> np.ndarray:
 def update_users(state: VariationalState, data: Dataset):
     """(mean (U, d), cov (U, d, d)) of every user given current brands,
     precisions and xi."""
-    return _update_family(np.full(state.num_users, state.prec_u.mean), 0.0,
-                          state.brand_mean[data.brands],
-                          (*data.user_order, data.X_by_user), state, data)
+    return _update_users(state, data, lambda_of_xi(state.xi),
+                         _project(state.brand_mean, data.brands, data))
+
+
+def _update_users(state, data, lam, brand_proj):
+    return _update_family(np.full(state.num_users, state.prec_u.mean), 0.0, lam, brand_proj,
+                          (*data.user_order, data.X_by_user), data)
 
 
 def update_brands(state: VariationalState, data: Dataset):
     """(mean (B, d), cov (B, d, d)) of every brand; the style mixture acts
     as their prior."""
-    e_db = state.prec_b.mean
-    mu = state.resp
+    return _update_brands(state, data, lambda_of_xi(state.xi),
+                          _project(state.user_mean, data.users, data))
+
+
+def _update_brands(state, data, lam, user_proj):
+    e_db, mu = state.prec_b.mean, state.resp
     return _update_family(e_db * mu.sum(axis=1),  # rows sum to 1, so this is e_db
-                          e_db * (mu @ state.style_mean),
-                          state.user_mean[data.users],
-                          (*data.brand_order, data.X_by_brand), state, data)
+                          e_db * (mu @ state.style_mean), lam, user_proj,
+                          (*data.brand_order, data.X_by_brand), data)
 
 
-def _update_family(prior_prec, prior_pull, other_means, grouping, state, data):
+def _update_family(prior_prec, prior_pull, lam, other_proj, grouping, data):
     """Joint update of all users or all brands: entity k gets precision
     prior_prec[k] I + 2 sum lam x x' and mean cov (prior_pull[k] + sum x c)
-    over its events, with c = y - 1/2 - 2 lam x'm and m the event's mean in
-    the other family.  ``grouping`` is (order, bounds, X sorted by order)."""
+    over its events, with c = y - 1/2 - 2 lam x'm and x'm = ``other_proj``
+    the event's projection on its other family's mean.  ``grouping`` is
+    (order, bounds, X sorted by order)."""
     order, bounds, X = grouping
     d = data.feature_dim
-    lam = lambda_of_xi(state.xi)
-    coef = data.y - 0.5 - 2.0 * lam * np.einsum("nd,nd->n", data.X, other_means)
+    coef = data.y - 0.5 - 2.0 * lam * other_proj
     # One product per entity gives [2 sum lam x x' | sum x c] with no (N, d, d) buffer.
     Z = np.empty((len(order), d + 1))
     np.multiply(X, 2.0 * lam[order, None], out=Z[:, :d])
@@ -182,29 +192,39 @@ def update_precisions(state: VariationalState, hp: HyperParams):
 
 def update_xi(state: VariationalState, data: Dataset) -> np.ndarray:
     """Per-event bound locations: xi_t = sqrt(E[(x'(B + U))^2]) = sqrt(m_t^2 + s2_t)."""
-    m, s2 = event_moments(state, data)
+    return _xi(*event_moments(state, data))
+
+
+def _xi(m, s2):
     return np.sqrt(np.maximum(m * m + s2, 0.0))
 
 
-def cavi_sweep(state: VariationalState, data: Dataset, hp: HyperParams) -> VariationalState:
-    """One full coordinate-ascent sweep; returns a new state.
+def cavi_sweep(state: VariationalState, data: Dataset, hp: HyperParams):
+    """One full coordinate-ascent sweep; returns (new state, its ELBO terms).
 
     Later updates within the sweep see the values produced by earlier ones.
     Members of one family (all users, all brands, ...) are mutually
     independent given the rest, so each family is updated in one pass.
     No update writes into its input, so a shallow copy is enough: by the end
-    of the sweep every field holds a fresh value.
+    of the sweep every field holds a fresh value.  Each per-event quantity
+    is computed once, and the m and s2 that set xi give the returned
+    ``elbo_terms`` of the new state.
     """
     work = replace(state)
     work.resp = update_responsibilities(work)
     work.theta_gamma = update_theta(work.resp, hp)
-    work.user_mean, work.user_cov = update_users(work, data)
-    work.brand_mean, work.brand_cov = update_brands(work, data)
+    lam = lambda_of_xi(work.xi)
+    work.user_mean, work.user_cov = _update_users(
+        work, data, lam, _project(work.brand_mean, data.brands, data))
+    user_proj = _project(work.user_mean, data.users, data)
+    work.brand_mean, work.brand_cov = _update_brands(work, data, lam, user_proj)
     work.style_mean, work.style_var = update_styles(work)
     work.w_mean, work.w_var = update_w(work)
     work.prec_u, work.prec_b, work.prec_s, work.prec_w = update_precisions(work, hp)
-    work.xi = update_xi(work, data)
-    return work
+    m = _project(work.brand_mean, data.brands, data) + user_proj
+    s2 = _event_variances(work, data)
+    work.xi = _xi(m, s2)
+    return work, _elbo_terms(work, data, hp, m, s2)
 
 
 def fit(data: Dataset, hp: HyperParams, seed: int = 0,
@@ -245,8 +265,8 @@ def _fit_once(data: Dataset, hp: HyperParams, seed: int,
     previous = None
     for sweep_idx in range(hp.max_iters):
         try:
-            state = cavi_sweep(state, data, hp)
-            value = elbo(state, data, hp)
+            state, terms = cavi_sweep(state, data, hp)
+            value = _elbo_sum(terms)
         except NumericalError as err:
             raise NumericalError(f"sweep {sweep_idx}: {err}") from err
         trace.append(value)

@@ -61,7 +61,8 @@ def save_json(obj, path):
     """Write ``obj`` as canonical JSON: sorted keys, compact separators, no
     NaN or infinity, one trailing newline."""
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        print(text, file=fh)  # two writes, so no copy of text with its newline
 
 
 # ---------------------------------------------------------------------------

@@ -456,22 +456,28 @@ class VariationalState:
 
 def event_moments(state: VariationalState, data: Dataset):
     """(m, s2): mean and variance of h_t = x_t'(B + U) under q for every event,
-    m_t = x_t'(mu^b + mu^u) and s2_t = x_t' Sigma^b x_t + x_t' Sigma^u x_t.
+    m_t = x_t'(mu^b + mu^u) and s2_t = x_t' Sigma^b x_t + x_t' Sigma^u x_t."""
+    m = _project(state.brand_mean, data.brands, data) + _project(state.user_mean, data.users, data)
+    return m, _event_variances(state, data)
 
-    Each quadratic form is summed one entity at a time over X sorted by that
-    entity (cached on the dataset), so no (N, d, d) covariance stack is built: memory is O(N d).
-    """
-    X = data.X
-    m = (np.einsum("nd,nd->n", X, state.brand_mean[data.brands])
-         + np.einsum("nd,nd->n", X, state.user_mean[data.users]))
+
+def _project(means, index, data):
+    """x_t' means[index[t]] for every event t, shape (N,)."""
+    return np.einsum("nd,nd->n", data.X, means[index])
+
+
+def _event_variances(state, data):
+    """s2 of ``event_moments``.  Each quadratic form is summed one entity at a
+    time over X sorted by that entity (cached on the dataset) into one (N, d)
+    buffer, so no (N, d, d) covariance stack is built: memory is O(N d)."""
     s2 = np.zeros(len(data))
-    XC = np.empty_like(X)
+    XC = np.empty_like(data.X)
     for cov, (order, bounds), Xs in ((state.user_cov, data.user_order, data.X_by_user),
                                      (state.brand_cov, data.brand_order, data.X_by_brand)):
         for k, (lo, hi) in enumerate(pairwise(bounds.tolist())):
             np.matmul(Xs[lo:hi], cov[k], out=XC[lo:hi])
         s2[order] += np.einsum("nd,nd->n", XC, Xs)
-    return m, s2
+    return s2
 
 
 def _dirichlet_entropy(gamma: np.ndarray) -> float:
@@ -493,17 +499,21 @@ def elbo_terms(state: VariationalState, data: Dataset, hp: HyperParams) -> dict:
     the hierarchy, and the entropy of every posterior factor; ``elbo`` is
     their sum.  See docs/elbo.md for the derivation of each expectation.
     """
+    if len(data) != state.xi.size:
+        raise ValueError(f"state has {state.xi.size} xi entries for {len(data)} events")
+    return _elbo_terms(state, data, hp, *event_moments(state, data))
+
+
+def _elbo_terms(state, data, hp, m, s2) -> dict:
+    """``elbo_terms`` given the event moments (m, s2) of ``state``."""
     d = hp.feature_dim
     mu = state.resp
     eln_theta = state.theta_mean_log
     terms = {}
 
     # Bounded Bernoulli likelihood, expectation under q with xi fixed.
-    if len(data) != state.xi.size:
-        raise ValueError(f"state has {state.xi.size} xi entries for {len(data)} events")
     # p(y | h) = sigmoid((2y - 1) h); the bound is linear in (2y - 1) h and in
     # its square h^2, whose expectations are (2y - 1) m and m^2 + s2.
-    m, s2 = event_moments(state, data)
     terms["likelihood_bound"] = float(np.sum(_log_bound((2.0 * data.y - 1.0) * m,
                                                         m * m + s2, state.xi)))
 
@@ -547,7 +557,12 @@ def elbo(state: VariationalState, data: Dataset, hp: HyperParams) -> float:
     Exact expectation of the bounded joint log-density minus the entropy of
     q; the quantity the coordinate-ascent sweep monotonically increases.
     """
-    value = float(sum(elbo_terms(state, data, hp).values()))
+    return _elbo_sum(elbo_terms(state, data, hp))
+
+
+def _elbo_sum(terms: dict) -> float:
+    """The ELBO from its terms; a non-finite sum raises NumericalError."""
+    value = float(sum(terms.values()))
     if not np.isfinite(value):
         raise NumericalError("ELBO evaluated to a non-finite value")
     return value

@@ -23,7 +23,7 @@ from hbayes import (
     sample_dataset,
     save_checkpoint,
 )
-from hbayes import inference
+from hbayes import inference, model
 from hbayes.inference import (
     cavi_sweep,
     fit,
@@ -506,6 +506,81 @@ def test_fit_trace_non_decreasing_and_report_consistent():
     state.validate()
 
 
+def _public_sweep(state, data, hp):
+    """The updates of ``cavi_sweep`` in its order, each through its public
+    function on the state the sweep had reached."""
+    work = state.copy()
+    work.resp = update_responsibilities(work)
+    work.theta_gamma = update_theta(work.resp, hp)
+    work.user_mean, work.user_cov = update_users(work, data)
+    work.brand_mean, work.brand_cov = update_brands(work, data)
+    work.style_mean, work.style_var = update_styles(work)
+    work.w_mean, work.w_var = update_w(work)
+    work.prec_u, work.prec_b, work.prec_s, work.prec_w = update_precisions(work, hp)
+    work.xi = update_xi(work, data)
+    return work
+
+
+@pytest.mark.parametrize("users, brands, events, d", [(10, 30, 3_000, 10),
+                                                      (200, 100, 20_000, 10)])
+def test_cavi_sweep_terms_equal_the_independent_elbo(users, brands, events, d):
+    """At sizes S and M, from a fitted state: each sweep's terms are
+    ``elbo_terms`` of its new state and sum to ``elbo`` exactly, and every
+    factor equals what the public updates give on the same inputs."""
+    hp = HyperParams(num_styles=3, feature_dim=d, max_iters=3)
+    data, _ = sample_dataset(hp, num_users=users, num_brands=brands, num_events=events, seed=4)
+    state, _ = fit(data, hp, seed=4)
+    for _ in range(2):
+        new, terms = cavi_sweep(state, data, hp)
+        assert sum(terms.values()) == elbo(new, data, hp)
+        assert terms == elbo_terms(new, data, hp)
+        public = _public_sweep(state, data, hp)
+        for name in new._ARRAYS:
+            np.testing.assert_array_equal(getattr(new, name), getattr(public, name), name)
+        assert new.precisions == public.precisions
+        state = new
+
+
+def test_fit_computes_each_per_event_pass_once_per_sweep(monkeypatch):
+    """A k-sweep fit runs the per-entity s2 pass k times and lambda(xi) 2k
+    times: once for both family updates and once for the ELBO of the new
+    xi.  Each sweep projects the events on the means three times: on the
+    old brands, the new users and the new brands."""
+    sweeps = 5
+    hp, data = _synthetic(max_iters=sweeps, rel_tol=1e-300)
+    calls = {}
+    for name in ("_event_variances", "lambda_of_xi", "_project"):
+        real = getattr(model, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args)
+
+        for module in (model, inference):
+            monkeypatch.setattr(module, name, counted)
+    _, report = fit(data, hp, seed=0)
+    assert report.iterations_run == sweeps
+    assert calls == {"_event_variances": sweeps, "lambda_of_xi": 2 * sweeps,
+                     "_project": 3 * sweeps}
+
+
+def test_fit_working_set_stays_below_two_event_feature_arrays():
+    """At the ``deep`` benchmark shape (N = 30k, d = 20), a 3-sweep fit
+    allocates less than two (N, d) float64 arrays above where it starts."""
+    n, d = 30_000, 20
+    hp = HyperParams(num_styles=3, feature_dim=d, max_iters=3)
+    data, _ = sample_dataset(hp, num_users=40, num_brands=15, num_events=n, seed=0)
+    _ = data.X_by_user, data.X_by_brand
+    fit(data, hp, seed=0)  # numpy's lazy imports happen outside the trace
+    tracemalloc.start()
+    try:
+        fit(data, hp, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * d * 8
+
+
 def test_fit_initial_state_deterministic():
     hp, data = _synthetic()
     a = initial_state(data, hp, seed=17)
@@ -519,7 +594,7 @@ def test_fit_state_valid_after_each_sweep():
     hp, data = _synthetic()
     state = initial_state(data, hp, seed=0)
     for _ in range(5):
-        state = cavi_sweep(state, data, hp)
+        state = cavi_sweep(state, data, hp)[0]
         state.validate()
         np.testing.assert_allclose(state.resp.sum(axis=1), 1.0, atol=1e-9)
 
@@ -542,7 +617,7 @@ def test_fit_coordinate_updates_locally_optimal():
     hp, data = _synthetic(num_events=250)
     state = initial_state(data, hp, seed=0)
     for _ in range(4):
-        state = cavi_sweep(state, data, hp)
+        state = cavi_sweep(state, data, hp)[0]
     rng = np.random.default_rng(12)
 
     def perturbation():
@@ -597,7 +672,7 @@ def test_fit_non_gaussian_updates_locally_optimal(factor):
     hp, data = _synthetic(num_events=250)
     state = initial_state(data, hp, seed=0)
     for _ in range(4):
-        state = cavi_sweep(state, data, hp)
+        state = cavi_sweep(state, data, hp)[0]
     if factor == "resp":
         state.resp = update_responsibilities(state)
     elif factor == "theta":
@@ -624,7 +699,9 @@ def test_fit_error_carries_sweep_index(monkeypatch):
 def _fake_elbo(monkeypatch, values):
     """Make ``fit`` see ``values`` as its ELBO trace, one per sweep."""
     values = iter(values)
-    monkeypatch.setattr(inference, "elbo", lambda state, data, hp: next(values))
+    sweep = inference.cavi_sweep
+    monkeypatch.setattr(inference, "cavi_sweep",
+                        lambda state, data, hp: (sweep(state, data, hp)[0], {"elbo": next(values)}))
 
 
 def test_fit_raises_when_the_elbo_falls(monkeypatch):

@@ -366,7 +366,7 @@ def _tiny_instance():
     data, _ = sample_dataset(hp, num_users=2, num_brands=3, num_events=6, seed=7)
     state = initial_state(data, hp, seed=1)
     for _ in range(3):
-        state = cavi_sweep(state, data, hp)
+        state = cavi_sweep(state, data, hp)[0]
     return hp, data, state
 
 
@@ -451,7 +451,7 @@ def test_elbo_non_decreasing_over_one_sweep():
                for s in range(3)]
     for state in starts:
         before = elbo(state, data, hp)
-        after = elbo(cavi_sweep(state, data, hp), data, hp)
+        after = elbo(cavi_sweep(state, data, hp)[0], data, hp)
         assert after >= before - 1e-6 * abs(before)
 
 
