@@ -19,13 +19,14 @@ import array
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .inference import FitReport
 from .model import (
+    _PRECISION_FIELDS,
     Dataset,
     GammaPosterior,
     HyperParams,
@@ -87,6 +88,14 @@ def _json_lines(path):
 _NUMBER_TYPES = frozenset((int, float))
 
 
+def _all_finite(numbers):
+    """True if every JSON number in ``numbers`` is a finite float."""
+    try:
+        return all(map(math.isfinite, numbers))
+    except OverflowError:  # an integer past float range
+        return False
+
+
 def _read_columns(path, require_label=True):
     """Parse an event-format file into columns: (user ids, brand ids, X (N, d),
     labels), one entry per non-blank line.
@@ -110,11 +119,7 @@ def _read_columns(path, require_label=True):
             raise EventParseError(f"line {lineno}: x must be an array of numbers")
         if not x:
             raise EventParseError(f"line {lineno}: x must not be empty")
-        try:
-            finite = all(map(math.isfinite, x))
-        except OverflowError:  # an integer past float range
-            finite = False
-        if not finite:
+        if not _all_finite(x):
             raise EventParseError(f"line {lineno}: x contains non-finite values")
         d = d or len(x)
         if len(x) != d:
@@ -243,6 +248,22 @@ def _factors_from_objs(objs, spread, d):
             np.asarray([o[spread] for o in objs], dtype=float))
 
 
+def _fit_report(obj) -> FitReport:
+    """The FitReport a checkpoint's ``fit_report`` object stores, as ``fit``
+    writes it: a trace of finite numbers, one sweep per entry, and a boolean
+    ``converged``; ValueError otherwise."""
+    elbo_trace, iterations_run, converged = (obj["elbo_trace"], obj["iterations_run"],
+                                             obj["converged"])
+    if not (isinstance(elbo_trace, list) and _NUMBER_TYPES.issuperset(map(type, elbo_trace))
+            and _all_finite(elbo_trace)):
+        raise ValueError("fit_report.elbo_trace must be a list of finite numbers")
+    if type(iterations_run) is not int or iterations_run != len(elbo_trace):
+        raise ValueError("fit_report.iterations_run must be the length of elbo_trace")
+    if type(converged) is not bool:
+        raise ValueError("fit_report.converged must be true or false")
+    return FitReport(elbo_trace, iterations_run, converged)
+
+
 def save_checkpoint(ckpt: Checkpoint, path):
     """Persist a checkpoint as canonical JSON, schema version 2, whatever
     version it was loaded from.
@@ -258,15 +279,7 @@ def save_checkpoint(ckpt: Checkpoint, path):
     _check_dimensions(ckpt, state.num_users, state.num_brands)
     doc = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
-        "hyperparams": {
-            "num_styles": hp.num_styles,
-            "feature_dim": hp.feature_dim,
-            "gamma0": hp.gamma0.tolist(),
-            "alpha0": float(hp.alpha0),
-            "beta0": float(hp.beta0),
-            "max_iters": hp.max_iters,
-            "rel_tol": float(hp.rel_tol),
-        },
+        "hyperparams": asdict(hp) | {"gamma0": hp.gamma0.tolist()},
         "num_users": state.num_users,
         "num_brands": state.num_brands,
         "state": {
@@ -276,10 +289,7 @@ def save_checkpoint(ckpt: Checkpoint, path):
             "w": {"mean": state.w_mean.tolist(), "iso_var": float(state.w_var)},
             "theta_gamma": state.theta_gamma.tolist(),
             "resp": state.resp.tolist(),
-            "prec_u": {"shape": state.prec_u.shape, "rate": state.prec_u.rate},
-            "prec_b": {"shape": state.prec_b.shape, "rate": state.prec_b.rate},
-            "prec_s": {"shape": state.prec_s.shape, "rate": state.prec_s.rate},
-            "prec_w": {"shape": state.prec_w.shape, "rate": state.prec_w.rate},
+            **{name: asdict(p) for name, p in zip(_PRECISION_FIELDS, state.precisions)},
         },
         "fit_report": {
             "elbo_trace": [float(v) for v in report.elbo_trace],
@@ -312,16 +322,9 @@ def load_checkpoint(path) -> Checkpoint:
             f"unsupported schema_version {version!r} (expected 1 or 2)"
         )
     try:
-        hp_obj = doc["hyperparams"]
-        hp = HyperParams(
-            num_styles=hp_obj["num_styles"],
-            feature_dim=hp_obj["feature_dim"],
-            gamma0=np.asarray(hp_obj["gamma0"], dtype=float),
-            alpha0=hp_obj["alpha0"],
-            beta0=hp_obj["beta0"],
-            max_iters=hp_obj["max_iters"],
-            rel_tol=hp_obj["rel_tol"],
-        )
+        # Every field is required: a missing or null one is never the default.
+        hp_obj = {f.name: doc["hyperparams"][f.name] for f in fields(HyperParams)}
+        hp = HyperParams(**hp_obj | {"gamma0": np.asarray(hp_obj["gamma0"], dtype=float)})
         s = doc["state"]
         d = hp.feature_dim
         user_mean, user_cov = _factors_from_objs(s["users"], "cov", d)
@@ -335,22 +338,15 @@ def load_checkpoint(path) -> Checkpoint:
             w_mean=w_mean, w_var=w_var,
             theta_gamma=np.asarray(s["theta_gamma"], dtype=float),
             resp=np.asarray(s["resp"], dtype=float),
-            prec_u=GammaPosterior(**s["prec_u"]),
-            prec_b=GammaPosterior(**s["prec_b"]),
-            prec_s=GammaPosterior(**s["prec_s"]),
-            prec_w=GammaPosterior(**s["prec_w"]),
+            **{name: GammaPosterior(**s[name]) for name in _PRECISION_FIELDS},
             xi=np.asarray(s["xi"] if version == 1 else (), dtype=float),
         )
-        report = FitReport(
-            elbo_trace=list(doc["fit_report"]["elbo_trace"]),
-            iterations_run=doc["fit_report"]["iterations_run"],
-            converged=doc["fit_report"]["converged"],
-        )
+        report = _fit_report(doc["fit_report"])
         ckpt = Checkpoint(hyperparams=hp, state=state, fit_report=report,
                           user_ids=doc.get("user_ids"), brand_ids=doc.get("brand_ids"),
                           schema_version=version)
         num_users, num_brands = doc["num_users"], doc["num_brands"]
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise CheckpointError(f"malformed checkpoint: {err}") from None
 
     try:
@@ -367,18 +363,12 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def save_ground_truth(truth, true_precisions, feature_scale, path):
-    """Write the generator's ground-truth sidecar JSON."""
-    prec_u, prec_b, prec_s, prec_w = (float(p) for p in true_precisions)
-    doc = {
-        "style_vectors": [[float(v) for v in row] for row in truth.style_vectors],
-        "brand_vectors": [[float(v) for v in row] for row in truth.brand_vectors],
-        "user_vectors": [[float(v) for v in row] for row in truth.user_vectors],
-        "style_assignments": [int(v) for v in truth.style_assignments],
-        "theta": [float(v) for v in truth.theta],
-        "w": [float(v) for v in truth.w],
-        "true_precisions": {"user": prec_u, "brand": prec_b, "style": prec_s, "w": prec_w},
-        "feature_scale": float(feature_scale),
-    }
+    """Write the generator's ground-truth sidecar JSON: every GroundTruth
+    field, the true precisions and the feature scale."""
+    doc = {f.name: getattr(truth, f.name).tolist() for f in fields(truth)}
+    doc["true_precisions"] = dict(zip(("user", "brand", "style", "w"),
+                                      map(float, true_precisions)))
+    doc["feature_scale"] = float(feature_scale)
     save_json(doc, path)
 
 

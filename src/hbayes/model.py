@@ -39,8 +39,9 @@ __all__ = [
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
-# elbo_terms keys of the four Gaussian prior edges, in the order of
-# VariationalState.precisions.
+# VariationalState's Gamma factor fields, in edge order: users, brands,
+# styles, w; and the elbo_terms keys of those four Gaussian prior edges.
+_PRECISION_FIELDS = ("prec_u", "prec_b", "prec_s", "prec_w")
 _EDGE_TERMS = ("users_prior", "brands_given_styles", "styles_given_w", "w_prior")
 
 
@@ -149,6 +150,11 @@ class HyperParams:
     rel_tol: float = 1e-5
 
     def __post_init__(self):
+        for name in ("num_styles", "feature_dim", "max_iters"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer")
+            setattr(self, name, int(value))
         if self.num_styles < 1:
             raise ValueError("num_styles must be >= 1")
         if self.feature_dim < 1:
@@ -166,6 +172,7 @@ class HyperParams:
             raise ValueError("max_iters must be non-negative")
         if not 0 < self.rel_tol < math.inf:
             raise ValueError("rel_tol must be positive and finite")
+        self.alpha0, self.beta0, self.rel_tol = map(float, (self.alpha0, self.beta0, self.rel_tol))
 
 
 @dataclass
@@ -388,7 +395,7 @@ class VariationalState:
     @property
     def precisions(self) -> tuple:
         """The four Gamma factors in edge order: users, brands, styles, w."""
-        return self.prec_u, self.prec_b, self.prec_s, self.prec_w
+        return tuple(getattr(self, name) for name in _PRECISION_FIELDS)
 
     @property
     def theta_mean_log(self) -> np.ndarray:

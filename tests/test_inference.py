@@ -696,6 +696,23 @@ def test_fit_error_carries_sweep_index(monkeypatch):
         fit(data, hp, seed=0)
 
 
+@pytest.mark.parametrize("update", ["update_styles", "update_w"])
+def test_fit_raises_when_a_factor_turns_non_finite(monkeypatch, update):
+    """A style or w update that returns NaN means makes the sweep's ELBO
+    non-finite, and fit stops at that sweep."""
+    hp, data = _synthetic(max_iters=5)
+    real = getattr(inference, update)
+
+    def nan_means(state):
+        mean, var = real(state)
+        return np.full_like(mean, np.nan), var
+
+    monkeypatch.setattr(inference, update, nan_means)
+    with pytest.raises(NumericalError,
+                       match=r"^sweep 0: ELBO evaluated to a non-finite value$"):
+        fit(data, hp, seed=0)
+
+
 def _fake_elbo(monkeypatch, values):
     """Make ``fit`` see ``values`` as its ELBO trace, one per sweep."""
     values = iter(values)

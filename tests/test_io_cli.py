@@ -28,12 +28,15 @@ from hbayes import (
     save_checkpoint,
     save_events,
 )
-from hbayes.io import load_candidates, save_json, save_trace_csv
+from hbayes.generator import GroundTruth
+from hbayes.io import load_candidates, save_ground_truth, save_json, save_trace_csv
 
 # A schema-1 checkpoint as the version-1 writer left it: ``hbayes generate
 # --users 6 --brands 4 --styles 2 --events 300 --dim 3 --seed 1``, then
 # ``hbayes train --styles 2 --max-iters 5``.
 CHECKPOINT_V1 = Path(__file__).parent / "data" / "checkpoint_v1.json"
+# CHECKPOINT_V1 loaded and saved once by the schema-2 writer.
+CHECKPOINT_V1_RESAVED = Path(__file__).parent / "data" / "checkpoint_v1_resaved.json"
 
 
 # ---------------------------------------------------------------------------
@@ -391,11 +394,11 @@ _NON_FINITE_ENTRIES = [("state", "prec_b", "rate"), ("state", "prec_u", "shape")
                        ("hyperparams", "alpha0"), ("hyperparams", "gamma0", 1)]
 
 
-def _write_with_infinity(src, dst, keys):
+def _write_with(src, dst, keys, value):
     obj = doc = json.loads(src.read_text())
     for key in keys[:-1]:
         obj = obj[key]
-    obj[keys[-1]] = float("inf")
+    obj[keys[-1]] = value
     dst.write_text(json.dumps(doc))  # allow_nan: writes Infinity
 
 
@@ -403,8 +406,18 @@ def _write_with_infinity(src, dst, keys):
 def test_checkpoint_rejects_infinity(tmp_path, keys):
     path = tmp_path / "model.json"
     save_checkpoint(_fitted(tmp_path), path)
-    _write_with_infinity(path, path, keys)
+    _write_with(path, path, keys, float("inf"))
     with pytest.raises(CheckpointError, match="finite"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("keys", _NON_FINITE_ENTRIES + [("state", "users", 0, "mean", 1)],
+                         ids=lambda keys: ".".join(map(str, keys)))
+def test_checkpoint_rejects_integers_past_float_range(tmp_path, keys):
+    path = tmp_path / "model.json"
+    save_checkpoint(_fitted(tmp_path), path)
+    _write_with(path, path, keys, 10 ** 400)
+    with pytest.raises(CheckpointError, match="int too large to convert to float"):
         load_checkpoint(path)
 
 
@@ -543,6 +556,104 @@ def test_checkpoint_v1_xi_still_checked(tmp_path, value, message):
     path.write_text(json.dumps(doc))  # allow_nan: writes Infinity
     with pytest.raises(CheckpointError, match=message):
         load_checkpoint(path)
+
+
+def test_checkpoint_v1_fixture_resaves_to_committed_bytes(tmp_path):
+    path = tmp_path / "v1_resaved.json"
+    save_checkpoint(load_checkpoint(CHECKPOINT_V1), path)
+    assert path.read_bytes() == CHECKPOINT_V1_RESAVED.read_bytes()
+
+
+# Entries load must refuse when they are missing or null: every
+# hyper-parameter (never replaced by the constructor's default), each Gamma
+# factor and its fields.
+_REQUIRED_ENTRIES = [
+    ("hyperparams",),
+    *(("hyperparams", key) for key in ("num_styles", "feature_dim", "gamma0", "alpha0",
+                                       "beta0", "max_iters", "rel_tol")),
+    *(("state", key) for key in ("prec_u", "prec_b", "prec_s", "prec_w")),
+    ("state", "prec_w", "shape"), ("state", "prec_u", "rate"),
+]
+
+
+@pytest.mark.parametrize("null", [False, True], ids=["missing", "null"])
+@pytest.mark.parametrize("keys", _REQUIRED_ENTRIES, ids=lambda keys: ".".join(keys))
+def test_checkpoint_rejects_missing_or_null_entries(tmp_path, keys, null):
+    path = tmp_path / "model.json"
+    save_checkpoint(_fitted(tmp_path), path)
+    obj = doc = json.loads(path.read_text())
+    for key in keys[:-1]:
+        obj = obj[key]
+    if null:
+        obj[keys[-1]] = None
+    else:
+        del obj[keys[-1]]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+# fit_report entries that load must refuse, as (key, value): the trace is a
+# list of finite numbers (json.loads reads NaN and Infinity tokens), the
+# sweep count is the trace's length, and converged is a boolean.
+_BAD_FIT_REPORTS = {
+    "trace-null-entry": ("elbo_trace", [None]),
+    "trace-string": ("elbo_trace", "abc"),
+    "trace-bool-entry": ("elbo_trace", [True]),
+    "trace-nan": ("elbo_trace", [float("nan")]),
+    "trace-infinity": ("elbo_trace", [-1.0, float("inf")]),
+    "trace-huge-integer": ("elbo_trace", [10 ** 400]),
+    "iterations-string": ("iterations_run", "x"),
+    "iterations-float": ("iterations_run", None),  # the trace length as a float
+    "iterations-bool": ("iterations_run", True),
+    "iterations-off-by-one": ("iterations_run", 1),  # added to the trace length
+    "converged-string": ("converged", "yes"),
+    "converged-integer": ("converged", 1),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_FIT_REPORTS)
+def test_checkpoint_rejects_malformed_fit_report(tmp_path, case):
+    key, value = _BAD_FIT_REPORTS[case]
+    path = tmp_path / "model.json"
+    save_checkpoint(_fitted(tmp_path), path)
+    doc = json.loads(path.read_text())
+    report = doc["fit_report"]
+    if case == "iterations-float":
+        value = float(len(report["elbo_trace"]))
+    elif case == "iterations-off-by-one":
+        value += len(report["elbo_trace"])
+    report[key] = value
+    path.write_text(json.dumps(doc))  # allow_nan: writes NaN and Infinity
+    with pytest.raises(CheckpointError, match=f"fit_report.{key}"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key, value", [("max_iters", 5.5), ("num_styles", 2.0),
+                                        ("feature_dim", True)])
+def test_checkpoint_rejects_non_integer_counts(tmp_path, key, value):
+    path = tmp_path / "model.json"
+    save_checkpoint(_fitted(tmp_path), path)
+    doc = json.loads(path.read_text())
+    doc["hyperparams"][key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match=f"{key} must be an integer"):
+        load_checkpoint(path)
+
+
+def test_ground_truth_sidecar_bytes(tmp_path):
+    truth = GroundTruth(style_vectors=np.array([[0.5, -1.25], [2.0, 0.1]]),
+                        brand_vectors=np.array([[1.0, 3e-17], [-0.0, 7.5], [1e300, -2.5]]),
+                        user_vectors=np.array([[0.25, 0.75]]),
+                        style_assignments=np.array([1, 0, 1]),
+                        theta=np.array([0.25, 0.75]), w=np.array([-1.5, 0.3]))
+    path = tmp_path / "truth.json"
+    save_ground_truth(truth, (4, 25.0, np.float64(2.0), 0.5), 1, path)
+    assert path.read_text() == (
+        '{"brand_vectors":[[1.0,3e-17],[-0.0,7.5],[1e+300,-2.5]],"feature_scale":1.0,'
+        '"style_assignments":[1,0,1],"style_vectors":[[0.5,-1.25],[2.0,0.1]],'
+        '"theta":[0.25,0.75],"true_precisions":{"brand":25.0,"style":2.0,"user":4.0,'
+        '"w":0.5},"user_vectors":[[0.25,0.75]],"w":[-1.5,0.3]}\n')
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -767,7 +878,7 @@ def test_cli_rank_non_object_checkpoint_is_one_error_line(tmp_path, text):
 @pytest.mark.parametrize("keys", _NON_FINITE_ENTRIES, ids=lambda keys: ".".join(map(str, keys)))
 def test_cli_rank_infinite_checkpoint_value_is_one_error_line(cli_artifacts, tmp_path, keys):
     ckpt = tmp_path / "model.json"
-    _write_with_infinity(cli_artifacts["ckpt"], ckpt, keys)
+    _write_with(cli_artifacts["ckpt"], ckpt, keys, float("inf"))
     res = _run_cli("rank", "--checkpoint", str(ckpt), "--events", str(cli_artifacts["events"]),
                    "--user", "u0", "--out", str(tmp_path / "ranking.json"))
     assert res.returncode == 1

@@ -198,6 +198,25 @@ def test_hyperparams_rel_tol_must_be_finite(rel_tol):
         HyperParams(num_styles=2, feature_dim=3, rel_tol=rel_tol)
 
 
+@pytest.mark.parametrize("key, value", [("max_iters", 5.5), ("num_styles", 2.0),
+                                        ("feature_dim", np.float64(3)), ("max_iters", True),
+                                        ("num_styles", np.bool_(True)), ("max_iters", "5")])
+def test_hyperparams_counts_must_be_integers(key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be an integer$"):
+        HyperParams(**{"num_styles": 2, "feature_dim": 3, key: value})
+
+
+def test_hyperparams_store_python_numbers():
+    """numpy integers become int and float settings become float, so the
+    fields serialise as JSON as they are."""
+    hp = HyperParams(num_styles=np.int64(2), feature_dim=np.int32(3), max_iters=np.uint8(7),
+                     alpha0=1, beta0=np.float32(0.5), rel_tol=np.float64(1e-3))
+    assert [type(v) for v in (hp.num_styles, hp.feature_dim, hp.max_iters)] == [int] * 3
+    assert [type(v) for v in (hp.alpha0, hp.beta0, hp.rel_tol)] == [float] * 3
+    assert (hp.num_styles, hp.feature_dim, hp.max_iters) == (2, 3, 7)
+    assert (hp.alpha0, hp.beta0, hp.rel_tol) == (1.0, 0.5, 1e-3)
+
+
 def test_event_record_validation():
     with pytest.raises(ValueError):
         EventRecord(x=np.array([np.nan]), brand=0, user=0, y=1)
