@@ -69,8 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("train", help="fit the model on an event file")
     train.add_argument("--events", required=True)
     train.add_argument("--styles", type=_positive_int, required=True)
-    train.add_argument("--max-iters", type=_non_negative_int, default=200)
-    train.add_argument("--tol", type=_positive_float, default=1e-5)
+    train.add_argument("--max-iters", type=_non_negative_int, default=HyperParams.max_iters)
+    train.add_argument("--tol", type=_positive_float, default=HyperParams.rel_tol)
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--checkpoint-out", required=True)
     train.add_argument("--trace-out", help="ELBO trace CSV output path")
@@ -88,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--styles", type=_positive_int, required=True)
     ev.add_argument("--folds", type=_fold_count, default=5)
     ev.add_argument("--seed", type=int, default=0)
-    ev.add_argument("--k", type=_cutoffs, default="5,10,25,50",
+    ev.add_argument("--k", type=_cutoffs, default=evaluation.DEFAULT_K_VALUES,
                     help="comma-separated cutoffs")
     ev.add_argument("--report-out", required=True)
     return parser

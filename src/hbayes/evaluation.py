@@ -3,7 +3,7 @@
 import numpy as np
 
 from .inference import fit
-from .model import Dataset, HyperParams
+from .model import Dataset, HyperParams, _sort_by_entity
 from .predictor import by_score, score_candidates
 
 __all__ = [
@@ -79,7 +79,7 @@ def stratified_user_folds(data: Dataset, folds: int, seed: int) -> np.ndarray:
         raise ValueError("folds must be >= 2")
     rng = np.random.default_rng(seed)
     fold_of = np.full(len(data), -1, dtype=int)
-    order, bounds = data.user_order
+    order, bounds = _sort_by_entity(data.users, data.num_users)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         if hi - lo < folds:
             continue

@@ -22,9 +22,9 @@ from .model import (
     _elbo_sum,
     _elbo_terms,
     _event_variances,
-    _project,
     event_moments,
     lambda_of_xi,
+    project,
 )
 
 __all__ = [
@@ -111,30 +111,23 @@ def update_theta(resp: np.ndarray, hp: HyperParams) -> np.ndarray:
     return hp.gamma0 + resp.sum(axis=0)
 
 
-def update_users(state: VariationalState, data: Dataset):
+def update_users(state: VariationalState, data: Dataset, lam, brand_proj):
     """(mean (U, d), cov (U, d, d)) of every user given current brands,
-    precisions and xi."""
-    return _update_users(state, data, lambda_of_xi(state.xi),
-                         _project(state.brand_mean, data.brands, data))
-
-
-def _update_users(state, data, lam, brand_proj):
+    precisions and xi: ``lam`` is lambda_of_xi(state.xi) and ``brand_proj``
+    each event's x'mu of its brand, ``project(state.brand_mean, data.brands,
+    data)``."""
     return _update_family(np.full(state.num_users, state.prec_u.mean), 0.0, lam, brand_proj,
-                          (*data.user_order, data.X_by_user), data)
+                          data.by_user, data)
 
 
-def update_brands(state: VariationalState, data: Dataset):
+def update_brands(state: VariationalState, data: Dataset, lam, user_proj):
     """(mean (B, d), cov (B, d, d)) of every brand; the style mixture acts
-    as their prior."""
-    return _update_brands(state, data, lambda_of_xi(state.xi),
-                          _project(state.user_mean, data.users, data))
-
-
-def _update_brands(state, data, lam, user_proj):
+    as their prior.  ``lam`` is as in ``update_users`` and ``user_proj``
+    each event's x'mu of its user, ``project(state.user_mean, data.users,
+    data)``."""
     e_db, mu = state.prec_b.mean, state.resp
     return _update_family(e_db * mu.sum(axis=1),  # rows sum to 1, so this is e_db
-                          e_db * (mu @ state.style_mean), lam, user_proj,
-                          (*data.brand_order, data.X_by_brand), data)
+                          e_db * (mu @ state.style_mean), lam, user_proj, data.by_brand, data)
 
 
 def _update_family(prior_prec, prior_pull, lam, other_proj, grouping, data):
@@ -142,7 +135,7 @@ def _update_family(prior_prec, prior_pull, lam, other_proj, grouping, data):
     prior_prec[k] I + 2 sum lam x x' and mean cov (prior_pull[k] + sum x c)
     over its events, with c = y - 1/2 - 2 lam x'm and x'm = ``other_proj``
     the event's projection on its other family's mean.  ``grouping`` is
-    (order, bounds, X sorted by order)."""
+    ``data.by_user`` or ``data.by_brand``: (order, bounds, X sorted by order)."""
     order, bounds, X = grouping
     d = data.feature_dim
     coef = data.y - 0.5 - 2.0 * lam * other_proj
@@ -190,12 +183,9 @@ def update_precisions(state: VariationalState, hp: HyperParams):
                  for n, sq in state.edge_sq_norms())
 
 
-def update_xi(state: VariationalState, data: Dataset) -> np.ndarray:
-    """Per-event bound locations: xi_t = sqrt(E[(x'(B + U))^2]) = sqrt(m_t^2 + s2_t)."""
-    return _xi(*event_moments(state, data))
-
-
-def _xi(m, s2):
+def update_xi(m: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """Per-event bound locations xi_t = sqrt(E[(x'(B + U))^2]) = sqrt(m_t^2 + s2_t),
+    given the event moments (m, s2) of ``model.event_moments``."""
     return np.sqrt(np.maximum(m * m + s2, 0.0))
 
 
@@ -214,16 +204,16 @@ def cavi_sweep(state: VariationalState, data: Dataset, hp: HyperParams):
     work.resp = update_responsibilities(work)
     work.theta_gamma = update_theta(work.resp, hp)
     lam = lambda_of_xi(work.xi)
-    work.user_mean, work.user_cov = _update_users(
-        work, data, lam, _project(work.brand_mean, data.brands, data))
-    user_proj = _project(work.user_mean, data.users, data)
-    work.brand_mean, work.brand_cov = _update_brands(work, data, lam, user_proj)
+    work.user_mean, work.user_cov = update_users(
+        work, data, lam, project(work.brand_mean, data.brands, data))
+    user_proj = project(work.user_mean, data.users, data)
+    work.brand_mean, work.brand_cov = update_brands(work, data, lam, user_proj)
     work.style_mean, work.style_var = update_styles(work)
     work.w_mean, work.w_var = update_w(work)
     work.prec_u, work.prec_b, work.prec_s, work.prec_w = update_precisions(work, hp)
-    m = _project(work.brand_mean, data.brands, data) + user_proj
+    m = project(work.brand_mean, data.brands, data) + user_proj
     s2 = _event_variances(work, data)
-    work.xi = _xi(m, s2)
+    work.xi = update_xi(m, s2)
     return work, _elbo_terms(work, data, hp, m, s2)
 
 
@@ -233,15 +223,15 @@ def fit(data: Dataset, hp: HyperParams, seed: int = 0,
 
     Returns (state, FitReport).  Deterministic given the seed; passing an
     explicit ``init`` state bypasses the seeded initialization, and the fit
-    starts from its factors with xi = ``update_xi(init, data)``; the init's
-    own xi is never read, so one fitted on other events, or loaded from a
-    checkpoint without xi, starts the same way.  Stops when
-    |ELBO change| / (|ELBO| + 1e-12) < hp.rel_tol or after hp.max_iters
-    sweeps; a sweep that lowers the ELBO by more than 1e-9 |ELBO| raises
-    NumericalError.  With ``restarts`` > 1 the loop is run from that many
-    seeded initializations (seeds seed, seed + 100, ...) and the run with
-    the highest final ELBO wins; mixture-style models converge to local
-    optima, so a few restarts are cheap insurance.
+    starts from its factors with xi = ``update_xi(*event_moments(init,
+    data))``; the init's own xi is never read, so one fitted on other
+    events, or loaded from a checkpoint without xi, starts the same way.
+    Stops when |ELBO change| / (|ELBO| + 1e-12) < hp.rel_tol or after
+    hp.max_iters sweeps; a sweep that lowers the ELBO by more than
+    1e-9 |ELBO| raises NumericalError.  With ``restarts`` > 1 the loop is
+    run from that many seeded initializations (seeds seed, seed + 100, ...)
+    and the run with the highest final ELBO wins; mixture-style models
+    converge to local optima, so a few restarts are cheap insurance.
     """
     if restarts > 1 and init is None:
         runs = [_fit_once(data, hp, seed + 100 * r, None) for r in range(restarts)]
@@ -258,7 +248,7 @@ def _fit_once(data: Dataset, hp: HyperParams, seed: int,
         state = initial_state(data, hp, seed)
     else:  # xi starts at the exact maximizer for the init's factors on these events
         state = init.copy()
-        state.xi = update_xi(state, data)
+        state.xi = update_xi(*event_moments(state, data))
 
     trace = []
     converged = False

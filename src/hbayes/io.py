@@ -269,8 +269,9 @@ def save_checkpoint(ckpt: Checkpoint, path):
     version it was loaded from.
 
     The per-event bound locations ``state.xi`` are not written: they are
-    working state of the fit, and ``fit(init=...)`` rebuilds them with
-    ``update_xi``, so the file grows with users and brands, not events.
+    working state of the fit, and ``fit(init=...)`` rebuilds them as
+    ``update_xi(*event_moments(state, data))``, so the file grows with
+    users and brands, not events.
     A checkpoint that ``load_checkpoint`` would reject for its dimensions
     or id lists raises CheckpointError and nothing is written.  Saving,
     loading and saving again produces a byte-identical file.

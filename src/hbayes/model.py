@@ -14,6 +14,7 @@ bound; its term-by-term derivation lives in ``docs/elbo.md``.
 """
 
 import math
+import numbers
 from copy import deepcopy
 from dataclasses import dataclass
 from functools import cached_property, wraps
@@ -155,6 +156,14 @@ class HyperParams:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer")
             setattr(self, name, int(value))
+        for name in ("alpha0", "beta0", "rel_tol"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number")
+            try:
+                setattr(self, name, float(value))
+            except OverflowError as err:  # an integer past float range
+                raise ValueError(f"{name} must be positive and finite: {err}") from None
         if self.num_styles < 1:
             raise ValueError("num_styles must be >= 1")
         if self.feature_dim < 1:
@@ -172,7 +181,6 @@ class HyperParams:
             raise ValueError("max_iters must be non-negative")
         if not 0 < self.rel_tol < math.inf:
             raise ValueError("rel_tol must be positive and finite")
-        self.alpha0, self.beta0, self.rel_tol = map(float, (self.alpha0, self.beta0, self.rel_tol))
 
 
 @dataclass
@@ -268,25 +276,18 @@ class Dataset:
                     self.y.astype(int).tolist())]
 
     @cached_property
-    def user_order(self) -> tuple:
-        """(order, bounds): event indices sorted stably by user; user k's
-        events are order[bounds[k]:bounds[k + 1]]."""
-        return _sort_by_entity(self.users, self.num_users)
+    def by_user(self) -> tuple:
+        """(order, bounds, X sorted): event indices sorted stably by user, so
+        user k's events are order[bounds[k]:bounds[k + 1]], and X with its
+        rows in that order, sorted once."""
+        order, bounds = _sort_by_entity(self.users, self.num_users)
+        return order, bounds, self.X[order]
 
     @cached_property
-    def brand_order(self) -> tuple:
-        """(order, bounds) as in ``user_order``, by brand."""
-        return _sort_by_entity(self.brands, self.num_brands)
-
-    @cached_property
-    def X_by_user(self) -> np.ndarray:
-        """X with its rows in ``user_order``, sorted once."""
-        return self.X[self.user_order[0]]
-
-    @cached_property
-    def X_by_brand(self) -> np.ndarray:
-        """X with its rows in ``brand_order``, sorted once."""
-        return self.X[self.brand_order[0]]
+    def by_brand(self) -> tuple:
+        """(order, bounds, X sorted) as in ``by_user``, by brand."""
+        order, bounds = _sort_by_entity(self.brands, self.num_brands)
+        return order, bounds, self.X[order]
 
 
 def _check_events(checks):
@@ -464,11 +465,11 @@ class VariationalState:
 def event_moments(state: VariationalState, data: Dataset):
     """(m, s2): mean and variance of h_t = x_t'(B + U) under q for every event,
     m_t = x_t'(mu^b + mu^u) and s2_t = x_t' Sigma^b x_t + x_t' Sigma^u x_t."""
-    m = _project(state.brand_mean, data.brands, data) + _project(state.user_mean, data.users, data)
+    m = project(state.brand_mean, data.brands, data) + project(state.user_mean, data.users, data)
     return m, _event_variances(state, data)
 
 
-def _project(means, index, data):
+def project(means, index, data):
     """x_t' means[index[t]] for every event t, shape (N,)."""
     return np.einsum("nd,nd->n", data.X, means[index])
 
@@ -479,8 +480,8 @@ def _event_variances(state, data):
     buffer, so no (N, d, d) covariance stack is built: memory is O(N d)."""
     s2 = np.zeros(len(data))
     XC = np.empty_like(data.X)
-    for cov, (order, bounds), Xs in ((state.user_cov, data.user_order, data.X_by_user),
-                                     (state.brand_cov, data.brand_order, data.X_by_brand)):
+    for cov, (order, bounds, Xs) in ((state.user_cov, data.by_user),
+                                     (state.brand_cov, data.by_brand)):
         for k, (lo, hi) in enumerate(pairwise(bounds.tolist())):
             np.matmul(Xs[lo:hi], cov[k], out=XC[lo:hi])
         s2[order] += np.einsum("nd,nd->n", XC, Xs)

@@ -155,7 +155,7 @@ def _toy_dataset(num_users=6, events_per_user=10, seed=0):
 def test_stratified_folds_balanced_per_user():
     data = _toy_dataset(num_users=5, events_per_user=11)
     fold_of = stratified_user_folds(data, folds=4, seed=3)
-    order, bounds = data.user_order
+    order, bounds, _ = data.by_user
     for idx in np.split(order, bounds[1:-1]):
         counts = np.bincount(fold_of[idx], minlength=4)
         assert counts.max() - counts.min() <= 1
@@ -258,7 +258,7 @@ def test_cross_validate_random_scores_match_permutation_null():
     fold_null_vars = []
     for f in range(folds):
         cell_means, cell_vars = [], []
-        order, bounds = data.user_order
+        order, bounds, _ = data.by_user
         for idx in np.split(order, bounds[1:-1]):
             held = idx[fold_of[idx] == f]
             gains = data.y[held]

@@ -38,6 +38,7 @@ from hbayes.inference import (
     update_xi,
 )
 from hbayes.linalg import spd_inverse, spd_logdet
+from hbayes.model import event_moments, project
 
 from helpers import (
     make_dataset,
@@ -150,7 +151,8 @@ def test_update_user_without_events_reverts_to_prior():
                         feature_dim=2)
     state = prior_matched_state(hp, 2, 1, num_events=1)
     state.prec_u = GammaPosterior(6.0, 3.0)  # mean 2
-    mean, cov = update_users(state, data)
+    mean, cov = update_users(state, data, lambda_of_xi(state.xi),
+                             project(state.brand_mean, data.brands, data))
     np.testing.assert_array_equal(mean[0], np.zeros(2))
     np.testing.assert_allclose(cov[0], np.eye(2) / 2.0, atol=1e-12)
 
@@ -159,7 +161,8 @@ def test_update_user_single_event_scalar_arithmetic():
     _, data, state = _single_event_instance()
     lam = (1.0 / (1.0 + math.exp(-1.0)) - 0.5) / 2.0
     expected_cov = 1.0 / (1.0 + 2.0 * lam)
-    mean, cov = update_users(state, data)
+    mean, cov = update_users(state, data, lambda_of_xi(state.xi),
+                             project(state.brand_mean, data.brands, data))
     assert cov[0, 0, 0] == pytest.approx(expected_cov, rel=1e-12)
     assert mean[0, 0] == pytest.approx(expected_cov * 0.5, rel=1e-12)
 
@@ -172,9 +175,11 @@ def test_update_user_stronger_prior_shrinks_mean():
     state = prior_matched_state(hp, 1, 1, num_events=20)
     state.brand_mean[0], state.brand_cov[0] = rng.standard_normal(3), np.eye(3)
     state.prec_u = GammaPosterior(2.0, 2.0)  # mean 1
-    loose = update_users(state, data)[0][0]
+    loose = update_users(state, data, lambda_of_xi(state.xi),
+                         project(state.brand_mean, data.brands, data))[0][0]
     state.prec_u = GammaPosterior(4.0, 2.0)  # mean 2
-    tight = update_users(state, data)[0][0]
+    tight = update_users(state, data, lambda_of_xi(state.xi),
+                         project(state.brand_mean, data.brands, data))[0][0]
     assert np.linalg.norm(tight) < np.linalg.norm(loose)
 
 
@@ -185,7 +190,8 @@ def test_update_brand_without_events_uses_style_mixture():
     state.style_mean[:], state.style_var[:] = [[1.0, 0.0], [0.0, 2.0]], 0.3
     state.resp = np.array([[0.25, 0.75]])
     data = Dataset([], 1, 1, 2)
-    mean, cov = update_brands(state, data)
+    mean, cov = update_brands(state, data, lambda_of_xi(state.xi),
+                              project(state.user_mean, data.users, data))
     np.testing.assert_allclose(cov[0], np.eye(2) / 2.0, atol=1e-12)
     np.testing.assert_allclose(mean[0], 0.25 * np.array([1.0, 0.0])
                                + 0.75 * np.array([0.0, 2.0]), atol=1e-12)
@@ -196,14 +202,18 @@ def test_update_brand_one_hot_returns_style_mean():
     state = prior_matched_state(hp, 1, 1)
     state.style_mean[:], state.style_var[:] = [[3.0, -1.0], [0.0, 2.0]], 0.3
     state.resp = np.array([[1.0, 0.0]])
-    mean, _ = update_brands(state, Dataset([], 1, 1, 2))
+    data = Dataset([], 1, 1, 2)
+    mean, _ = update_brands(state, data, lambda_of_xi(state.xi),
+                            project(state.user_mean, data.users, data))
     np.testing.assert_allclose(mean[0], [3.0, -1.0], atol=1e-12)
 
 
 def test_update_brand_mirrors_update_user():
     _, data, state = _single_event_instance()
-    user_mean, user_cov = update_users(state, data)
-    brand_mean, brand_cov = update_brands(state, data)
+    user_mean, user_cov = update_users(state, data, lambda_of_xi(state.xi),
+                                       project(state.brand_mean, data.brands, data))
+    brand_mean, brand_cov = update_brands(state, data, lambda_of_xi(state.xi),
+                                          project(state.user_mean, data.users, data))
     assert brand_cov[0, 0, 0] == pytest.approx(user_cov[0, 0, 0], rel=1e-12)
     assert brand_mean[0, 0] == pytest.approx(user_mean[0, 0], rel=1e-12)
 
@@ -244,9 +254,11 @@ def test_family_updates_match_per_entity_loop(d, seed):
     assert [np.sum(data.users == k) for k in (0, 1)] == [0, 1]
     assert [np.sum(data.brands == i) for i in (0, 1)] == [0, 1]
     assert np.ptp(state.resp) > 0.1
-    _assert_factors_close(update_users(state, data),
+    _assert_factors_close(update_users(state, data, lambda_of_xi(state.xi),
+                                       project(state.brand_mean, data.brands, data)),
                           [reference_update_user(k, state, data) for k in range(6)])
-    _assert_factors_close(update_brands(state, data),
+    _assert_factors_close(update_brands(state, data, lambda_of_xi(state.xi),
+                                        project(state.user_mean, data.users, data)),
                           [reference_update_brand(i, state, data) for i in range(5)])
 
 
@@ -390,7 +402,7 @@ def test_update_xi_point_mass_posteriors():
     state = prior_matched_state(hp, 1, 1, num_events=1)
     state.user_mean[0], state.user_cov[0] = [0.5, 0.5], np.zeros((2, 2))
     state.brand_mean[0], state.brand_cov[0] = [0.5, 0.0], np.zeros((2, 2))
-    out = update_xi(state, data)
+    out = update_xi(*event_moments(state, data))
     assert out[0] == pytest.approx(abs(1.0 * 1.0 + (-2.0) * 0.5), rel=1e-12)
 
 
@@ -399,7 +411,7 @@ def test_update_xi_zero_features():
     data = make_dataset([([0.0, 0.0], 0, 0, 0)], num_users=1, num_brands=1,
                         feature_dim=2)
     state = prior_matched_state(hp, 1, 1, num_events=1)
-    assert update_xi(state, data)[0] == 0.0
+    assert update_xi(*event_moments(state, data))[0] == 0.0
 
 
 def test_update_xi_direct_arithmetic():
@@ -408,7 +420,7 @@ def test_update_xi_direct_arithmetic():
     state = prior_matched_state(hp, 1, 1, num_events=1)
     state.user_mean[0], state.user_cov[0] = [0.4], 0.25 * np.eye(1)
     state.brand_mean[0], state.brand_cov[0] = [0.6], 0.25 * np.eye(1)
-    assert update_xi(state, data)[0] == pytest.approx(math.sqrt(6.0), rel=1e-12)
+    assert update_xi(*event_moments(state, data))[0] == pytest.approx(math.sqrt(6.0), rel=1e-12)
 
 
 def _assert_close(got, want):
@@ -423,7 +435,7 @@ def test_grouped_moments_match_gathered_covariances(d, seed):
     interleaved events with an empty and a single-event user and brand."""
     data, state = _family_instance(d, seed)
     m, s2 = reference_event_moments(state, data)
-    _assert_close(update_xi(state, data), np.sqrt(m * m + s2))
+    _assert_close(update_xi(*event_moments(state, data)), np.sqrt(m * m + s2))
     xi, lam = state.xi, lambda_of_xi(state.xi)
     bound = np.sum(data.y * m - np.logaddexp(0.0, -xi) - 0.5 * (m + xi)
                    - lam * (m * m + s2 - xi * xi))
@@ -435,7 +447,7 @@ def test_grouped_moments_without_events():
     hp = HyperParams(num_styles=2, feature_dim=3)
     data = Dataset(events=[], num_users=2, num_brands=3, feature_dim=3)
     state = random_state(hp, num_users=2, num_brands=3, num_events=0, seed=0)
-    assert update_xi(state, data).shape == (0,)
+    assert update_xi(*event_moments(state, data)).shape == (0,)
     assert elbo_terms(state, data, hp)["likelihood_bound"] == 0.0
 
 
@@ -450,10 +462,10 @@ def test_update_xi_memory_is_linear_in_events():
     data = make_dataset(rows, num_users=200, num_brands=100, feature_dim=d)
     state = random_state(hp, num_users=200, num_brands=100, num_events=n, seed=1)
     # Build the cached event arrays first, so that only update_xi is traced.
-    _ = data.X, data.users, data.brands, data.user_order, data.brand_order
+    _ = data.X, data.users, data.brands, data.by_user, data.by_brand
     tracemalloc.start()
     try:
-        update_xi(state, data)
+        update_xi(*event_moments(state, data))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -512,12 +524,14 @@ def _public_sweep(state, data, hp):
     work = state.copy()
     work.resp = update_responsibilities(work)
     work.theta_gamma = update_theta(work.resp, hp)
-    work.user_mean, work.user_cov = update_users(work, data)
-    work.brand_mean, work.brand_cov = update_brands(work, data)
+    work.user_mean, work.user_cov = update_users(work, data, lambda_of_xi(work.xi),
+                                                 project(work.brand_mean, data.brands, data))
+    work.brand_mean, work.brand_cov = update_brands(work, data, lambda_of_xi(work.xi),
+                                                    project(work.user_mean, data.users, data))
     work.style_mean, work.style_var = update_styles(work)
     work.w_mean, work.w_var = update_w(work)
     work.prec_u, work.prec_b, work.prec_s, work.prec_w = update_precisions(work, hp)
-    work.xi = update_xi(work, data)
+    work.xi = update_xi(*event_moments(work, data))
     return work
 
 
@@ -549,7 +563,7 @@ def test_fit_computes_each_per_event_pass_once_per_sweep(monkeypatch):
     sweeps = 5
     hp, data = _synthetic(max_iters=sweeps, rel_tol=1e-300)
     calls = {}
-    for name in ("_event_variances", "lambda_of_xi", "_project"):
+    for name in ("_event_variances", "lambda_of_xi", "project"):
         real = getattr(model, name)
 
         def counted(*args, _name=name, _real=real):
@@ -561,7 +575,28 @@ def test_fit_computes_each_per_event_pass_once_per_sweep(monkeypatch):
     _, report = fit(data, hp, seed=0)
     assert report.iterations_run == sweeps
     assert calls == {"_event_variances": sweeps, "lambda_of_xi": 2 * sweeps,
-                     "_project": 3 * sweeps}
+                     "project": 3 * sweeps}
+
+
+def test_fit_runs_every_update_through_its_public_function(monkeypatch):
+    """Each sweep looks up every ``update_*`` in the module globals and calls
+    it once, so a wrapper installed there sees the code the fit runs."""
+    sweeps = 4
+    hp, data = _synthetic(max_iters=sweeps, rel_tol=1e-300)
+    names = [name for name in inference.__all__ if name.startswith("update_")]
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(inference, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(inference, name, counted)
+    _, report = fit(data, hp, seed=0)
+    assert report.iterations_run == sweeps
+    assert len(names) == 8
+    assert calls == dict.fromkeys(names, sweeps)
 
 
 def test_fit_working_set_stays_below_two_event_feature_arrays():
@@ -570,7 +605,7 @@ def test_fit_working_set_stays_below_two_event_feature_arrays():
     n, d = 30_000, 20
     hp = HyperParams(num_styles=3, feature_dim=d, max_iters=3)
     data, _ = sample_dataset(hp, num_users=40, num_brands=15, num_events=n, seed=0)
-    _ = data.X_by_user, data.X_by_brand
+    _ = data.by_user, data.by_brand
     fit(data, hp, seed=0)  # numpy's lazy imports happen outside the trace
     tracemalloc.start()
     try:
@@ -625,7 +660,8 @@ def test_fit_coordinate_updates_locally_optimal():
         return 0.1 * v / np.linalg.norm(v)
 
     st = state.copy()
-    st.user_mean, st.user_cov = update_users(st, data)
+    st.user_mean, st.user_cov = update_users(st, data, lambda_of_xi(st.xi),
+                                             project(st.brand_mean, data.brands, data))
     base = elbo(st, data, hp)
     for _ in range(10):
         pert = st.copy()
@@ -748,12 +784,12 @@ def test_fit_restarts_pick_best_elbo():
 
 def test_fit_warm_start_on_other_events_rebuilds_xi():
     """A state fitted on 400 events warm-starts a fit on 300 of them: its xi
-    has the wrong length, so the fit starts from update_xi(init, subset)."""
+    has the wrong length, so the fit starts from update_xi(*event_moments(init, subset))."""
     hp, data = _synthetic(max_iters=10)
     state, _ = fit(data, hp, seed=2)
     subset = data.subset(np.flatnonzero(np.arange(len(data)) % 4 != 0))
     warm, report = fit(subset, hp, init=state)
-    start = replace(state, xi=update_xi(state, subset))
+    start = replace(state, xi=update_xi(*event_moments(state, subset)))
     trace = np.array([elbo(start, subset, hp), *report.elbo_trace])
     assert np.all(np.diff(trace) >= -1e-9 * np.abs(trace[:-1]))
     assert warm.xi.shape == (len(subset),)
@@ -782,13 +818,13 @@ def test_fit_warm_start_from_checkpoint_without_xi(tmp_path):
 def test_fit_warm_start_on_as_many_other_events_rebuilds_xi():
     """An init fitted on 400 events, warm-started on 400 other events: its xi
     has the right length but belongs to the old events, so the fit starts
-    from update_xi(init, other) all the same."""
+    from update_xi(*event_moments(init, other)) all the same."""
     hp, data = _synthetic(max_iters=10)
     state, _ = fit(data, hp, seed=2)
     _, other = _synthetic(max_iters=10, seed=6)
     assert len(other) == len(data)
     _, warm = fit(other, hp, init=state)
-    _, explicit = fit(other, hp, init=replace(state, xi=update_xi(state, other)))
+    _, explicit = fit(other, hp, init=replace(state, xi=update_xi(*event_moments(state, other))))
     assert warm.elbo_trace == explicit.elbo_trace  # bit-identical
 
 

@@ -28,6 +28,7 @@ from hbayes import (
     save_checkpoint,
     save_events,
 )
+from hbayes import cli, evaluation
 from hbayes.generator import GroundTruth
 from hbayes.io import load_candidates, save_ground_truth, save_json, save_trace_csv
 
@@ -418,6 +419,15 @@ def test_checkpoint_rejects_integers_past_float_range(tmp_path, keys):
     save_checkpoint(_fitted(tmp_path), path)
     _write_with(path, path, keys, 10 ** 400)
     with pytest.raises(CheckpointError, match="int too large to convert to float"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [True, "0.01"], ids=["bool", "string"])
+def test_checkpoint_rejects_hyperparams_that_are_not_numbers(tmp_path, value):
+    path = tmp_path / "model.json"
+    save_checkpoint(_fitted(tmp_path), path)
+    _write_with(path, path, ("hyperparams", "alpha0"), value)
+    with pytest.raises(CheckpointError, match="alpha0 must be a real number"):
         load_checkpoint(path)
 
 
@@ -851,6 +861,16 @@ def test_cli_rank_rejects_k_zero_as_usage_error(tmp_path):
     assert res.returncode == 2
     assert "--k" in res.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_defaults_are_the_library_defaults():
+    parser = cli._build_parser()
+    train = parser.parse_args(["train", "--events", "e.jsonl", "--styles", "2",
+                               "--checkpoint-out", "m.json"])
+    assert (train.max_iters, train.tol) == (HyperParams.max_iters, HyperParams.rel_tol)
+    ev = parser.parse_args(["eval", "--events", "e.jsonl", "--styles", "2",
+                            "--report-out", "r.json"])
+    assert ev.k == evaluation.DEFAULT_K_VALUES
 
 
 def test_cli_unknown_flag_is_usage_error():

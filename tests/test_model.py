@@ -206,6 +206,20 @@ def test_hyperparams_counts_must_be_integers(key, value):
         HyperParams(**{"num_styles": 2, "feature_dim": 3, key: value})
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("alpha0", True, "alpha0 must be a real number"),
+    ("beta0", np.bool_(False), "beta0 must be a real number"),
+    ("alpha0", "1", "alpha0 must be a real number"),
+    ("rel_tol", "x", "rel_tol must be a real number"),
+    ("rel_tol", None, "rel_tol must be a real number"),
+    ("alpha0", 10**400, "alpha0 must be positive and finite: int too large to convert to float"),
+    ("rel_tol", -10**400, "rel_tol must be positive and finite: int too large to convert to float"),
+], ids=["bool", "numpy-bool", "numeric-string", "string", "none", "huge-int", "huge-negative-int"])
+def test_hyperparams_settings_must_be_real_numbers(key, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        HyperParams(**{"num_styles": 2, "feature_dim": 3, key: value})
+
+
 def test_hyperparams_store_python_numbers():
     """numpy integers become int and float settings become float, so the
     fields serialise as JSON as they are."""
@@ -262,9 +276,9 @@ def test_dataset_from_arrays_holds_columns():
 
 def test_dataset_sorted_features_follow_the_orders():
     data = Dataset.from_arrays(*_columns(n=40, d=2, seed=3), num_users=3, num_brands=4)
-    np.testing.assert_array_equal(data.X_by_user, data.X[data.user_order[0]])
-    np.testing.assert_array_equal(data.X_by_brand, data.X[data.brand_order[0]])
-    assert data.X_by_user is data.X_by_user  # sorted once
+    for order, _, X_sorted in (data.by_user, data.by_brand):
+        np.testing.assert_array_equal(X_sorted, data.X[order])
+    assert data.by_user is data.by_user  # sorted once
 
 
 def test_dataset_subset_keeps_order_entities_and_ids():
