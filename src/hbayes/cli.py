@@ -60,11 +60,12 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True, help="events JSONL output path")
     gen.add_argument("--truth-out", help="ground-truth sidecar JSON output path")
-    gen.add_argument("--feature-scale", type=_non_negative_float, default=1.0)
-    gen.add_argument("--prec-user", type=_positive_float, default=4.0)
-    gen.add_argument("--prec-brand", type=_positive_float, default=25.0)
-    gen.add_argument("--prec-style", type=_positive_float, default=2.0)
-    gen.add_argument("--prec-w", type=_positive_float, default=2.0)
+    gen.add_argument("--feature-scale", type=_non_negative_float,
+                     default=generator.DEFAULT_FEATURE_SCALE)
+    for flag, default in zip(("--prec-user", "--prec-brand", "--prec-style", "--prec-w"),
+                             generator.DEFAULT_TRUE_PRECISIONS):
+        gen.add_argument(flag, type=_positive_float, default=default)
+    gen.set_defaults(run=_cmd_generate)
 
     train = sub.add_parser("train", help="fit the model on an event file")
     train.add_argument("--events", required=True)
@@ -74,6 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--checkpoint-out", required=True)
     train.add_argument("--trace-out", help="ELBO trace CSV output path")
+    train.set_defaults(run=_cmd_train)
 
     rank = sub.add_parser("rank", help="rank candidate items for one user")
     rank.add_argument("--checkpoint", required=True)
@@ -82,15 +84,17 @@ def _build_parser() -> argparse.ArgumentParser:
     rank.add_argument("--user", required=True, help="user id string")
     rank.add_argument("--k", type=_positive_int, default=10)
     rank.add_argument("--out", required=True)
+    rank.set_defaults(run=_cmd_rank)
 
     ev = sub.add_parser("eval", help="cross-validated ranking metrics")
     ev.add_argument("--events", required=True)
     ev.add_argument("--styles", type=_positive_int, required=True)
-    ev.add_argument("--folds", type=_fold_count, default=5)
+    ev.add_argument("--folds", type=_fold_count, default=evaluation.DEFAULT_FOLDS)
     ev.add_argument("--seed", type=int, default=0)
     ev.add_argument("--k", type=_cutoffs, default=evaluation.DEFAULT_K_VALUES,
                     help="comma-separated cutoffs")
     ev.add_argument("--report-out", required=True)
+    ev.set_defaults(run=_cmd_eval)
     return parser
 
 
@@ -132,11 +136,6 @@ def _cmd_rank(args) -> int:
     user_id = user_index.get(args.user)
 
     items = [(item, x, brand_index.get(brand)) for item, x, brand, _ in candidates]
-    if candidates[0][1].size != ckpt.hyperparams.feature_dim:  # rows of one array
-        raise io.EventParseError(
-            f"candidate feature length differs from model dimension "
-            f"{ckpt.hyperparams.feature_dim}"
-        )
     top = predictor.rank_top_k(user_id, items, ckpt.state, args.k)
     doc = {
         "user": args.user,
@@ -163,21 +162,12 @@ def _cmd_eval(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "train":
-            return _cmd_train(args)
-        if args.command == "rank":
-            return _cmd_rank(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
+        return args.run(args)
     except (OSError, ValueError, NumericalError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ __all__ = [
     "cross_validate",
 ]
 
+DEFAULT_FOLDS = 5
 DEFAULT_K_VALUES = (5, 10, 25, 50)
 _METRICS = ("precision", "recall", "ndcg")
 
@@ -44,22 +45,18 @@ def recall_at_k(ranked, relevant, k: int) -> float:
     return hits / len(relevant)
 
 
-def _gain(relevance, item) -> float:
-    rel = relevance(item) if callable(relevance) else relevance.get(item, 0)
-    return float(rel)
-
-
-def ndcg_at_k(ranked, relevance, k: int) -> float:
-    """Normalized discounted cumulative gain with binary gains.
+def ndcg_at_k(ranked, relevant, k: int) -> float:
+    """Normalized discounted cumulative gain with binary gains: an item's
+    gain is 1 if it is relevant, else 0.
 
     DCG@k = sum_i gain_i / log2(i + 1) over ranks i = 1..k; the normalizer
     is the DCG of the ideal reordering of the same gains, truncated at k.
-    Returns 0 when no item is relevant.  ``relevance`` maps an item to
-    {0, 1} (a mapping or a callable).
+    Returns 0 when no ranked item is relevant.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    gains = [_gain(relevance, item) for item in ranked]
+    relevant = set(relevant)
+    gains = [float(item in relevant) for item in ranked]
     discounts = 1.0 / np.log2(np.arange(2, len(gains) + 2))
     dcg = float(np.dot(gains[:k], discounts[: min(k, len(gains))]))
     ideal = sorted(gains, reverse=True)[:k]
@@ -98,23 +95,22 @@ def hbayes_scorer_factory(train: Dataset, hp: HyperParams, seed: int):
     return score
 
 
-def cross_validate(data: Dataset, hp: HyperParams, folds: int = 5, seed: int = 0,
-                   k_values=DEFAULT_K_VALUES, scorer_factory=None) -> dict:
+def cross_validate(data: Dataset, hp: HyperParams, folds: int = DEFAULT_FOLDS, seed: int = 0,
+                   k_values=DEFAULT_K_VALUES, scorer_factory=hbayes_scorer_factory) -> dict:
     """K-fold evaluation with per-user stratified event splits.
 
-    Users with fewer than ``folds`` events are excluded.  For each fold the
-    scorer is built on the training split (the default fits this model) and
-    each user's held-out events are ranked; positives are the clicked
-    held-out events.  Metrics are macro-averaged over users that have at
-    least one held-out positive.  Deterministic given the seed.
+    Users with fewer than ``folds`` events are excluded.  For each fold
+    ``scorer_factory(train, hp, seed)`` builds a scorer on the training
+    split (the default, ``hbayes_scorer_factory``, fits this model) and each
+    user's held-out events are ranked by it.  The relevant set is the
+    clicked held-out events, and precision, recall and NDCG each take
+    (ranked, relevant, k).  Metrics are macro-averaged over users that have
+    at least one held-out positive.  Deterministic given the seed.
 
     Returns the metrics report that ``hbayes eval`` writes (layout in
     docs/file_formats.md): ``k_values``, one entry per fold under
     ``folds``, and the ``mean`` and ``std`` across folds at each cutoff.
     """
-    if scorer_factory is None:
-        scorer_factory = hbayes_scorer_factory
-
     fold_of = stratified_user_folds(data, folds, seed)
     if not np.any(fold_of >= 0):
         raise ValueError(
@@ -143,7 +139,7 @@ def cross_validate(data: Dataset, hp: HyperParams, folds: int = 5, seed: int = 0
             for i, k in enumerate(k_values):
                 metrics[f, i] += (precision_at_k(ranked, relevant, k),
                                   recall_at_k(ranked, relevant, k),
-                                  ndcg_at_k(ranked, {t: 1 for t in relevant}, k))
+                                  ndcg_at_k(ranked, relevant, k))
         if evaluated[f]:
             metrics[f] /= evaluated[f]
     return _report(k_values, metrics, evaluated)

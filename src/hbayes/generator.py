@@ -8,6 +8,10 @@ from .model import Dataset, HyperParams, sigmoid
 
 __all__ = ["GroundTruth", "sample_dataset"]
 
+# sample_dataset's defaults, which ``hbayes generate`` shares.
+DEFAULT_TRUE_PRECISIONS = (4.0, 25.0, 2.0, 2.0)
+DEFAULT_FEATURE_SCALE = 1.0
+
 
 @dataclass
 class GroundTruth:
@@ -29,7 +33,8 @@ class GroundTruth:
 
 
 def sample_dataset(hp: HyperParams, num_users: int, num_brands: int, num_events: int,
-                   true_precisions=(4.0, 25.0, 2.0, 2.0), feature_scale: float = 1.0,
+                   true_precisions=DEFAULT_TRUE_PRECISIONS,
+                   feature_scale: float = DEFAULT_FEATURE_SCALE,
                    seed: int = 0):
     """Draw (Dataset, GroundTruth) from the generative story.
 

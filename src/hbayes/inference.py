@@ -47,8 +47,12 @@ class FitReport:
     """Diagnostics from one fitting run."""
 
     elbo_trace: list
-    iterations_run: int
     converged: bool
+
+    @property
+    def iterations_run(self) -> int:
+        """Sweeps run: one ELBO per sweep."""
+        return len(self.elbo_trace)
 
 
 def initial_state(data: Dataset, hp: HyperParams, seed: int) -> VariationalState:
@@ -221,35 +225,37 @@ def fit(data: Dataset, hp: HyperParams, seed: int = 0,
         init: VariationalState | None = None, restarts: int = 1):
     """Run coordinate ascent until the ELBO stabilizes.
 
-    Returns (state, FitReport).  Deterministic given the seed; passing an
-    explicit ``init`` state bypasses the seeded initialization, and the fit
-    starts from its factors with xi = ``update_xi(*event_moments(init,
+    Returns (state, FitReport).  The ascent runs from each start state and
+    the one with the highest final ELBO wins.  Without ``init`` the start
+    states are ``restarts`` >= 1 seeded initializations (seeds seed, seed +
+    100, ...): mixture-style models converge to local optima, so a few
+    restarts are cheap insurance.  With ``init`` the one start state is a
+    copy of its factors with xi = ``update_xi(*event_moments(init,
     data))``; the init's own xi is never read, so one fitted on other
     events, or loaded from a checkpoint without xi, starts the same way.
+    ``restarts`` < 1, or > 1 with an ``init``, raises ValueError.
+    Deterministic given the seed.
     Stops when |ELBO change| / (|ELBO| + 1e-12) < hp.rel_tol or after
     hp.max_iters sweeps; a sweep that lowers the ELBO by more than
-    1e-9 |ELBO| raises NumericalError.  With ``restarts`` > 1 the loop is
-    run from that many seeded initializations (seeds seed, seed + 100, ...)
-    and the run with the highest final ELBO wins; mixture-style models
-    converge to local optima, so a few restarts are cheap insurance.
+    1e-9 |ELBO| raises NumericalError.
     """
-    if restarts > 1 and init is None:
-        runs = [_fit_once(data, hp, seed + 100 * r, None) for r in range(restarts)]
-        return max(runs, key=lambda run: run[1].elbo_trace[-1] if run[1].elbo_trace
-                   else -np.inf)
-    return _fit_once(data, hp, seed, init)
-
-
-def _fit_once(data: Dataset, hp: HyperParams, seed: int,
-              init: VariationalState | None):
     if len(data) == 0:
         raise ValueError("training data must contain at least one event")
+    if restarts < 1 or (init is not None and restarts > 1):
+        raise ValueError(f"restarts must be >= 1, and 1 with an init state; got {restarts}")
     if init is None:
-        state = initial_state(data, hp, seed)
+        starts = [initial_state(data, hp, seed + 100 * r) for r in range(restarts)]
     else:  # xi starts at the exact maximizer for the init's factors on these events
-        state = init.copy()
-        state.xi = update_xi(*event_moments(state, data))
+        starts = [init.copy()]
+        starts[0].xi = update_xi(*event_moments(init, data))
+    runs = []
+    while starts:  # popped, so that no start state outlives its first sweep
+        runs.append(_ascend(starts.pop(0), data, hp))
+    return max(runs, key=lambda run: run[1].elbo_trace[-1] if run[1].elbo_trace else -np.inf)
 
+
+def _ascend(state: VariationalState, data: Dataset, hp: HyperParams):
+    """(final state, FitReport) of the sweeps from ``state``, as ``fit`` stops them."""
     trace = []
     converged = False
     previous = None
@@ -268,5 +274,4 @@ def _fit_once(data: Dataset, hp: HyperParams, seed: int,
                 converged = True
                 break
         previous = value
-
-    return state, FitReport(elbo_trace=trace, iterations_run=len(trace), converged=converged)
+    return state, FitReport(elbo_trace=trace, converged=converged)

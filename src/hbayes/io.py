@@ -261,7 +261,7 @@ def _fit_report(obj) -> FitReport:
         raise ValueError("fit_report.iterations_run must be the length of elbo_trace")
     if type(converged) is not bool:
         raise ValueError("fit_report.converged must be true or false")
-    return FitReport(elbo_trace, iterations_run, converged)
+    return FitReport(elbo_trace, converged)
 
 
 def save_checkpoint(ckpt: Checkpoint, path):
@@ -338,7 +338,8 @@ def load_checkpoint(path) -> Checkpoint:
             style_mean=style_mean, style_var=style_var,
             w_mean=w_mean, w_var=w_var,
             theta_gamma=np.asarray(s["theta_gamma"], dtype=float),
-            resp=np.asarray(s["resp"], dtype=float),
+            resp=np.asarray(s["resp"] if s["resp"] != [] else np.zeros((0, hp.num_styles)),
+                            dtype=float),  # no brands: shape (0, S), as for their factors
             **{name: GammaPosterior(**s[name]) for name in _PRECISION_FIELDS},
             xi=np.asarray(s["xi"] if version == 1 else (), dtype=float),
         )

@@ -212,18 +212,18 @@ class Dataset:
     once, and ``events`` is the reverse view, built on first access.
     ``user_ids`` / ``brand_ids`` optionally record the original string ids
     (index -> id, one distinct string per entity) when the data came from a
-    file.  Validation is vectorized and names the first bad event.
+    file; only ``from_arrays`` takes them.  Validation is vectorized and
+    names the first bad event.
     """
 
-    def __init__(self, events, num_users: int, num_brands: int, feature_dim: int,
-                 user_ids: list | None = None, brand_ids: list | None = None):
+    def __init__(self, events, num_users: int, num_brands: int, feature_dim: int):
         events = list(events)
         sizes = np.array([e.x.size for e in events], dtype=int)
         _check_events([(sizes != feature_dim,
                         lambda t: f"event {t}: feature length {sizes[t]} != {feature_dim}")])
         X = np.stack([e.x for e in events]) if events else np.zeros((0, feature_dim))
         self._set_columns(X, [e.user for e in events], [e.brand for e in events],
-                          [e.y for e in events], num_users, num_brands, user_ids, brand_ids)
+                          [e.y for e in events], num_users, num_brands, None, None)
 
     @classmethod
     def from_arrays(cls, X, users, brands, y, num_users: int, num_brands: int,
@@ -551,8 +551,7 @@ def _elbo_terms(state, data, hp, m, s2) -> dict:
     terms["entropy_styles"] = float(np.sum(_gaussian_entropy(d * np.log(state.style_var), d)))
     terms["entropy_w"] = _gaussian_entropy(d * np.log(state.w_var), d)
     terms["entropy_theta"] = _dirichlet_entropy(state.theta_gamma)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(mu > 0, mu * np.log(np.where(mu > 0, mu, 1.0)), 0.0)
+    plogp = mu * np.log(np.where(mu > 0, mu, 1.0))  # 0 log 0 = 0
     terms["entropy_assignments"] = -float(np.sum(plogp))
     terms["entropy_precisions"] = float(sum(p.entropy() for p in state.precisions))
 

@@ -1,5 +1,7 @@
 """Tests for the synthetic data generator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -80,6 +82,19 @@ def test_truth_fields_consistent():
     assert data.feature_dim == 6
     assert len(data) == 50
     assert data.num_users == 7 and data.num_brands == 9
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("theta", np.array([0.5, 0.6]), "theta must be a probability vector"),
+    ("theta", np.array([1.5, -0.5]), "theta must be a probability vector"),
+    ("style_assignments", np.array([0, 2]), "style assignments out of range"),
+    ("style_assignments", np.array([-1, 0]), "style assignments out of range"),
+])
+def test_truth_rejects_inconsistent_fields(field, value, message):
+    _, truth = sample_dataset(HyperParams(num_styles=2, feature_dim=2), num_users=1,
+                              num_brands=2, num_events=1, seed=0)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        replace(truth, **{field: value})
 
 
 def test_click_rates_match_monte_carlo_per_cell():

@@ -16,6 +16,7 @@ from hbayes import (
     GammaPosterior,
     HyperParams,
     NumericalError,
+    VariationalState,
     elbo,
     elbo_terms,
     lambda_of_xi,
@@ -780,6 +781,30 @@ def test_fit_restarts_pick_best_elbo():
         finals.append(rep.elbo_trace[-1])
     _, best = fit(data, hp, seed=5, restarts=3)
     assert best.elbo_trace[-1] == max(finals)
+
+
+@pytest.mark.parametrize("restarts, warm", [(0, False), (-3, False), (3, True), (0, True)],
+                         ids=["zero", "negative", "several-with-init", "zero-with-init"])
+def test_fit_rejects_restarts_it_would_ignore(restarts, warm):
+    """Fewer than one restart runs nothing, and an init gives one start state."""
+    hp, data = _synthetic(max_iters=2)
+    init = initial_state(data, hp, seed=1) if warm else None
+    with pytest.raises(ValueError, match="restarts"):
+        fit(data, hp, init=init, restarts=restarts)
+
+
+def test_fit_warm_start_returns_a_copy():
+    """At zero sweeps the warm start is returned as its start state: the
+    init's factors, in arrays it does not share."""
+    hp, data = _synthetic(max_iters=0)
+    init = initial_state(data, hp, seed=1)
+    state, report = fit(data, hp, init=init)
+    assert report.elbo_trace == [] and report.iterations_run == 0
+    for name in VariationalState._ARRAYS:
+        assert not np.shares_memory(getattr(state, name), getattr(init, name)), name
+        if name != "xi":
+            np.testing.assert_array_equal(getattr(state, name), getattr(init, name))
+    np.testing.assert_array_equal(state.xi, update_xi(*event_moments(init, data)))
 
 
 def test_fit_warm_start_on_other_events_rebuilds_xi():

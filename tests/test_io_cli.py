@@ -1,5 +1,6 @@
 """Tests for file formats, hashing, persistence, and the CLI."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -19,6 +20,7 @@ from hbayes import (
     Dataset,
     EventParseError,
     HyperParams,
+    cross_validate,
     fit,
     hash_features,
     load_checkpoint,
@@ -152,6 +154,15 @@ def test_loaders_name_the_first_faulty_line(tmp_path, loader, case):
     with pytest.raises(EventParseError) as err:
         loader(path)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("loader", [load_events, load_candidates])
+@pytest.mark.parametrize("line", ["[1.0, 2.0]", "3", "null", '"u0"'])
+def test_loaders_reject_a_line_that_is_not_an_object(tmp_path, loader, line):
+    path = tmp_path / "events.jsonl"
+    _write_lines(path, [_event_line(), line])
+    with pytest.raises(EventParseError, match="^line 2: expected a JSON object$"):
+        loader(path)
 
 
 def test_loaders_check_fields_before_finiteness(tmp_path):
@@ -376,6 +387,47 @@ def test_checkpoint_round_trip_byte_identical(tmp_path):
     save_checkpoint(_fitted(tmp_path), p1)
     save_checkpoint(load_checkpoint(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# The state fields of each entity family whose rows are its entities.
+_FAMILY_FIELDS = {"users": ("user_mean", "user_cov"),
+                  "brands": ("brand_mean", "brand_cov", "resp")}
+
+
+def _without(ckpt, family):
+    """``ckpt`` with no entities of ``family`` and no id lists."""
+    state = replace(ckpt.state, **{name: getattr(ckpt.state, name)[:0]
+                                   for name in _FAMILY_FIELDS[family]})
+    return Checkpoint(ckpt.hyperparams, state, ckpt.fit_report)
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILY_FIELDS), ids=lambda family: f"no-{family}")
+def test_checkpoint_without_a_family_round_trips(tmp_path, family):
+    """Saving, loading and saving a state with no users or no brands gives
+    the same bytes; its empty arrays load in their shapes, resp as (0, S)."""
+    ckpt = _without(_fitted(tmp_path), family)
+    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+    save_checkpoint(ckpt, p1)
+    loaded = load_checkpoint(p1)
+    save_checkpoint(loaded, p2)
+    assert p1.read_bytes() == p2.read_bytes()
+    for name in _FAMILY_FIELDS[family]:
+        assert getattr(loaded.state, name).shape == getattr(ckpt.state, name).shape
+
+
+@pytest.mark.parametrize("brands, resp, shape", [(0, [[]], (0, 2)), (0, [[0.5, 0.5]], (0, 2)),
+                                                 (3, [], (3, 2))],
+                         ids=["no-brands-empty-row", "no-brands-one-row", "brands-no-rows"])
+def test_checkpoint_rejects_resp_of_another_shape(tmp_path, brands, resp, shape):
+    ckpt = _fitted(tmp_path)
+    path = tmp_path / "model.json"
+    save_checkpoint(ckpt if brands else _without(ckpt, "brands"), path)
+    doc = json.loads(path.read_text())
+    doc["state"]["resp"] = resp
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"invariant violation: resp must have shape {shape}"
 
 
 def test_checkpoint_rejects_invalid_gamma(tmp_path):
@@ -871,6 +923,13 @@ def test_cli_defaults_are_the_library_defaults():
     ev = parser.parse_args(["eval", "--events", "e.jsonl", "--styles", "2",
                             "--report-out", "r.json"])
     assert ev.k == evaluation.DEFAULT_K_VALUES
+    assert ev.folds == inspect.signature(cross_validate).parameters["folds"].default
+    gen = parser.parse_args(["generate", "--users", "2", "--brands", "2", "--styles", "2",
+                             "--events", "5", "--dim", "2", "--out", "e.jsonl"])
+    library = inspect.signature(sample_dataset).parameters
+    assert gen.feature_scale == library["feature_scale"].default
+    assert (gen.prec_user, gen.prec_brand, gen.prec_style, gen.prec_w) == \
+        library["true_precisions"].default
 
 
 def test_cli_unknown_flag_is_usage_error():
@@ -920,6 +979,20 @@ def test_cli_rank_bad_checkpoint_ids_are_one_error_line(tmp_path, case):
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and field in lines[0], res.stderr
     assert not (tmp_path / "ranking.json").exists()
+
+
+def test_cli_rank_candidates_of_another_dimension_is_one_error_line(cli_artifacts, tmp_path):
+    """Candidates with 2 features against a model of dimension 3: exit 1,
+    one error line and no ranking file."""
+    events, out = tmp_path / "candidates.jsonl", tmp_path / "ranking.json"
+    _write_lines(events, [json.dumps({"user": "u0", "brand": "b0", "x": [1.0, 2.0]})])
+    res = _run_cli("rank", "--checkpoint", str(cli_artifacts["ckpt"]), "--events", str(events),
+                   "--user", "u0", "--out", str(out))
+    assert res.returncode == 1
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "dimension" in lines[0], \
+        res.stderr
+    assert not out.exists()
 
 
 def test_cli_train_empty_features_names_the_line(tmp_path):

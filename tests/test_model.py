@@ -190,6 +190,8 @@ def test_hyperparams_defaults_and_validation():
         HyperParams(num_styles=2, feature_dim=3, gamma0=np.array([1.0, -1.0]))
     with pytest.raises(ValueError):
         HyperParams(num_styles=2, feature_dim=3, alpha0=0.0)
+    with pytest.raises(ValueError, match="^max_iters must be non-negative$"):
+        HyperParams(num_styles=2, feature_dim=3, max_iters=-1)
 
 
 @pytest.mark.parametrize("rel_tol", [math.nan, math.inf])
@@ -236,6 +238,8 @@ def test_event_record_validation():
         EventRecord(x=np.array([np.nan]), brand=0, user=0, y=1)
     with pytest.raises(ValueError):
         EventRecord(x=np.zeros(2), brand=0, user=0, y=2)
+    with pytest.raises(ValueError, match="^x must be a 1-d vector$"):
+        EventRecord(x=np.zeros((2, 1)), brand=0, user=0, y=0)
 
 
 def test_dataset_validation():
@@ -307,10 +311,6 @@ def test_dataset_id_lists_must_be_distinct_strings(case):
     X, users, brands, y = np.zeros((4, 2)), [0, 1, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]
     with pytest.raises(ValueError, match=field):
         Dataset.from_arrays(X, users, brands, y, 2, 2, **{field: ids})
-    data = Dataset.from_arrays(X, users, brands, y, 2, 2, user_ids=["a", "b"],
-                               brand_ids=["p", "q"])
-    with pytest.raises(ValueError, match=field):
-        Dataset(data.events, 2, 2, 2, **{field: ids})
 
 
 def test_dataset_validation_names_the_first_bad_event():
@@ -367,6 +367,18 @@ def test_gaussian_posterior_validation():
         state.w_var = var
         with pytest.raises(ValueError):
             state.validate()
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("user_mean", np.zeros((3, 3)), r"^user_mean must have shape \(3, 2\)$"),
+    ("resp", np.full((2, 2), 0.5), r"^resp must have shape \(3, 2\)$"),
+    ("theta_gamma", np.array([1.0, 0.0]), "^theta_gamma entries must be positive$"),
+])
+def test_state_validation_checks_shapes_and_dirichlet(name, value, message):
+    state = _valid_state()
+    setattr(state, name, value)
+    with pytest.raises(ValueError, match=message):
+        state.validate()
 
 
 def test_gamma_posterior_moments():

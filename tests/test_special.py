@@ -1,6 +1,7 @@
 """The package's own special functions, checked against scipy, and the
 properties of the logistic bound that rest on them."""
 
+import math
 import subprocess
 import sys
 
@@ -36,6 +37,12 @@ def test_gamma_functions_match_scipy(name):
     for x in (1e-3, 0.01, 1.0, 3.25, 1e6):
         assert isinstance(ours(x), float)
         _assert_close(ours(np.float64(x)), ref(x))
+
+
+def test_digamma_of_a_non_positive_value_is_nan():
+    assert math.isnan(digamma(0.0)) and math.isnan(digamma(-2.5))
+    assert np.isnan(digamma(np.array([0.0, -1.0, math.nan]))).all()
+    assert digamma(np.array([-1.0, 1.0]))[1] == pytest.approx(scipy.special.digamma(1.0))
 
 
 def test_expit_matches_scipy():
