@@ -24,25 +24,12 @@ def precision_at_k(ranked, relevant, k: int) -> float:
 
     Denominator is min(k, len(ranked)); an empty ranking scores 0.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    ranked = list(ranked)
-    if not ranked:
-        return 0.0
-    relevant = set(relevant)
-    hits = sum(1 for item in ranked[:k] if item in relevant)
-    return hits / min(k, len(ranked))
+    return _ranking_metrics(ranked, relevant, k)[0]
 
 
 def recall_at_k(ranked, relevant, k: int) -> float:
     """Fraction of the relevant items found in the top k; 0 if none exist."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    relevant = set(relevant)
-    if not relevant:
-        return 0.0
-    hits = sum(1 for item in list(ranked)[:k] if item in relevant)
-    return hits / len(relevant)
+    return _ranking_metrics(ranked, relevant, k)[1]
 
 
 def ndcg_at_k(ranked, relevant, k: int) -> float:
@@ -53,17 +40,26 @@ def ndcg_at_k(ranked, relevant, k: int) -> float:
     is the DCG of the ideal reordering of the same gains, truncated at k.
     Returns 0 when no ranked item is relevant.
     """
+    return _ranking_metrics(ranked, relevant, k)[2]
+
+
+def _ranking_metrics(ranked, relevant, k: int):
+    """(precision, recall, NDCG) at k from one 0/1 gains array of ``ranked``
+    against the set ``relevant``; a metric whose denominator is 0 scores 0.
+    Raises ValueError if k < 1 or if an item is ranked twice."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    relevant = set(relevant)
-    gains = [float(item in relevant) for item in ranked]
-    discounts = 1.0 / np.log2(np.arange(2, len(gains) + 2))
-    dcg = float(np.dot(gains[:k], discounts[: min(k, len(gains))]))
-    ideal = sorted(gains, reverse=True)[:k]
-    idcg = float(np.dot(ideal, discounts[: len(ideal)]))
-    if idcg == 0.0:
-        return 0.0
-    return dcg / idcg
+    ranked, relevant = list(ranked), set(relevant)
+    if len(set(ranked)) < len(ranked):
+        raise ValueError("ranked must not hold an item twice")
+    gains = np.array([item in relevant for item in ranked], dtype=float)
+    n = min(k, len(ranked))
+    hits = float(gains[:n].sum())
+    discounts = 1.0 / np.log2(np.arange(2, n + 2))
+    # The ideal ranking puts every relevant item first: the gains sorted descending.
+    idcg = float(np.dot((np.arange(n) < gains.sum()).astype(float), discounts))
+    return (hits / n if n else 0.0, hits / len(relevant) if relevant else 0.0,
+            float(np.dot(gains[:n], discounts)) / idcg if idcg else 0.0)
 
 
 def stratified_user_folds(data: Dataset, folds: int, seed: int) -> np.ndarray:
@@ -103,9 +99,10 @@ def cross_validate(data: Dataset, hp: HyperParams, folds: int = DEFAULT_FOLDS, s
     ``scorer_factory(train, hp, seed)`` builds a scorer on the training
     split (the default, ``hbayes_scorer_factory``, fits this model) and each
     user's held-out events are ranked by it.  The relevant set is the
-    clicked held-out events, and precision, recall and NDCG each take
-    (ranked, relevant, k).  Metrics are macro-averaged over users that have
-    at least one held-out positive.  Deterministic given the seed.
+    clicked held-out events, and precision, recall and NDCG at each cutoff
+    come from one scoring of (ranked, relevant, k).  Metrics are
+    macro-averaged over users that have at least one held-out positive.
+    Deterministic given the seed.
 
     Returns the metrics report that ``hbayes eval`` writes (layout in
     docs/file_formats.md): ``k_values``, one entry per fold under
@@ -137,9 +134,7 @@ def cross_validate(data: Dataset, hp: HyperParams, folds: int = DEFAULT_FOLDS, s
             ranked = [t for t, _ in by_score(items, scores.tolist())]
             evaluated[f] += 1
             for i, k in enumerate(k_values):
-                metrics[f, i] += (precision_at_k(ranked, relevant, k),
-                                  recall_at_k(ranked, relevant, k),
-                                  ndcg_at_k(ranked, relevant, k))
+                metrics[f, i] += _ranking_metrics(ranked, relevant, k)
         if evaluated[f]:
             metrics[f] /= evaluated[f]
     return _report(k_values, metrics, evaluated)

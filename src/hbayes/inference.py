@@ -60,9 +60,8 @@ def initial_state(data: Dataset, hp: HyperParams, seed: int) -> VariationalState
 
     User and brand means start as small random vectors (scale 0.01), style
     means slightly larger (scale 0.1) to break the style symmetry, all
-    covariances at identity scale, responsibilities near-uniform with
-    Dirichlet jitter, Dirichlet parameters at 1/S, xi at 1, and Gamma
-    posteriors at their priors.
+    covariances at identity scale, responsibilities and Dirichlet
+    parameters at 1/S, xi at 1, and Gamma posteriors at their priors.
     """
     rng = np.random.default_rng(seed)
     d = hp.feature_dim
@@ -71,7 +70,6 @@ def initial_state(data: Dataset, hp: HyperParams, seed: int) -> VariationalState
     user_mean = 0.01 * rng.standard_normal((U, d))
     brand_mean = 0.01 * rng.standard_normal((B, d))
     style_mean = 0.1 * rng.standard_normal((S, d))
-    resp = (np.full((B, S), 1.0 / S) + rng.dirichlet(np.ones(S), size=B)) / 2.0
 
     return VariationalState(
         user_mean=user_mean,
@@ -83,7 +81,7 @@ def initial_state(data: Dataset, hp: HyperParams, seed: int) -> VariationalState
         w_mean=np.zeros(d),
         w_var=1.0,
         theta_gamma=np.full(S, 1.0 / S),
-        resp=resp,
+        resp=np.full((B, S), 1.0 / S),
         prec_u=GammaPosterior(hp.alpha0, hp.beta0),
         prec_b=GammaPosterior(hp.alpha0, hp.beta0),
         prec_s=GammaPosterior(hp.alpha0, hp.beta0),

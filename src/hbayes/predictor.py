@@ -73,12 +73,17 @@ def score_candidates(user_id, candidates, state: VariationalState):
     candidate takes its brand moments from one gather; only when a request
     holds a cold id is the cold-brand prior computed and appended to the
     brand table as row B.  Raises ValueError naming the first candidate
-    whose x is not finite or so large that its score overflows.
+    whose brand id is neither None (nor NaN) nor a whole number, or whose
+    x is not finite or so large that its score overflows.
     """
     B = state.num_brands
     _, xs, brands = zip(*candidates) if candidates else ((), np.zeros((0, state.dim)), ())
     X = np.array(xs, dtype=float)
     ids = np.array(brands, dtype=float)  # None -> NaN, which fails both bounds
+    whole = np.isnan(ids) | np.isfinite(ids) & (np.floor(ids) == ids)
+    if not whole.all():  # a fraction would be truncated to a brand row
+        i = int(np.argmin(whole))
+        raise ValueError(f"candidate {i}: brand id {brands[i]!r} is not an integer")
     cold = ~((ids >= 0) & (ids < B))
     brand_mean, brand_cov = state.brand_mean, state.brand_cov
     if cold.any():

@@ -15,6 +15,7 @@ from hbayes import (
     stratified_user_folds,
 )
 from hbayes.evaluation import DEFAULT_K_VALUES
+from hbayes.predictor import by_score
 
 from helpers import make_dataset
 
@@ -64,6 +65,14 @@ def test_recall_counts_intersection():
 
 def test_recall_empty_relevant():
     assert recall_at_k(["a", "b"], set(), 2) == 0.0
+
+
+@pytest.mark.parametrize("metric", [precision_at_k, recall_at_k, ndcg_at_k])
+@pytest.mark.parametrize("ranked", [["a", "a", "b"], ["a", "b", "c", "b"]])
+def test_metrics_refuse_an_item_ranked_twice(metric, ranked):
+    # Counted once per occurrence, "a" twice would read as two relevant items found.
+    with pytest.raises(ValueError, match="ranked must not hold an item twice"):
+        metric(ranked, {"a", "c"}, 3)
 
 
 def test_precision_recall_count_same_intersection():
@@ -232,6 +241,36 @@ def test_cross_validate_ties_rank_by_ascending_event_index():
                                                set(held[data.y[held] == 1].tolist()), k))
         assert (result["folds"][f]["metrics"][str(k)]["precision"]
                 == pytest.approx(np.mean(expected), abs=1e-12))
+
+
+def test_cross_validate_equals_macro_average_of_public_metrics():
+    data = _toy_dataset(num_users=10, events_per_user=12, seed=7)
+    folds, seed, k_values = 3, 2, (1, 2, 3, 10)
+
+    def first_feature_factory(train, hp, fold_seed):
+        return lambda user_id, candidates: np.array([x[0] for _, x, _ in candidates])
+
+    hp = HyperParams(num_styles=2, feature_dim=3)
+    result = cross_validate(data, hp, folds=folds, seed=seed, k_values=k_values,
+                            scorer_factory=first_feature_factory)
+    fold_of = stratified_user_folds(data, folds, seed)
+    for f in range(folds):
+        rankings = []
+        for u in range(data.num_users):
+            held = np.flatnonzero((fold_of == f) & (data.users == u)).tolist()
+            relevant = {t for t in held if data.y[t] == 1}
+            if relevant:
+                ranked = [t for t, _ in by_score(held, data.X[held, 0].tolist())]
+                rankings.append((ranked, relevant))
+        for k in k_values:
+            got = result["folds"][f]["metrics"][str(k)]
+            assert got["num_users_evaluated"] == len(rankings)
+            for name, metric in (("precision", precision_at_k), ("recall", recall_at_k),
+                                 ("ndcg", ndcg_at_k)):
+                total = 0.0  # added in user order, as the harness does (not sum())
+                for ranked, relevant in rankings:
+                    total += metric(ranked, relevant, k)
+                assert got[name] == total / len(rankings)
 
 
 def test_cross_validate_random_scores_match_permutation_null():

@@ -188,6 +188,26 @@ def test_cold_start_brand_uses_mixture_prior():
     assert out_of_range_mu == unknown_mu
 
 
+@pytest.mark.parametrize("bad", [1.5, 1.999, -0.5, math.inf, -math.inf])
+def test_fractional_or_infinite_brand_id_is_rejected(bad):
+    state = _ranking_state()
+    cands = [(0, [1.0, 0.0], 0), (1, [0.5, 0.5], None), (2, [1.0, 1.0], bad), (3, [0.0, 1.0], 0.5)]
+    with pytest.raises(ValueError, match=f"candidate 2: brand id {bad!r} is not an integer"):
+        score_candidates(0, cands, state)
+    with pytest.raises(ValueError, match="candidate 2: brand id"):
+        rank_top_k(0, cands, state, k=1)
+
+
+def test_whole_number_brand_ids_score_like_ints():
+    state = _ranking_state()
+    x = [1.0, 1.0]
+    as_int = score_candidates(0, [(0, x, 1), (1, x, 7), (2, x, -1), (3, x, None)], state)
+    as_other = score_candidates(0, [(0, x, 1.0), (1, x, np.int64(7)), (2, x, -1.0),
+                                    (3, x, math.nan)], state)
+    for want, got in zip(as_int, as_other):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_cold_start_user_uses_prior_moments():
     state = _ranking_state()
     prior_mean, prior_cov = user_prior(state)
