@@ -57,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--styles", type=_positive_int, required=True)
     gen.add_argument("--events", type=_positive_int, required=True)
     gen.add_argument("--dim", type=_positive_int, required=True)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_non_negative_int, default=0)
     gen.add_argument("--out", required=True, help="events JSONL output path")
     gen.add_argument("--truth-out", help="ground-truth sidecar JSON output path")
     gen.add_argument("--feature-scale", type=_non_negative_float,
@@ -72,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     train.add_argument("--styles", type=_positive_int, required=True)
     train.add_argument("--max-iters", type=_non_negative_int, default=HyperParams.max_iters)
     train.add_argument("--tol", type=_positive_float, default=HyperParams.rel_tol)
-    train.add_argument("--seed", type=int, default=0)
+    train.add_argument("--seed", type=_non_negative_int, default=0)
     train.add_argument("--checkpoint-out", required=True)
     train.add_argument("--trace-out", help="ELBO trace CSV output path")
     train.set_defaults(run=_cmd_train)
@@ -90,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--events", required=True)
     ev.add_argument("--styles", type=_positive_int, required=True)
     ev.add_argument("--folds", type=_fold_count, default=evaluation.DEFAULT_FOLDS)
-    ev.add_argument("--seed", type=int, default=0)
+    ev.add_argument("--seed", type=_non_negative_int, default=0)
     ev.add_argument("--k", type=_cutoffs, default=evaluation.DEFAULT_K_VALUES,
                     help="comma-separated cutoffs")
     ev.add_argument("--report-out", required=True)

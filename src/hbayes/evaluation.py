@@ -98,11 +98,12 @@ def cross_validate(data: Dataset, hp: HyperParams, folds: int = DEFAULT_FOLDS, s
     Users with fewer than ``folds`` events are excluded.  For each fold
     ``scorer_factory(train, hp, seed)`` builds a scorer on the training
     split (the default, ``hbayes_scorer_factory``, fits this model) and each
-    user's held-out events are ranked by it.  The relevant set is the
-    clicked held-out events, and precision, recall and NDCG at each cutoff
-    come from one scoring of (ranked, relevant, k).  Metrics are
-    macro-averaged over users that have at least one held-out positive.
-    Deterministic given the seed.
+    user's held-out events are ranked by it; ``score(user, candidates)``
+    must return one score per candidate, none NaN (else ValueError).  The
+    relevant set is the clicked held-out events, and precision, recall and
+    NDCG at each cutoff come from one scoring of (ranked, relevant, k).
+    Metrics are macro-averaged over users that have at least one held-out
+    positive.  Deterministic given the seed.
 
     Returns the metrics report that ``hbayes eval`` writes (layout in
     docs/file_formats.md): ``k_values``, one entry per fold under
@@ -131,6 +132,9 @@ def cross_validate(data: Dataset, hp: HyperParams, folds: int = DEFAULT_FOLDS, s
                 continue
             candidates = [(t, data.X[t], int(data.brands[t])) for t in items]
             scores = np.asarray(score(user_id, candidates), dtype=float)
+            if scores.shape != (len(items),) or np.isnan(scores).any():
+                raise ValueError(f"fold {f}, user {user_id}: scores of shape {scores.shape} for "
+                                 f"{len(items)} candidates; need one each, none NaN")
             ranked = [t for t, _ in by_score(items, scores.tolist())]
             evaluated[f] += 1
             for i, k in enumerate(k_values):

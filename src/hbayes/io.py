@@ -219,11 +219,15 @@ class Checkpoint:
     schema_version: int = CHECKPOINT_SCHEMA_VERSION
 
 
-def _check_dimensions(ckpt: Checkpoint, num_users, num_brands):
-    """Raise CheckpointError unless the state agrees with the hyper-parameters
-    and with the recorded entity counts, and each id list (if any) holds one
-    distinct string id per entity."""
+def _check_checkpoint(ckpt: Checkpoint, num_users, num_brands):
+    """Raise CheckpointError unless the state passes its own invariants,
+    agrees with the hyper-parameters and with the recorded entity counts,
+    and each id list (if any) holds one distinct string id per entity."""
     state, hp = ckpt.state, ckpt.hyperparams
+    try:
+        state.validate()
+    except ValueError as err:
+        raise CheckpointError(f"invariant violation: {err}") from None
     if state.num_styles != hp.num_styles or state.dim != hp.feature_dim:
         raise CheckpointError("state dimensions disagree with hyperparams")
     if state.num_users != num_users or state.num_brands != num_brands:
@@ -272,12 +276,12 @@ def save_checkpoint(ckpt: Checkpoint, path):
     working state of the fit, and ``fit(init=...)`` rebuilds them as
     ``update_xi(*event_moments(state, data))``, so the file grows with
     users and brands, not events.
-    A checkpoint that ``load_checkpoint`` would reject for its dimensions
-    or id lists raises CheckpointError and nothing is written.  Saving,
-    loading and saving again produces a byte-identical file.
+    A checkpoint that ``load_checkpoint`` would reject (state invariants,
+    dimensions or id lists) raises CheckpointError and nothing is written.
+    Saving, loading and saving again produces a byte-identical file.
     """
     state, hp, report = ckpt.state, ckpt.hyperparams, ckpt.fit_report
-    _check_dimensions(ckpt, state.num_users, state.num_brands)
+    _check_checkpoint(ckpt, state.num_users, state.num_brands)
     doc = {
         "schema_version": CHECKPOINT_SCHEMA_VERSION,
         "hyperparams": asdict(hp) | {"gamma0": hp.gamma0.tolist()},
@@ -351,11 +355,7 @@ def load_checkpoint(path) -> Checkpoint:
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise CheckpointError(f"malformed checkpoint: {err}") from None
 
-    try:
-        state.validate()
-    except ValueError as err:
-        raise CheckpointError(f"invariant violation: {err}") from None
-    _check_dimensions(ckpt, num_users, num_brands)
+    _check_checkpoint(ckpt, num_users, num_brands)
     return ckpt
 
 

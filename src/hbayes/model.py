@@ -338,10 +338,6 @@ class GammaPosterior:
         """E[log delta] = digamma(shape) - log(rate)."""
         return float(digamma(self.shape) - np.log(self.rate))
 
-    def entropy(self) -> float:
-        a, b = self.shape, self.rate
-        return float(a - np.log(b) + gammaln(a) + (1.0 - a) * digamma(a))
-
     def validate(self):
         if not (0 < self.shape < math.inf and 0 < self.rate < math.inf):
             raise ValueError("Gamma shape and rate must be positive and finite")
@@ -488,12 +484,16 @@ def _event_variances(state, data):
     return s2
 
 
-def _dirichlet_entropy(gamma: np.ndarray) -> float:
-    total = gamma.sum()
-    log_b = float(np.sum(gammaln(gamma)) - gammaln(total))
-    return log_b + float((total - gamma.size) * digamma(total)) - float(
-        np.sum((gamma - 1.0) * digamma(gamma))
-    )
+def _expected_log_gamma(p: GammaPosterior, a, b) -> float:
+    """E_q[log Gamma(delta; a, b)] (shape a, rate b) under the Gamma factor
+    ``p``; at p's own (shape, rate) it is minus p's entropy."""
+    return float(a * np.log(b) - gammaln(a) + (a - 1.0) * p.mean_log - b * p.mean)
+
+
+def _expected_log_dirichlet(eln_theta, g) -> float:
+    """E_q[log Dir(theta; g)] given E_q[log theta] = ``eln_theta``; at q's
+    own parameters it is minus q's entropy."""
+    return float(gammaln(g.sum()) - np.sum(gammaln(g)) + np.sum((g - 1.0) * eln_theta))
 
 
 def _gaussian_entropy(logdet, d: int):
@@ -532,28 +532,22 @@ def _elbo_terms(state, data, hp, m, s2) -> dict:
     # E[log p(z_i | theta)]
     terms["assignments_given_theta"] = float(np.sum(mu * eln_theta[None, :]))
 
-    # E[log p(theta | gamma0)]
-    g0 = hp.gamma0
-    terms["theta_prior"] = float(
-        gammaln(g0.sum()) - np.sum(gammaln(g0)) + np.sum((g0 - 1.0) * eln_theta)
-    )
+    # E[log p(theta | gamma0)] and E[log p(delta_* | alpha0, beta0)].
+    terms["theta_prior"] = _expected_log_dirichlet(eln_theta, hp.gamma0)
+    terms["precision_priors"] = sum(_expected_log_gamma(p, hp.alpha0, hp.beta0)
+                                    for p in state.precisions)
 
-    # E[log p(delta_* | alpha0, beta0)] for the four precisions.
-    a0, b0 = hp.alpha0, hp.beta0
-    terms["precision_priors"] = float(sum(
-        a0 * np.log(b0) - gammaln(a0) + (a0 - 1.0) * p.mean_log - b0 * p.mean
-        for p in state.precisions
-    ))
-
-    # Entropies of every q factor.
+    # Entropies of every q factor; a Dirichlet's or a Gamma's is minus its
+    # expected log-density under itself.
     terms["entropy_users"] = float(np.sum(_gaussian_entropy(spd_logdet(state.user_cov), d)))
     terms["entropy_brands"] = float(np.sum(_gaussian_entropy(spd_logdet(state.brand_cov), d)))
     terms["entropy_styles"] = float(np.sum(_gaussian_entropy(d * np.log(state.style_var), d)))
     terms["entropy_w"] = _gaussian_entropy(d * np.log(state.w_var), d)
-    terms["entropy_theta"] = _dirichlet_entropy(state.theta_gamma)
+    terms["entropy_theta"] = -_expected_log_dirichlet(eln_theta, state.theta_gamma)
     plogp = mu * np.log(np.where(mu > 0, mu, 1.0))  # 0 log 0 = 0
     terms["entropy_assignments"] = -float(np.sum(plogp))
-    terms["entropy_precisions"] = float(sum(p.entropy() for p in state.precisions))
+    terms["entropy_precisions"] = -sum(_expected_log_gamma(p, p.shape, p.rate)
+                                       for p in state.precisions)
 
     return terms
 

@@ -337,6 +337,31 @@ def test_cross_validate_repeated_cutoff_reports_it_once():
         {key: once[key] for key in ("folds", "mean", "std")}
 
 
+@pytest.mark.parametrize("scores", [
+    lambda n: np.zeros(1), lambda n: np.zeros(n + 1), lambda n: np.zeros((n, 1)),
+    lambda n: np.r_[np.zeros(n - 1), np.nan],
+], ids=["one-score", "one-too-many", "column", "nan"])
+def test_cross_validate_refuses_scores_not_one_per_candidate(scores):
+    data = _toy_dataset(num_users=6, events_per_user=10, seed=2)
+    hp = HyperParams(num_styles=2, feature_dim=3)
+    with pytest.raises(ValueError, match=r"^fold 0, user \d+: scores of shape .* none NaN$"):
+        cross_validate(data, hp, folds=2, seed=0, k_values=(5,),
+                       scorer_factory=lambda train, hp, seed: lambda u, c: scores(len(c)))
+
+
+def test_cross_validate_ranks_infinite_scores():
+    data = _toy_dataset(num_users=6, events_per_user=10, seed=2)
+
+    def infinite_factory(train, hp, seed):
+        return lambda user_id, candidates: np.array(
+            [math.inf if data.y[item] else -math.inf for item, _, _ in candidates])
+
+    hp = HyperParams(num_styles=2, feature_dim=3)
+    result = cross_validate(data, hp, folds=2, seed=0, k_values=(5,),
+                            scorer_factory=infinite_factory)
+    assert result["mean"]["5"]["ndcg"] == pytest.approx(1.0, abs=1e-12)
+
+
 def test_cross_validate_deterministic_and_bounded():
     data = _toy_dataset(num_users=6, events_per_user=10, seed=2)
     hp = HyperParams(num_styles=2, feature_dim=3, max_iters=10)

@@ -19,6 +19,7 @@ from hbayes import (
     CheckpointError,
     Dataset,
     EventParseError,
+    GammaPosterior,
     HyperParams,
     cross_validate,
     fit,
@@ -554,6 +555,35 @@ def test_checkpoint_dimensions_checked_on_save_and_load(tmp_path, field):
         load_checkpoint(path)
 
 
+# The message load_checkpoint gives for each state that _broken builds.
+_BROKEN_STATES = {"asymmetric-cov": "covariance must be symmetric",
+                  "resp-row-sum": "responsibility rows must sum to 1",
+                  "gamma-rate": "Gamma shape and rate must be positive and finite"}
+
+
+def _broken(state, case):
+    """A copy of ``state`` that breaks one invariant load_checkpoint checks."""
+    state = state.copy()
+    if case == "asymmetric-cov":
+        state.user_cov[0, 0, 1] += 1.0
+    elif case == "resp-row-sum":
+        state.resp[0] = [0.7, 0.7]
+    else:
+        state.prec_u = GammaPosterior(state.prec_u.shape, 0.0)
+    return state
+
+
+@pytest.mark.parametrize("case", _BROKEN_STATES)
+def test_checkpoint_save_refuses_invalid_state(tmp_path, case):
+    """A state that load would refuse is refused by save, which then writes nothing."""
+    ckpt = _fitted(tmp_path)
+    path = tmp_path / "model.json"
+    with pytest.raises(CheckpointError,
+                       match=f"^invariant violation: {_BROKEN_STATES[case]}$"):
+        save_checkpoint(replace(ckpt, state=_broken(ckpt.state, case)), path)
+    assert not path.exists()
+
+
 # One id list per (field, how it is wrong) for the 4-user, 3-brand checkpoint
 # of _fitted: a repeated id, and an id that is not a string.
 _BAD_IDS = {"brand-repeated": ("brand_ids", ["b0", "b0", "b1"]),
@@ -897,6 +927,7 @@ def _good_args(command, tmp_path):
     ("generate", "--prec-style", "0"), ("generate", "--prec-w", "-0.5"),
     ("eval", "--styles", "0"), ("eval", "--folds", "1"), ("eval", "--folds", "x"),
     ("eval", "--k", "0,5"), ("eval", "--k", "3,,5"), ("eval", "--k", "a"),
+    ("generate", "--seed", "-1"), ("train", "--seed", "-5"), ("eval", "--seed", "-1"),
 ])
 def test_cli_rejects_bad_value_as_usage_error(tmp_path, command, flag, value):
     args = {**_good_args(command, tmp_path), flag: value}

@@ -426,8 +426,26 @@ def test_elbo_cross_terms_match_monte_carlo():
         )
 
 
+def _wide_like_instance():
+    # perfbench's wide sizes (600 users, 200 brands, 12k events, d = 8, 3
+    # styles) after 4 sweeps: the Gamma shapes are ~2400, 800, 12 and 4.
+    hp = HyperParams(num_styles=3, feature_dim=8)
+    data, _ = sample_dataset(hp, num_users=600, num_brands=200, num_events=12_000, seed=7)
+    state = initial_state(data, hp, seed=7)
+    for _ in range(4):
+        state = cavi_sweep(state, data, hp)[0]
+    return hp, data, state
+
+
 def test_elbo_entropies_match_scipy():
-    hp, data, state = _tiny_instance()
+    _assert_entropies_match_scipy(*_tiny_instance())
+
+
+def test_elbo_entropies_match_scipy_at_fitted_shapes():
+    _assert_entropies_match_scipy(*_wide_like_instance())
+
+
+def _assert_entropies_match_scipy(hp, data, state):
     closed = elbo_terms(state, data, hp)
     eye = np.eye(state.dim)
     assert closed["entropy_users"] == pytest.approx(
