@@ -109,6 +109,8 @@ def cross_validate(data: Dataset, hp: HyperParams, folds: int = DEFAULT_FOLDS, s
     docs/file_formats.md): ``k_values``, one entry per fold under
     ``folds``, and the ``mean`` and ``std`` across folds at each cutoff.
     """
+    if any(k < 1 for k in k_values):  # before any fold is fitted
+        raise ValueError(f"every cutoff must be >= 1; got {list(k_values)}")
     fold_of = stratified_user_folds(data, folds, seed)
     if not np.any(fold_of >= 0):
         raise ValueError(

@@ -231,7 +231,9 @@ def fit(data: Dataset, hp: HyperParams, seed: int = 0,
     copy of its factors with xi = ``update_xi(*event_moments(init,
     data))``; the init's own xi is never read, so one fitted on other
     events, or loaded from a checkpoint without xi, starts the same way.
-    ``restarts`` < 1, or > 1 with an ``init``, raises ValueError.
+    ``restarts`` < 1, or > 1 with an ``init``, raises ValueError, as does
+    an ``hp.feature_dim`` other than the data's, or an ``init`` whose user,
+    brand or style count or dimension differs from ``data`` and ``hp``.
     Deterministic given the seed.
     Stops when |ELBO change| / (|ELBO| + 1e-12) < hp.rel_tol or after
     hp.max_iters sweeps; a sweep that lowers the ELBO by more than
@@ -241,6 +243,15 @@ def fit(data: Dataset, hp: HyperParams, seed: int = 0,
         raise ValueError("training data must contain at least one event")
     if restarts < 1 or (init is not None and restarts > 1):
         raise ValueError(f"restarts must be >= 1, and 1 with an init state; got {restarts}")
+    sizes = [(hp.feature_dim, data.feature_dim, "hp.feature_dim is {} but the data has dimension {}")]
+    if init is not None:
+        sizes += [(init.num_users, data.num_users, "init has {} users but the data has {}"),
+                  (init.num_brands, data.num_brands, "init has {} brands but the data has {}"),
+                  (init.num_styles, hp.num_styles, "init has {} styles but hp.num_styles is {}"),
+                  (init.dim, hp.feature_dim, "init has dimension {} but hp.feature_dim is {}")]
+    for got, want, message in sizes:
+        if got != want:
+            raise ValueError(message.format(got, want))
     if init is None:
         starts = [initial_state(data, hp, seed + 100 * r) for r in range(restarts)]
     else:  # xi starts at the exact maximizer for the init's factors on these events

@@ -506,9 +506,13 @@ def elbo_terms(state: VariationalState, data: Dataset, hp: HyperParams) -> dict:
     Keys cover the bounded likelihood, one cross-entropy per prior edge of
     the hierarchy, and the entropy of every posterior factor; ``elbo`` is
     their sum.  See docs/elbo.md for the derivation of each expectation.
+    ``state.xi`` must hold one entry per event of ``data``; else the
+    ValueError names the xi that ``fit(init=...)`` starts from as the fix.
     """
     if len(data) != state.xi.size:
-        raise ValueError(f"state has {state.xi.size} xi entries for {len(data)} events")
+        raise ValueError(f"state has {state.xi.size} xi entries for {len(data)} events; "
+                         "rebuild them with replace(state, xi=update_xi(*event_moments("
+                         "state, data)))")
     return _elbo_terms(state, data, hp, *event_moments(state, data))
 
 

@@ -337,6 +337,22 @@ def test_cross_validate_repeated_cutoff_reports_it_once():
         {key: once[key] for key in ("folds", "mean", "std")}
 
 
+@pytest.mark.parametrize("k_values", [(5, 0), (0,), (3, -1, 5)])
+def test_cross_validate_refuses_a_cutoff_below_one_before_fitting(k_values):
+    data = _toy_dataset(num_users=6, events_per_user=10, seed=2)
+    calls = []
+
+    def recording_factory(train, hp, seed):
+        calls.append(seed)
+        return lambda user_id, candidates: np.zeros(len(candidates))
+
+    hp = HyperParams(num_styles=2, feature_dim=3)
+    with pytest.raises(ValueError, match="every cutoff must be >= 1"):
+        cross_validate(data, hp, folds=2, seed=0, k_values=k_values,
+                       scorer_factory=recording_factory)
+    assert calls == []
+
+
 @pytest.mark.parametrize("scores", [
     lambda n: np.zeros(1), lambda n: np.zeros(n + 1), lambda n: np.zeros((n, 1)),
     lambda n: np.r_[np.zeros(n - 1), np.nan],

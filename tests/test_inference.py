@@ -295,6 +295,31 @@ def test_stacked_spd_non_finite_entry_raises(bad):
             op(stack)
 
 
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3)], ids=["1-D", "non-square", "stack"])
+def test_spd_helpers_refuse_a_shape_that_is_not_square(shape):
+    for op in (spd_inverse, spd_logdet):
+        with pytest.raises(ValueError, match="square matrix or a stack"):
+            op(np.ones(shape))
+
+
+def test_spd_jitter_climbs_to_the_third_rung():
+    """diag(1, -5e-9) fails unjittered and at jitters 1e-10 and 1e-9; at
+    1e-8 it factorizes, alone and as the middle slice of a stack."""
+    m = np.diag([1.0, -5e-9])
+    for jitter in (0.0, 1e-10, 1e-9):
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(m + jitter * np.eye(2))
+    jittered = m + 1e-8 * np.eye(2)
+    stack = np.stack([np.eye(2), m, 2.0 * np.eye(2)])
+    inv, logdet = spd_inverse(stack), spd_logdet(stack)
+    for got_inv, got_logdet in ((spd_inverse(m), spd_logdet(m)), (inv[1], logdet[1])):
+        np.testing.assert_array_equal(got_inv, spd_inverse(jittered))
+        assert got_logdet == spd_logdet(jittered)
+    for k in (0, 2):
+        np.testing.assert_array_equal(inv[k], spd_inverse(stack[k]))
+        assert logdet[k] == spd_logdet(stack[k])
+
+
 def test_update_style_direct_arithmetic():
     hp = HyperParams(num_styles=1, feature_dim=2)
     state = prior_matched_state(hp, 1, 1)
@@ -807,6 +832,30 @@ def test_fit_warm_start_returns_a_copy():
     np.testing.assert_array_equal(state.xi, update_xi(*event_moments(init, data)))
 
 
+def test_fit_refuses_a_feature_dim_other_than_the_data():
+    hp, data = _synthetic()
+    with pytest.raises(ValueError, match="hp.feature_dim is 5 but the data has dimension 4"):
+        fit(data, replace(hp, feature_dim=5))
+
+
+@pytest.mark.parametrize("init_kwargs, message", [
+    ({"num_users": 6, "num_brands": 8}, "init has 6 users but the data has 8"),
+    ({"num_users": 8, "num_brands": 6}, "init has 6 brands but the data has 8"),
+    ({"num_users": 12, "num_brands": 8}, "init has 12 users but the data has 8"),
+    ({"num_styles": 2}, "init has 2 styles but hp.num_styles is 3"),
+    ({"feature_dim": 3}, "init has dimension 3 but hp.feature_dim is 4"),
+], ids=["fewer-users", "fewer-brands", "more-users", "styles", "dim"])
+def test_fit_refuses_an_init_of_other_sizes(init_kwargs, message):
+    hp, data = _synthetic(num_users=8)
+    sizes = {"num_users": 8, "num_brands": 8, "num_styles": 3, "feature_dim": 4} | init_kwargs
+    init_hp = HyperParams(num_styles=sizes["num_styles"], feature_dim=sizes["feature_dim"])
+    init_data, _ = sample_dataset(init_hp, num_users=sizes["num_users"],
+                                  num_brands=sizes["num_brands"], num_events=50, seed=1)
+    init = initial_state(init_data, init_hp, seed=0)
+    with pytest.raises(ValueError, match=message):
+        fit(data, hp, init=init)
+
+
 def test_fit_warm_start_on_other_events_rebuilds_xi():
     """A state fitted on 400 events warm-starts a fit on 300 of them: its xi
     has the wrong length, so the fit starts from update_xi(*event_moments(init, subset))."""
@@ -838,6 +887,22 @@ def test_fit_warm_start_from_checkpoint_without_xi(tmp_path):
     _, from_file = fit(data, hp, init=loaded)
     _, from_memory = fit(data, hp, init=state)
     assert from_file.elbo_trace == from_memory.elbo_trace
+
+
+def test_elbo_of_a_loaded_checkpoint_names_the_xi_rebuild(tmp_path):
+    """A loaded checkpoint has no xi: the error names the rebuild, and the
+    state with xi rebuilt that way scores the fitted state's ELBO."""
+    hp, data = _synthetic(max_iters=10)
+    state, report = fit(data, hp, seed=2)
+    path = tmp_path / "model.json"
+    save_checkpoint(Checkpoint(hp, state, report), path)
+    loaded = load_checkpoint(path).state
+    with pytest.raises(ValueError, match=r"state has 0 xi entries for 400 events; .*"
+                       r"update_xi\(\*event_moments\(state, data\)\)"):
+        elbo(loaded, data, hp)
+    value = elbo(replace(loaded, xi=update_xi(*event_moments(loaded, data))), data, hp)
+    assert np.isfinite(value)
+    assert value == pytest.approx(report.elbo_trace[-1], rel=1e-12)
 
 
 def test_fit_warm_start_on_as_many_other_events_rebuilds_xi():
