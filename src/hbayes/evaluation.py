@@ -3,7 +3,7 @@
 import numpy as np
 
 from .inference import fit
-from .model import Dataset, HyperParams, _sort_by_entity
+from .model import Dataset, HyperParams, _is_integer, _sort_by_entity
 from .predictor import by_score, score_candidates
 
 __all__ = [
@@ -46,7 +46,10 @@ def ndcg_at_k(ranked, relevant, k: int) -> float:
 def _ranking_metrics(ranked, relevant, k: int):
     """(precision, recall, NDCG) at k from one 0/1 gains array of ``ranked``
     against the set ``relevant``; a metric whose denominator is 0 scores 0.
-    Raises ValueError if k < 1 or if an item is ranked twice."""
+    Raises ValueError if k is not an integer >= 1 or if an item is ranked
+    twice."""
+    if not _is_integer(k):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
     ranked, relevant = list(ranked), set(relevant)
@@ -103,14 +106,19 @@ def cross_validate(data: Dataset, hp: HyperParams, folds: int = DEFAULT_FOLDS, s
     relevant set is the clicked held-out events, and precision, recall and
     NDCG at each cutoff come from one scoring of (ranked, relevant, k).
     Metrics are macro-averaged over users that have at least one held-out
-    positive.  Deterministic given the seed.
+    positive.  A cutoff that is not an integer >= 1 raises ValueError
+    before any fold is fitted.  Deterministic given the seed.
 
     Returns the metrics report that ``hbayes eval`` writes (layout in
     docs/file_formats.md): ``k_values``, one entry per fold under
     ``folds``, and the ``mean`` and ``std`` across folds at each cutoff.
     """
-    if any(k < 1 for k in k_values):  # before any fold is fitted
-        raise ValueError(f"every cutoff must be >= 1; got {list(k_values)}")
+    k_values = list(k_values)  # refused before any fold is fitted
+    if not all(map(_is_integer, k_values)):
+        raise ValueError(f"every cutoff must be an integer; got {k_values}")
+    if any(k < 1 for k in k_values):
+        raise ValueError(f"every cutoff must be >= 1; got {k_values}")
+    k_values = [int(k) for k in k_values]
     fold_of = stratified_user_folds(data, folds, seed)
     if not np.any(fold_of >= 0):
         raise ValueError(

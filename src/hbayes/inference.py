@@ -21,7 +21,6 @@ from .model import (
     VariationalState,
     _elbo_sum,
     _elbo_terms,
-    _event_variances,
     event_moments,
     lambda_of_xi,
     project,
@@ -208,13 +207,12 @@ def cavi_sweep(state: VariationalState, data: Dataset, hp: HyperParams):
     lam = lambda_of_xi(work.xi)
     work.user_mean, work.user_cov = update_users(
         work, data, lam, project(work.brand_mean, data.brands, data))
-    user_proj = project(work.user_mean, data.users, data)
-    work.brand_mean, work.brand_cov = update_brands(work, data, lam, user_proj)
+    work.brand_mean, work.brand_cov = update_brands(
+        work, data, lam, project(work.user_mean, data.users, data))
     work.style_mean, work.style_var = update_styles(work)
     work.w_mean, work.w_var = update_w(work)
     work.prec_u, work.prec_b, work.prec_s, work.prec_w = update_precisions(work, hp)
-    m = project(work.brand_mean, data.brands, data) + user_proj
-    s2 = _event_variances(work, data)
+    m, s2 = event_moments(work, data)
     work.xi = update_xi(m, s2)
     return work, _elbo_terms(work, data, hp, m, s2)
 

@@ -133,6 +133,11 @@ def jj_lower_bound(h, xi):
 # ---------------------------------------------------------------------------
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer; a bool is not."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
+
+
 @dataclass
 class HyperParams:
     """Fixed hyper-parameters of the model and the fitting loop.
@@ -153,7 +158,7 @@ class HyperParams:
     def __post_init__(self):
         for name in ("num_styles", "feature_dim", "max_iters"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not _is_integer(value):
                 raise ValueError(f"{name} must be an integer")
             setattr(self, name, int(value))
         for name in ("alpha0", "beta0", "rel_tol"):
@@ -212,8 +217,9 @@ class Dataset:
     once, and ``events`` is the reverse view, built on first access.
     ``user_ids`` / ``brand_ids`` optionally record the original string ids
     (index -> id, one distinct string per entity) when the data came from a
-    file; only ``from_arrays`` takes them.  Validation is vectorized and
-    names the first bad event.
+    file; only ``from_arrays`` takes them.  The entity counts must be
+    non-negative integers (a bool or a float is refused).  Validation is
+    vectorized and names the first bad event.
     """
 
     def __init__(self, events, num_users: int, num_brands: int, feature_dim: int):
@@ -235,6 +241,9 @@ class Dataset:
         return data
 
     def _set_columns(self, X, users, brands, y, num_users, num_brands, user_ids, brand_ids):
+        for name, count in (("num_users", num_users), ("num_brands", num_brands)):
+            if not (_is_integer(count) and count >= 0):
+                raise ValueError(f"{name} must be a non-negative integer, got {count!r}")
         X = np.ascontiguousarray(X, dtype=float)
         users, brands = np.asarray(users), np.asarray(brands)
         if any(a.size and a.dtype.kind not in "iu" for a in (users, brands)):
@@ -254,7 +263,7 @@ class Dataset:
         ])
         _check_id_lists(user_ids, brand_ids, num_users, num_brands)
         self.X, self.users, self.brands, self.y = X, users, brands, y
-        self.num_users, self.num_brands = num_users, num_brands
+        self.num_users, self.num_brands = int(num_users), int(num_brands)
         self.feature_dim = X.shape[1]
         self.user_ids, self.brand_ids = user_ids, brand_ids
 
@@ -460,28 +469,26 @@ class VariationalState:
 
 def event_moments(state: VariationalState, data: Dataset):
     """(m, s2): mean and variance of h_t = x_t'(B + U) under q for every event,
-    m_t = x_t'(mu^b + mu^u) and s2_t = x_t' Sigma^b x_t + x_t' Sigma^u x_t."""
-    m = project(state.brand_mean, data.brands, data) + project(state.user_mean, data.users, data)
-    return m, _event_variances(state, data)
+    m_t = x_t'(mu^b + mu^u) and s2_t = x_t' Sigma^b x_t + x_t' Sigma^u x_t.
+    Each family takes one product X_k [Sigma_k | mu_k] per entity, over X
+    sorted by that entity (cached on the dataset), into one (N, d + 1)
+    buffer, so no (N, d, d) covariance stack is built: memory is O(N d)."""
+    d = data.feature_dim
+    m, s2 = np.zeros(len(data)), np.zeros(len(data))
+    XC = np.empty((len(data), d + 1))
+    for mean, cov, (order, bounds, Xs) in ((state.user_mean, state.user_cov, data.by_user),
+                                           (state.brand_mean, state.brand_cov, data.by_brand)):
+        rhs = np.concatenate([cov, mean[:, :, None]], axis=2)
+        for k, (lo, hi) in enumerate(pairwise(bounds.tolist())):
+            np.matmul(Xs[lo:hi], rhs[k], out=XC[lo:hi])
+        m[order] += XC[:, d]
+        s2[order] += np.einsum("nd,nd->n", XC[:, :d], Xs)
+    return m, s2
 
 
 def project(means, index, data):
     """x_t' means[index[t]] for every event t, shape (N,)."""
     return np.einsum("nd,nd->n", data.X, means[index])
-
-
-def _event_variances(state, data):
-    """s2 of ``event_moments``.  Each quadratic form is summed one entity at a
-    time over X sorted by that entity (cached on the dataset) into one (N, d)
-    buffer, so no (N, d, d) covariance stack is built: memory is O(N d)."""
-    s2 = np.zeros(len(data))
-    XC = np.empty_like(data.X)
-    for cov, (order, bounds, Xs) in ((state.user_cov, data.by_user),
-                                     (state.brand_cov, data.by_brand)):
-        for k, (lo, hi) in enumerate(pairwise(bounds.tolist())):
-            np.matmul(Xs[lo:hi], cov[k], out=XC[lo:hi])
-        s2[order] += np.einsum("nd,nd->n", XC, Xs)
-    return s2
 
 
 def _expected_log_gamma(p: GammaPosterior, a, b) -> float:

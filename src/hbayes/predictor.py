@@ -1,5 +1,7 @@
 """Click-probability prediction and top-K ranking from a fitted state."""
 
+import math
+
 import numpy as np
 
 from .model import VariationalState, sigmoid
@@ -69,17 +71,22 @@ def score_candidates(user_id, candidates, state: VariationalState):
     """Score a batch of items for one user; returns (mu, sigma2, prob) arrays.
 
     ``candidates`` is a sequence of (item_id, x, brand_id).  Unknown brand
-    or user ids (None or out of range) are scored with prior moments.  Every
-    candidate takes its brand moments from one gather; only when a request
-    holds a cold id is the cold-brand prior computed and appended to the
-    brand table as row B.  Raises ValueError naming the first candidate
-    whose brand id is neither None (nor NaN) nor a whole number, or whose
-    x is not finite or so large that its score overflows.
+    or user ids (None, NaN or a whole number out of range) are scored with
+    prior moments; a whole number of another type (2.0, np.int64, True)
+    indexes the table like the int it equals.  Every candidate takes its
+    brand moments from one gather; only when a request holds a cold id is
+    the cold-brand prior computed and appended to the brand table as row B.
+    Raises ValueError if the user id, or the brand id of a candidate (the
+    first one is named), is none of these, ±inf included, or if a
+    candidate's x is not finite or so large that its score overflows.
     """
     B = state.num_brands
+    uid = math.nan if user_id is None else float(user_id)  # NaN fails both bounds
+    if not (uid.is_integer() or math.isnan(uid)):
+        raise ValueError(f"user id {user_id!r} is not an integer")
     _, xs, brands = zip(*candidates) if candidates else ((), np.zeros((0, state.dim)), ())
     X = np.array(xs, dtype=float)
-    ids = np.array(brands, dtype=float)  # None -> NaN, which fails both bounds
+    ids = np.array(brands, dtype=float)  # None -> NaN, as for the user id
     whole = np.isnan(ids) | np.isfinite(ids) & (np.floor(ids) == ids)
     if not whole.all():  # a fraction would be truncated to a brand row
         i = int(np.argmin(whole))
@@ -94,8 +101,8 @@ def score_candidates(user_id, candidates, state: VariationalState):
         brand_cov = np.concatenate([brand_cov, prior_cov[None]])
     rows = np.where(cold, B, ids).astype(np.intp)
     brand_mean, brand_cov = brand_mean[rows], brand_cov[rows]
-    if user_id is not None and 0 <= user_id < state.num_users:
-        user_mean, user_cov = state.user_mean[user_id], state.user_cov[user_id]
+    if 0 <= uid < state.num_users:
+        user_mean, user_cov = state.user_mean[int(uid)], state.user_cov[int(uid)]
     else:
         user_mean, user_cov = user_prior(state)
     mu, sigma2 = predictive_moments(X, brand_mean, brand_cov, user_mean, user_cov)
@@ -111,10 +118,11 @@ def score_candidates(user_id, candidates, state: VariationalState):
 def rank_top_k(user_id, candidates, state: VariationalState, k: int):
     """Top-K candidates for a user by click probability.
 
-    ``candidates`` is an iterable of (item_id, x, brand_id).  Unknown brand
-    or user ids (None or out of range) are scored with prior moments.  Ties
-    are broken by ascending item id, so the output is independent of the
-    candidate input order.
+    ``candidates`` is an iterable of (item_id, x, brand_id).  Ids follow
+    ``score_candidates``: unknown ones (None, NaN or out of range) are
+    scored with prior moments, and one that is not a whole number raises
+    ValueError.  Ties are broken by ascending item id, so the output is
+    independent of the candidate input order.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -55,6 +55,14 @@ def test_recall_and_ndcg_reject_bad_k(metric, k):
         metric(["a"], {"a"}, k)
 
 
+@pytest.mark.parametrize("metric", [precision_at_k, recall_at_k, ndcg_at_k])
+@pytest.mark.parametrize("k", [2.5, 2.0, True])
+def test_metrics_reject_a_cutoff_that_is_not_an_integer(metric, k):
+    with pytest.raises(ValueError, match=f"k must be an integer, got {k!r}"):
+        metric(["a", "b"], {"a"}, k)
+    assert metric(["a", "b"], {"a"}, np.int64(2)) == metric(["a", "b"], {"a"}, 2)
+
+
 def test_recall_full_retrieval():
     assert recall_at_k(["a", "b", "c"], {"a", "c"}, 3) == 1.0
 
@@ -351,6 +359,29 @@ def test_cross_validate_refuses_a_cutoff_below_one_before_fitting(k_values):
         cross_validate(data, hp, folds=2, seed=0, k_values=k_values,
                        scorer_factory=recording_factory)
     assert calls == []
+
+
+def test_cross_validate_refuses_a_cutoff_that_is_not_an_integer_before_fitting():
+    """2.5, 2.0 and True are refused before fold 0 is fitted; an np.int64
+    cutoff gives the report of the int it equals."""
+    data = _toy_dataset(num_users=6, events_per_user=10, seed=2)
+    calls = []
+
+    def recording_factory(train, hp, seed):
+        calls.append(seed)
+        return lambda user_id, candidates: np.zeros(len(candidates))
+
+    hp = HyperParams(num_styles=2, feature_dim=3)
+    for k_values in [(2.5,), (5, 2.0), (True,)]:
+        with pytest.raises(ValueError, match="every cutoff must be an integer"):
+            cross_validate(data, hp, folds=2, seed=0, k_values=k_values,
+                           scorer_factory=recording_factory)
+    assert calls == []
+    as_int = cross_validate(data, hp, folds=2, seed=0, k_values=(2,),
+                            scorer_factory=recording_factory)
+    assert cross_validate(data, hp, folds=2, seed=0, k_values=(np.int64(2),),
+                          scorer_factory=recording_factory) == as_int
+    assert calls == [0, 1, 0, 1]
 
 
 @pytest.mark.parametrize("scores", [

@@ -457,11 +457,15 @@ def _assert_close(got, want):
 
 @pytest.mark.parametrize("d, seed", [(1, 0), (10, 2)])
 def test_grouped_moments_match_gathered_covariances(d, seed):
-    """update_xi and the likelihood bound against the (N, d, d) formula, on
-    interleaved events with an empty and a single-event user and brand."""
+    """m, s2, update_xi and the likelihood bound against the (N, d, d)
+    formula, on interleaved events with an empty and a single-event user and
+    brand."""
     data, state = _family_instance(d, seed)
     m, s2 = reference_event_moments(state, data)
-    _assert_close(update_xi(*event_moments(state, data)), np.sqrt(m * m + s2))
+    got_m, got_s2 = event_moments(state, data)
+    _assert_close(got_m, m)
+    _assert_close(got_s2, s2)
+    _assert_close(update_xi(got_m, got_s2), np.sqrt(m * m + s2))
     xi, lam = state.xi, lambda_of_xi(state.xi)
     bound = np.sum(data.y * m - np.logaddexp(0.0, -xi) - 0.5 * (m + xi)
                    - lam * (m * m + s2 - xi * xi))
@@ -582,14 +586,14 @@ def test_cavi_sweep_terms_equal_the_independent_elbo(users, brands, events, d):
 
 
 def test_fit_computes_each_per_event_pass_once_per_sweep(monkeypatch):
-    """A k-sweep fit runs the per-entity s2 pass k times and lambda(xi) 2k
-    times: once for both family updates and once for the ELBO of the new
-    xi.  Each sweep projects the events on the means three times: on the
-    old brands, the new users and the new brands."""
+    """A k-sweep fit runs the per-entity event-moment pass k times and
+    lambda(xi) 2k times: once for both family updates and once for the ELBO
+    of the new xi.  Each sweep projects the events on the means twice: on
+    the old brands and on the new users."""
     sweeps = 5
     hp, data = _synthetic(max_iters=sweeps, rel_tol=1e-300)
     calls = {}
-    for name in ("_event_variances", "lambda_of_xi", "project"):
+    for name in ("event_moments", "lambda_of_xi", "project"):
         real = getattr(model, name)
 
         def counted(*args, _name=name, _real=real):
@@ -600,8 +604,8 @@ def test_fit_computes_each_per_event_pass_once_per_sweep(monkeypatch):
             monkeypatch.setattr(module, name, counted)
     _, report = fit(data, hp, seed=0)
     assert report.iterations_run == sweeps
-    assert calls == {"_event_variances": sweeps, "lambda_of_xi": 2 * sweeps,
-                     "project": 3 * sweeps}
+    assert calls == {"event_moments": sweeps, "lambda_of_xi": 2 * sweeps,
+                     "project": 2 * sweeps}
 
 
 def test_fit_runs_every_update_through_its_public_function(monkeypatch):

@@ -252,6 +252,20 @@ def test_dataset_validation():
         Dataset(events=[e], num_users=1, num_brands=2, feature_dim=3)
 
 
+@pytest.mark.parametrize("bad", [2.0, True, -1])
+@pytest.mark.parametrize("field", ["num_users", "num_brands"])
+def test_dataset_refuses_a_count_that_is_not_a_non_negative_integer(field, bad):
+    e = EventRecord(x=np.zeros(2), brand=0, user=0, y=0)
+    counts = {"num_users": 2, "num_brands": 3, field: bad}
+    message = f"^{field} must be a non-negative integer, got {bad!r}$"
+    with pytest.raises(ValueError, match=message):
+        Dataset.from_arrays(np.zeros((1, 2)), [0], [0], [0], **counts)
+    with pytest.raises(ValueError, match=message):
+        Dataset([e], feature_dim=2, **counts)
+    data = Dataset.from_arrays(np.zeros((1, 2)), [0], [0], [0], np.int64(2), np.int64(3))
+    assert (type(data.num_users), data.num_users, data.num_brands) == (int, 2, 3)
+
+
 def _columns(n=6, d=3, seed=0):
     rng = np.random.default_rng(seed)
     return (rng.standard_normal((n, d)), rng.integers(0, 3, n), rng.integers(0, 4, n),

@@ -208,6 +208,29 @@ def test_whole_number_brand_ids_score_like_ints():
         np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("bad", [1.5, -0.5, math.inf, -math.inf])
+def test_fractional_or_infinite_user_id_is_rejected(bad):
+    state = _ranking_state()
+    cands = [(0, [1.0, 0.0], 0), (1, [0.5, 0.5], None)]
+    with pytest.raises(ValueError, match=f"user id {bad!r} is not an integer"):
+        score_candidates(bad, cands, state)
+    with pytest.raises(ValueError, match=f"user id {bad!r} is not an integer"):
+        rank_top_k(bad, cands, state, k=1)
+
+
+def test_whole_number_user_ids_score_like_ints():
+    """A whole number of any type indexes the user table (True is user 1);
+    NaN and a whole number out of range take the prior, as None does."""
+    state = _ranking_state()
+    cands = [(0, [1.0, 1.0], 0), (1, [2.0, -1.0], None)]
+    for want, other in [(1, 1.0), (1, np.int64(1)), (1, True), (0, False), (0, -0.0),
+                        (None, math.nan), (None, 2.0), (None, -1.0)]:
+        for g, w in zip(score_candidates(other, cands, state),
+                        score_candidates(want, cands, state)):
+            np.testing.assert_array_equal(g, w)
+        assert rank_top_k(other, cands, state, k=2) == rank_top_k(want, cands, state, k=2)
+
+
 def test_cold_start_user_uses_prior_moments():
     state = _ranking_state()
     prior_mean, prior_cov = user_prior(state)
