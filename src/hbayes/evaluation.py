@@ -69,8 +69,11 @@ def stratified_user_folds(data: Dataset, folds: int, seed: int) -> np.ndarray:
     """Assign each event to a fold, dealing each user's shuffled events round-robin.
 
     Returns an array of fold indices, with -1 marking events of users that
-    have fewer than ``folds`` events (those users are excluded).
+    have fewer than ``folds`` events (those users are excluded).  ``folds``
+    that is not an integer >= 2 (2.5, 2.0 or True) raises ValueError.
     """
+    if not _is_integer(folds):
+        raise ValueError(f"folds must be an integer, got {folds!r}")
     if folds < 2:
         raise ValueError("folds must be >= 2")
     rng = np.random.default_rng(seed)
@@ -106,8 +109,9 @@ def cross_validate(data: Dataset, hp: HyperParams, folds: int = DEFAULT_FOLDS, s
     relevant set is the clicked held-out events, and precision, recall and
     NDCG at each cutoff come from one scoring of (ranked, relevant, k).
     Metrics are macro-averaged over users that have at least one held-out
-    positive.  A cutoff that is not an integer >= 1 raises ValueError
-    before any fold is fitted.  Deterministic given the seed.
+    positive.  A cutoff that is not an integer >= 1, or a ``folds`` that
+    is not an integer >= 2, raises ValueError before any fold is fitted.
+    Deterministic given the seed.
 
     Returns the metrics report that ``hbayes eval`` writes (layout in
     docs/file_formats.md): ``k_values``, one entry per fold under

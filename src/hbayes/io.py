@@ -19,6 +19,7 @@ import array
 import hashlib
 import json
 import math
+import re
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -96,14 +97,12 @@ def _all_finite(numbers):
         return False
 
 
-def _read_columns(path, require_label=True):
-    """Parse an event-format file into columns: (user ids, brand ids, X (N, d),
-    labels), one entry per non-blank line.
-
-    Each line is checked in full, in the order docs/file_formats.md gives,
-    before the next one is read; its x then goes into one float64 buffer
-    that becomes X without a copy.
-    """
+def _check_columns(path, require_label):
+    """Parse an event-format file line by line: each line is checked in full,
+    in the order docs/file_formats.md gives, before the next one is read, so
+    the first faulty line raises EventParseError.  Returns the columns of
+    ``_read_columns``; its x go into one float64 buffer that becomes X
+    without a copy."""
     users, brands, labels = [], [], []
     buf, d = array.array("d"), 0
     for lineno, obj in _json_lines(path):
@@ -133,6 +132,75 @@ def _read_columns(path, require_label=True):
         labels.append(y)
         buf.fromlist(x)
     return users, brands, np.frombuffer(buf).reshape(len(users), d), labels
+
+
+# What json.loads skips around a document; str.strip() skips more, so a line
+# it blanks may still not be JSON whitespace.
+_json_space = re.compile(r"[ \t\n\r]*").match
+# Every exception the fast pass can meet on input that _check_columns rejects:
+# a failed decode (StopIteration, JSONDecodeError), a line that is no object
+# or lacks a field (TypeError, KeyError), an x that array.fromlist refuses
+# (TypeError, OverflowError), an unhashable label, bytes that are not UTF-8
+# (UnicodeDecodeError) and nesting past the recursion limit.
+_DOUBT = (StopIteration, ValueError, TypeError, KeyError, OverflowError, RecursionError)
+
+
+def _scan_columns(path, require_label):
+    """The columns ``_check_columns`` returns for the file, or None when any
+    line might fail one of its checks.  Never raises for a faulty file.
+
+    Each line is decoded once, by the scanner behind json.loads, and its
+    fields appended as they are; per line only the cheap checks run (JSON
+    whitespace after the object, the length of x, and booleans in x or y,
+    screened by the text "true" / "false").  Ids, labels and finiteness are
+    checked once over the whole file.
+    """
+    users, brands, labels = [], [], []
+    buf, d = array.array("d"), None
+    scan = json.JSONDecoder().scan_once
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                try:
+                    obj, end = scan(line, 0)
+                except StopIteration:  # a blank line, or JSON whitespace first
+                    if not line.strip():
+                        continue
+                    obj, end = scan(line, _json_space(line).end())
+                if line[end:] != "\n" and _json_space(line, end).end() != len(line):
+                    return None
+                x, y = obj["x"], obj.get("y")
+                if ("true" in line or "false" in line) and (
+                        type(y) is bool or bool in map(type, x)):
+                    return None
+                if len(x) != d:
+                    if d is not None or not x:
+                        return None
+                    d = len(x)
+                users.append(obj["user"])
+                brands.append(obj["brand"])
+                labels.append(y)
+                buf.fromlist(x)
+        X = np.frombuffer(buf).reshape(len(users), d or 0)
+        if not ({str}.issuperset(map(type, users)) and {str}.issuperset(map(type, brands))
+                and ({0, 1} if require_label else {0, 1, None}).issuperset(labels)
+                and np.isfinite(X).all()):
+            return None
+    except _DOUBT:
+        return None
+    return users, brands, X, labels
+
+
+def _read_columns(path, require_label=True):
+    """Parse an event-format file into columns: (user ids, brand ids, X (N, d),
+    labels), one entry per non-blank line.
+
+    A fast pass reads the file first; on any doubt the file is read again
+    from the top by the line-by-line checker, which names the first faulty
+    line.  Either way the columns are the checker's, bit for bit.
+    """
+    columns = _scan_columns(path, require_label)
+    return columns if columns is not None else _check_columns(path, require_label)
 
 
 def load_events(path) -> Dataset:

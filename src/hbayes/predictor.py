@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from .model import VariationalState, sigmoid
+from .model import VariationalState, _is_integer, sigmoid
 
 __all__ = [
     "predictive_moments",
@@ -14,6 +14,9 @@ __all__ = [
     "brand_prior",
     "user_prior",
 ]
+
+# Text, which float() and numpy parse as a number ("1"), but which is no id.
+_TEXT = (str, bytes, bytearray, np.str_, np.bytes_)
 
 
 def predictive_moments(X, brand_mean, brand_cov, user_mean, user_cov):
@@ -77,16 +80,20 @@ def score_candidates(user_id, candidates, state: VariationalState):
     brand moments from one gather; only when a request holds a cold id is
     the cold-brand prior computed and appended to the brand table as row B.
     Raises ValueError if the user id, or the brand id of a candidate (the
-    first one is named), is none of these, ±inf included, or if a
-    candidate's x is not finite or so large that its score overflows.
+    first one is named), is none of these, ±inf and strings ("1" too)
+    included, or if a candidate's x is not finite or so large that its
+    score overflows.
     """
     B = state.num_brands
-    uid = math.nan if user_id is None else float(user_id)  # NaN fails both bounds
+    # None reads as NaN, which fails both bounds; text reads as 0.5, no integer.
+    uid = math.nan if user_id is None else 0.5 if isinstance(user_id, _TEXT) else float(user_id)
     if not (uid.is_integer() or math.isnan(uid)):
         raise ValueError(f"user id {user_id!r} is not an integer")
     _, xs, brands = zip(*candidates) if candidates else ((), np.zeros((0, state.dim)), ())
     X = np.array(xs, dtype=float)
-    ids = np.array(brands, dtype=float)  # None -> NaN, as for the user id
+    text = not set(_TEXT).isdisjoint(map(type, brands))  # read as for the user id
+    ids = np.fromiter((0.5 if isinstance(b, _TEXT) else b for b in brands) if text else brands,
+                      float, len(brands))
     whole = np.isnan(ids) | np.isfinite(ids) & (np.floor(ids) == ids)
     if not whole.all():  # a fraction would be truncated to a brand row
         i = int(np.argmin(whole))
@@ -120,10 +127,13 @@ def rank_top_k(user_id, candidates, state: VariationalState, k: int):
 
     ``candidates`` is an iterable of (item_id, x, brand_id).  Ids follow
     ``score_candidates``: unknown ones (None, NaN or out of range) are
-    scored with prior moments, and one that is not a whole number raises
-    ValueError.  Ties are broken by ascending item id, so the output is
-    independent of the candidate input order.
+    scored with prior moments, and one that is not a whole number, or is a
+    string, raises ValueError, as does a ``k`` that is not an integer >= 1
+    (2.0 and True included).  Ties are broken by ascending item id, so the
+    output is independent of the candidate input order.
     """
+    if not _is_integer(k):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
     candidates = list(candidates)

@@ -191,6 +191,14 @@ def test_stratified_folds_reject_single_fold():
         stratified_user_folds(_toy_dataset(), folds=1, seed=0)
 
 
+@pytest.mark.parametrize("folds", [2.5, 3.0, True, "3"])
+def test_stratified_folds_refuse_a_count_that_is_not_an_integer(folds):
+    with pytest.raises(ValueError, match=f"^folds must be an integer, got {folds!r}$"):
+        stratified_user_folds(_toy_dataset(), folds=folds, seed=0)
+    np.testing.assert_array_equal(stratified_user_folds(_toy_dataset(), np.int64(3), 0),
+                                  stratified_user_folds(_toy_dataset(), 3, 0))
+
+
 # ---------------------------------------------------------------------------
 # cross_validate
 # ---------------------------------------------------------------------------
@@ -201,6 +209,20 @@ def test_cross_validate_rejects_single_fold():
     hp = HyperParams(num_styles=2, feature_dim=3)
     with pytest.raises(ValueError):
         cross_validate(data, hp, folds=1)
+
+
+@pytest.mark.parametrize("folds", [2.5, 2.0, True])
+def test_cross_validate_refuses_folds_that_is_not_an_integer_before_fitting(folds):
+    calls = []
+
+    def recording_factory(train, hp, seed):
+        calls.append(seed)
+        return lambda user_id, candidates: np.zeros(len(candidates))
+
+    hp = HyperParams(num_styles=2, feature_dim=3)
+    with pytest.raises(ValueError, match=f"^folds must be an integer, got {folds!r}$"):
+        cross_validate(_toy_dataset(), hp, folds=folds, scorer_factory=recording_factory)
+    assert calls == []
 
 
 def test_cross_validate_rejects_too_small_dataset():

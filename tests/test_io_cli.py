@@ -7,6 +7,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from hbayes import (
     save_checkpoint,
     save_events,
 )
-from hbayes import cli, evaluation
+from hbayes import cli, evaluation, io
 from hbayes.generator import GroundTruth
 from hbayes.io import load_candidates, save_ground_truth, save_json, save_trace_csv
 
@@ -120,8 +121,8 @@ def _event_line(x='[1.0, 2.0]', y="1"):
     return f'{{"user": "u0", "brand": "b0", "x": {x}, "y": {y}}}'
 
 
-# Each file holds one or more faults; the loaders check each line in full
-# before reading the next, so the first faulty line is the one named.
+# Each file holds one or more faults; the line checker checks each line in
+# full before reading the next, so the first faulty line is the one named.
 _FAULTY_FILES = {
     "nan_then_short_row": (["[1.0, 2.0]", "[NaN, 2.0]", "[1.0, 2.0]", "[1.0]"],
                            "line 2: x contains non-finite values"),
@@ -302,6 +303,135 @@ def test_save_load_events_round_trip_property(tmp_path_factory, columns):
     np.testing.assert_array_equal(again.y, y)
     assert [again.user_ids[u] for u in again.users] == [user_ids[u] for u in users]
     assert [again.brand_ids[b] for b in again.brands] == [brand_ids[b] for b in brands]
+
+
+# Ids that hold the text the fast pass screens for booleans.
+_SCREENED_ID = st.sampled_from(["true", "false", "untrue", "x: [true]"])
+# Lines str.strip() blanks; "\x0b" and "\x0c" are no JSON whitespace.
+_BLANK = st.sampled_from(["", " ", "\t", "\x0b", "\x0c", " \x0b\x0c\t"])
+
+
+@st.composite
+def _event_text(draw, require_label):
+    """(bytes of a valid event file, its lines as objects): indented lines,
+    CRLF endings, labels 1.0, int features, ids that contain "true" or
+    "false", blank lines of any whitespace and sometimes no final newline."""
+    d = draw(st.integers(1, 3))
+    row = st.lists(_FEATURE | st.integers(-2**70, 2**70), min_size=d, max_size=d)
+    if d == 2:
+        row = row | st.just([1e308, 1e308])  # finite, but the sum overflows
+    labels = st.sampled_from([0, 1, 0.0, 1.0, -0.0])
+    lines, objs = [], []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            lines.append(draw(_BLANK))
+            continue
+        obj = {"user": draw(_ID | _SCREENED_ID), "brand": draw(_ID | _SCREENED_ID),
+               "x": draw(row)}
+        label = draw(labels | st.sampled_from([None, "missing"])) if not require_label \
+            else draw(labels)
+        if label != "missing":
+            obj["y"] = label
+        objs.append(obj)
+        text = json.dumps(obj, ensure_ascii=draw(st.booleans()),
+                          indent=draw(st.sampled_from([None, None, 1])))
+        lines.append(draw(st.sampled_from(["", " ", "\t "])) + text.replace("\n", " ")
+                     + draw(st.sampled_from(["", " ", "\t"])))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    text = ending.join(lines) + (ending if draw(st.booleans()) else "")
+    return text.encode("utf-8"), objs
+
+
+def _columns_bytes(columns):
+    users, brands, X, labels = columns
+    return users, brands, X.shape, X.tobytes(), [(type(v), v) for v in labels]
+
+
+@pytest.mark.parametrize("require_label", [True, False])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fast_pass_reads_valid_files_as_the_line_checker_does(tmp_path_factory, require_label,
+                                                              data):
+    """On every valid file the fast pass returns the line-by-line checker's
+    columns byte for byte, without handing over, and so do both loaders."""
+    raw, objs = data.draw(_event_text(require_label))
+    path = tmp_path_factory.mktemp("events") / "events.jsonl"
+    path.write_bytes(raw)
+    checked = io._check_columns(path, require_label)
+    assert checked[0] == [o["user"] for o in objs]
+    fast = io._scan_columns(path, require_label)
+    assert fast is not None
+    assert _columns_bytes(fast) == _columns_bytes(checked)
+    if not objs:
+        return
+    with mock.patch.object(io, "_scan_columns", return_value=None):
+        slow_events = load_events(path) if require_label else None
+        slow_cands = load_candidates(path)
+    if require_label:
+        events = load_events(path)
+        for name in ("X", "users", "brands", "y"):
+            assert getattr(events, name).tobytes() == getattr(slow_events, name).tobytes()
+        assert (events.user_ids, events.brand_ids) == (slow_events.user_ids,
+                                                       slow_events.brand_ids)
+    cands = load_candidates(path)
+    assert [(i, x.tobytes(), b, u) for i, x, b, u in cands] == \
+        [(i, x.tobytes(), b, u) for i, x, b, u in slow_cands]
+
+
+# File texts with one or more faults each; the fast pass hands every one to
+# the line checker, which names the first.
+_ROW = '{"user": "u0", "brand": "b0", "x": [1.0, 2.0], "y": 1}'
+_FAULTY_TEXTS = {
+    "empty_x_then_full_rows": ('{"user": "u0", "brand": "b0", "x": [], "y": 1}\n'
+                               + f"{_ROW}\n{_ROW}\n", "line 1: x must not be empty"),
+    "integers_past_float_range_summing_to_zero": (
+        f'{_ROW}\n{{"user": "u0", "brand": "b0", "x": [1{"0" * 400}, -1{"0" * 400}], "y": 1}}\n',
+        "line 2: x contains non-finite values"),
+    "true_label": (f'{_ROW}\n{{"user": "u0", "brand": "b0", "x": [1.0, 2.0], "y": true}}\n',
+                   "line 2: label y must be 0 or 1, got True"),
+    "vertical_tab_after_object": (f"{_ROW}\n{_ROW}\x0b\n",
+                                  "line 2: invalid JSON (Extra data)"),
+    "byte_order_mark": (f"\ufeff{_ROW}\n{_ROW}\n",
+                        "line 1: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"),
+    "two_objects_on_one_line": (f"{_ROW}\n{_ROW} {_ROW}\n", "line 2: invalid JSON (Extra data)"),
+    "object_split_over_two_lines": (f'{_ROW}\n{{"user": "u0", "brand": "b0",\n'
+                                    '"x": [1.0, 2.0], "y": 1}\n',
+                                    "line 2: invalid JSON (Expecting property name enclosed "
+                                    "in double quotes)"),
+    "nested_list_in_x": (f'{_ROW}\n{{"user": "u0", "brand": "b0", "x": [1.0, [2.0]], "y": 1}}\n',
+                         "line 2: x must be an array of numbers"),
+    "number_brand": (f'{_ROW}\n{{"user": "u0", "brand": 0, "x": [1.0, 2.0], "y": 1}}\n',
+                     "line 2: user and brand must be strings"),
+}
+
+
+@pytest.mark.parametrize("loader", [load_events, load_candidates])
+@pytest.mark.parametrize("case", sorted(_FAULTY_TEXTS))
+def test_loaders_name_the_first_fault_the_fast_pass_hands_over(tmp_path, loader, case):
+    text, message = _FAULTY_TEXTS[case]
+    path = tmp_path / "events.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    assert io._scan_columns(path, loader is load_events) is None
+    with pytest.raises(EventParseError) as err:
+        loader(path)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"user": "u0", "brand": "b0", "x": [1.0, 2.0]}', "line 2: missing field 'y'"),
+    ('{"user": "u0", "brand": "b0", "x": [1.0, 2.0], "y": null}',
+     "line 2: label y must be 0 or 1, got None"),
+])
+def test_events_hand_over_a_missing_or_null_label_that_candidates_take(tmp_path, line,
+                                                                       message):
+    path = tmp_path / "events.jsonl"
+    _write_lines(path, [_ROW, line])
+    assert io._scan_columns(path, True) is None
+    with pytest.raises(EventParseError) as err:
+        load_events(path)
+    assert str(err.value) == message
+    assert io._scan_columns(path, False) is not None
+    assert len(load_candidates(path)) == 2
 
 
 def test_load_candidates_label_optional(tmp_path):

@@ -1,6 +1,7 @@
 """Tests for predictive moments, the probit shortcut, and ranking."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -169,6 +170,16 @@ def test_rank_requires_positive_k():
         rank_top_k(0, [], _ranking_state(), k=0)
 
 
+@pytest.mark.parametrize("k", [2.5, 2.0, True, "2", None])
+def test_rank_refuses_k_that_is_not_an_integer(k):
+    """numpy would fail 2.5 and 2.0 with a bare TypeError and take True as 1."""
+    state = _ranking_state()
+    cands = [(i, [0.1 * i, 0.0], 0) for i in range(3)]
+    with pytest.raises(ValueError, match=f"^k must be an integer, got {k!r}$"):
+        rank_top_k(0, cands, state, k=k)
+    assert rank_top_k(0, cands, state, k=np.int64(2)) == rank_top_k(0, cands, state, k=2)
+
+
 def test_cold_start_brand_uses_mixture_prior():
     state = _ranking_state()
     prior_mean, prior_cov = brand_prior(state)
@@ -216,6 +227,27 @@ def test_fractional_or_infinite_user_id_is_rejected(bad):
         score_candidates(bad, cands, state)
     with pytest.raises(ValueError, match=f"user id {bad!r} is not an integer"):
         rank_top_k(bad, cands, state, k=1)
+
+
+@pytest.mark.parametrize("bad", ["1", "u1", "", b"1", np.str_("0")],
+                         ids=["digit", "word", "empty", "bytes", "numpy-str"])
+def test_string_user_or_brand_id_is_rejected(bad):
+    """float() would read "1" as 1, so a string id is refused like a
+    fraction, and the first faulty candidate is still the one named."""
+    state = _ranking_state()
+    cands = [(0, [1.0, 0.0], 0), (1, [0.5, 0.5], None), (2, [1.0, 1.0], bad), (3, [0.0, 1.0], 0.5)]
+    user_message = f"^user id {re.escape(repr(bad))} is not an integer$"
+    brand_message = f"^candidate 2: brand id {re.escape(repr(bad))} is not an integer$"
+    with pytest.raises(ValueError, match=user_message):
+        score_candidates(bad, cands[:2], state)
+    with pytest.raises(ValueError, match=user_message):
+        rank_top_k(bad, cands[:2], state, k=1)
+    with pytest.raises(ValueError, match=brand_message):
+        score_candidates(0, cands, state)
+    with pytest.raises(ValueError, match=brand_message):
+        rank_top_k(0, cands, state, k=1)
+    with pytest.raises(ValueError, match="^candidate 0: brand id 1.5 is not an integer$"):
+        score_candidates(0, [(0, [1.0, 0.0], 1.5), (1, [1.0, 0.0], bad)], state)
 
 
 def test_whole_number_user_ids_score_like_ints():
