@@ -20,6 +20,8 @@ import hashlib
 import json
 import math
 import re
+import sys
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -59,17 +61,51 @@ class CheckpointError(ValueError):
     """Raised when a checkpoint file is malformed or violates invariants."""
 
 
+def _canonical(obj):
+    """The canonical JSON text of one value."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def _pieces(obj):
+    """The canonical JSON text of ``obj`` in pieces: strings, and each
+    iterator in the document as itself, to be written as it yields."""
+    if isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
+        # json.dumps sorts and converts other keys its own way: such a dict is a leaf.
+        for i, key in enumerate(sorted(obj)):
+            yield ("," if i else "{") + _canonical(key) + ":"
+            yield from _pieces(obj[key])
+        yield "}"
+    elif isinstance(obj, Iterator):
+        yield obj
+    else:
+        yield _canonical(obj)
+
+
 def save_json(obj, path):
-    """Write ``obj`` as canonical JSON: sorted keys, compact separators, no
-    NaN or infinity, one trailing newline."""
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    """Write ``obj`` as canonical JSON: the text of ``json.dumps(obj,
+    sort_keys=True, separators=(",", ":"), allow_nan=False)`` and one
+    trailing newline.
+
+    The text is streamed to the file: dict keys are written sorted, every
+    other value by json.dumps, and an iterator of text (a checkpoint's
+    dense factor families) as it yields.  Everything else is encoded before
+    the file is opened, so a value json.dumps refuses leaves no file behind.
+    """
+    pieces = list(_pieces(obj))
     with open(path, "w", encoding="utf-8") as fh:
-        print(text, file=fh)  # two writes, so no copy of text with its newline
+        for piece in pieces:
+            fh.writelines((piece,) if isinstance(piece, str) else piece)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
 # events
 # ---------------------------------------------------------------------------
+
+
+# The one other ValueError json.loads raises for a str: an integer literal past
+# Python's limit on integer-string conversion (4300 digits by default).
+_TOO_MANY_DIGITS = f"an integer has more than {sys.get_int_max_str_digits()} digits"
 
 
 def _json_lines(path):
@@ -82,6 +118,8 @@ def _json_lines(path):
                 obj = json.loads(line)
             except json.JSONDecodeError as err:
                 raise EventParseError(f"line {lineno}: invalid JSON ({err.msg})") from None
+            except ValueError:
+                raise EventParseError(f"line {lineno}: invalid JSON ({_TOO_MANY_DIGITS})") from None
             yield lineno, obj
 
 
@@ -184,7 +222,7 @@ def _scan_columns(path, require_label):
         X = np.frombuffer(buf).reshape(len(users), d or 0)
         if not ({str}.issuperset(map(type, users)) and {str}.issuperset(map(type, brands))
                 and ({0, 1} if require_label else {0, 1, None}).issuperset(labels)
-                and np.isfinite(X).all()):
+                and np.isfinite([X.min(initial=0.0), X.max(initial=0.0)]).all()):
             return None
     except _DOUBT:
         return None
@@ -303,11 +341,52 @@ def _check_checkpoint(ckpt: Checkpoint, num_users, num_brands):
     _check_id_lists(ckpt.user_ids, ckpt.brand_ids, num_users, num_brands, CheckpointError)
 
 
-def _factor_objs(means, spreads, spread):
-    """One object per Gaussian factor of a family: its mean and, under the
-    key ``spread``, a dense covariance ("cov") or an isotropic variance v
-    standing for v * I ("iso_var")."""
-    return [{"mean": m, spread: v} for m, v in zip(means.tolist(), spreads.tolist())]
+# Covariance entries formatted per slice of factors: this bounds the strings
+# alive at once while a dense family is written.
+_SLICE_ENTRIES = 4096
+
+
+def _dense_factor_text(means, covs):
+    """The JSON text of a family of factors with dense covariances,
+    ``[{"cov": [[...], ...], "mean": [...]}, ...]``, slice by slice from the
+    arrays, which must be finite.
+
+    json.dumps writes each float as its repr.  Every fitted covariance equals
+    its transpose bit for bit (``spd_inverse`` returns (A + A^T) / 2), so in
+    a slice where that holds each upper-triangle entry is formatted once and
+    its string stands for the mirror entry too; any other slice formats every
+    entry.  The strings of a slice are laid between fixed separators and
+    joined once.
+    """
+    n, d = means.shape
+    # Where covariance entry (i, j), row by row, and then mean entry i are
+    # found in the upper triangle followed by the mean.
+    upper = np.triu_indices(d)
+    tri = np.zeros((d, d), dtype=np.intp)
+    tri[upper] = np.arange(len(upper[0]))
+    from_upper = np.concatenate([np.maximum(tri, tri.T).ravel(), len(upper[0]) + np.arange(d)])
+    # The separator before each covariance entry and each mean entry, then "]}".
+    seps = np.array([',{"cov":[['] + ["," if e % d else "],[" for e in range(1, d * d)]
+                    + [']],"mean":['] + [","] * (d - 1) + ["]}"], dtype=object)
+    step = max(1, _SLICE_ENTRIES // (d * d))
+    yield "["
+    for lo in range(0, n, step):
+        cov, mean = covs[lo:lo + step], means[lo:lo + step]
+        bits = cov.view(np.uint64)  # bit for bit: -0.0 and 0.0 are written differently
+        if np.array_equal(bits, bits.swapaxes(1, 2)):
+            cov, take = cov[:, upper[0], upper[1]], from_upper
+        else:
+            cov, take = cov.reshape(len(cov), d * d), slice(None)
+        values = np.concatenate([cov, mean], axis=1)
+        strings = np.fromiter(map(repr, values.ravel().tolist()), dtype=object,
+                              count=values.size).reshape(values.shape)
+        tokens = np.empty((len(mean), 2 * len(seps) - 1), dtype=object)
+        tokens[:, 0::2] = seps
+        tokens[:, 1::2] = strings[:, take]
+        if lo == 0:
+            tokens[0, 0] = seps[0][1:]  # no comma before the first factor
+        yield "".join(tokens.ravel().tolist())
+    yield "]"
 
 
 def _factors_from_objs(objs, spread, d):
@@ -343,7 +422,8 @@ def save_checkpoint(ckpt: Checkpoint, path):
     The per-event bound locations ``state.xi`` are not written: they are
     working state of the fit, and ``fit(init=...)`` rebuilds them as
     ``update_xi(*event_moments(state, data))``, so the file grows with
-    users and brands, not events.
+    users and brands, not events.  The file holds json.dumps of the nested
+    document; the users and brands are written straight from their arrays.
     A checkpoint that ``load_checkpoint`` would reject (state invariants,
     dimensions or id lists) raises CheckpointError and nothing is written.
     Saving, loading and saving again produces a byte-identical file.
@@ -356,9 +436,10 @@ def save_checkpoint(ckpt: Checkpoint, path):
         "num_users": state.num_users,
         "num_brands": state.num_brands,
         "state": {
-            "users": _factor_objs(state.user_mean, state.user_cov, "cov"),
-            "brands": _factor_objs(state.brand_mean, state.brand_cov, "cov"),
-            "styles": _factor_objs(state.style_mean, state.style_var, "iso_var"),
+            "users": _dense_factor_text(state.user_mean, state.user_cov),
+            "brands": _dense_factor_text(state.brand_mean, state.brand_cov),
+            "styles": [{"mean": m, "iso_var": v}
+                       for m, v in zip(state.style_mean.tolist(), state.style_var.tolist())],
             "w": {"mean": state.w_mean.tolist(), "iso_var": float(state.w_var)},
             "theta_gamma": state.theta_gamma.tolist(),
             "resp": state.resp.tolist(),
@@ -387,6 +468,10 @@ def load_checkpoint(path) -> Checkpoint:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
         raise CheckpointError(f"invalid JSON: {err.msg}") from None
+    except UnicodeDecodeError:  # from read_text: not the digit limit
+        raise
+    except ValueError:
+        raise CheckpointError(f"invalid JSON: {_TOO_MANY_DIGITS}") from None
     if not isinstance(doc, dict):
         raise CheckpointError("checkpoint must be a JSON object")
     version = doc.get("schema_version")

@@ -1,5 +1,7 @@
 """Shared test fixtures and independent oracles."""
 
+from dataclasses import asdict
+
 import numpy as np
 from scipy import stats
 from scipy.special import gammaln
@@ -13,7 +15,9 @@ from hbayes import (
     lambda_of_xi,
     sigmoid,
 )
+from hbayes.io import CHECKPOINT_SCHEMA_VERSION
 from hbayes.linalg import spd_inverse
+from hbayes.model import _PRECISION_FIELDS
 
 LOG2PI = float(np.log(2.0 * np.pi))
 
@@ -79,6 +83,42 @@ def random_state(hp, num_users, num_brands, num_events, seed):
         prec_w=GammaPosterior(rng.uniform(1.0, 4.0), rng.uniform(1.0, 4.0)),
         xi=rng.uniform(0.1, 3.0, size=num_events),
     )
+
+
+def _factor_objs(means, spreads, spread):
+    """One object per Gaussian factor of a family: its mean and, under the
+    key ``spread``, a dense covariance ("cov") or an isotropic variance v
+    standing for v * I ("iso_var")."""
+    return [{"mean": m, spread: v} for m, v in zip(means.tolist(), spreads.tolist())]
+
+
+def checkpoint_document(ckpt):
+    """The checkpoint as one nested document of Python lists and numbers: the
+    reference for ``save_checkpoint``, whose file holds json.dumps of it with
+    sorted keys, compact separators and no NaN, plus a newline."""
+    state, hp, report = ckpt.state, ckpt.hyperparams, ckpt.fit_report
+    return {
+        "schema_version": CHECKPOINT_SCHEMA_VERSION,
+        "hyperparams": asdict(hp) | {"gamma0": hp.gamma0.tolist()},
+        "num_users": state.num_users,
+        "num_brands": state.num_brands,
+        "state": {
+            "users": _factor_objs(state.user_mean, state.user_cov, "cov"),
+            "brands": _factor_objs(state.brand_mean, state.brand_cov, "cov"),
+            "styles": _factor_objs(state.style_mean, state.style_var, "iso_var"),
+            "w": {"mean": state.w_mean.tolist(), "iso_var": float(state.w_var)},
+            "theta_gamma": state.theta_gamma.tolist(),
+            "resp": state.resp.tolist(),
+            **{name: asdict(p) for name, p in zip(_PRECISION_FIELDS, state.precisions)},
+        },
+        "fit_report": {
+            "elbo_trace": [float(v) for v in report.elbo_trace],
+            "iterations_run": report.iterations_run,
+            "converged": bool(report.converged),
+        },
+        "user_ids": ckpt.user_ids,
+        "brand_ids": ckpt.brand_ids,
+    }
 
 
 def prior_matched_state(hp, num_users, num_brands, num_events=0):

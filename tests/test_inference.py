@@ -320,6 +320,35 @@ def test_spd_jitter_climbs_to_the_third_rung():
         assert logdet[k] == spd_logdet(stack[k])
 
 
+def _bitwise_symmetric(mats):
+    """True if each matrix of a stack equals its transpose bit for bit, so
+    that a 0.0 mirrored by -0.0 counts as asymmetric."""
+    bits = np.asarray(mats).view(np.uint64)
+    return np.array_equal(bits, np.swapaxes(bits, -1, -2))
+
+
+def test_spd_inverse_and_fitted_covariances_are_exactly_symmetric():
+    """The checkpoint writer formats one triangle of a covariance that equals
+    its transpose bit for bit.  spd_inverse promises that for one matrix, a
+    stack and a stack with a jittered slice, and a fit on the S instance
+    (criterion 4's, seed 0) keeps it for both dense families, as does the
+    identity start."""
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((6, 7, 7))
+    stack = a @ np.swapaxes(a, 1, 2) + np.eye(7)
+    jittered = stack.copy()
+    jittered[3] = np.ones((7, 7))
+    for mats in (stack[0], stack, jittered):
+        assert _bitwise_symmetric(spd_inverse(mats))
+
+    gen_hp = HyperParams(num_styles=3, feature_dim=10, gamma0=np.full(3, 50.0))
+    data, _ = sample_dataset(gen_hp, num_users=10, num_brands=30, num_events=3000,
+                             true_precisions=(4.0, 100.0, 0.25, 1.0), seed=0)
+    hp = HyperParams(num_styles=3, feature_dim=10, max_iters=20)
+    for state in (initial_state(data, hp, seed=0), fit(data, hp, seed=0)[0]):
+        assert _bitwise_symmetric(state.user_cov) and _bitwise_symmetric(state.brand_cov)
+
+
 def test_update_style_direct_arithmetic():
     hp = HyperParams(num_styles=1, feature_dim=2)
     state = prior_matched_state(hp, 1, 1)

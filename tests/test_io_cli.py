@@ -34,7 +34,11 @@ from hbayes import (
 )
 from hbayes import cli, evaluation, io
 from hbayes.generator import GroundTruth
+from hbayes.inference import FitReport
 from hbayes.io import load_candidates, save_ground_truth, save_json, save_trace_csv
+from hbayes.linalg import spd_inverse
+
+from helpers import checkpoint_document, random_state
 
 # A schema-1 checkpoint as the version-1 writer left it: ``hbayes generate
 # --users 6 --brands 4 --styles 2 --events 300 --dim 3 --seed 1``, then
@@ -402,6 +406,9 @@ _FAULTY_TEXTS = {
                          "line 2: x must be an array of numbers"),
     "number_brand": (f'{_ROW}\n{{"user": "u0", "brand": 0, "x": [1.0, 2.0], "y": 1}}\n',
                      "line 2: user and brand must be strings"),
+    "integer_past_the_digit_limit": (
+        f'{_ROW}\n{{"user": "u0", "brand": "b0", "x": [1{"0" * 5000}, 2.0], "y": 1}}\n',
+        "line 2: invalid JSON (an integer has more than 4300 digits)"),
 }
 
 
@@ -623,6 +630,23 @@ def test_checkpoint_rejects_version_mismatch(tmp_path):
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError, match="schema_version"):
             load_checkpoint(path)
+
+
+def _with_huge_num_users(path):
+    """Rewrite the checkpoint at ``path`` with a 5001-digit ``num_users``,
+    which json.dumps itself cannot write."""
+    text = path.read_text()
+    assert text.count('"num_users":4,') == 1
+    path.write_text(text.replace('"num_users":4,', f'"num_users":{"4" * 5001},'))
+
+
+def test_checkpoint_rejects_an_integer_past_the_digit_limit(tmp_path):
+    path = tmp_path / "model.json"
+    save_checkpoint(_fitted(tmp_path), path)
+    _with_huge_num_users(path)
+    with pytest.raises(CheckpointError,
+                       match="^invalid JSON: an integer has more than 4300 digits$"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_malformed_json(tmp_path):
@@ -918,6 +942,67 @@ def test_checkpoint_round_trip_property(tmp_path_factory, d, empty_brand, seed):
         assert rank_top_k(user, cands, v2.state, k=5) == want
 
 
+# Floats whose repr takes each of its forms: signed zero, the smallest
+# subnormal, exponents at both ends of the positional range, a shortest repr
+# shorter than 17 digits, and the largest float.
+_REPR_EDGES = [-0.0, 5e-324, 1e-05, 1e16, 0.1, 1.7976931348623157e308]
+
+
+def _covariance_stack(rng, kind, n, d):
+    """n covariances of one kind: "fitted" is spd_inverse output, exactly
+    symmetric as every fitted stack is; "near" moves one entry of some of
+    them by an ulp, symmetric only within validate's tolerance; "edges" are
+    multiples v * I of a repr edge case v, with 0.0, -0.0 or 5e-324 on
+    either side of the diagonal independently."""
+    if kind == "edges":
+        cov = rng.choice([0.0, -0.0, 5e-324], size=(n, d, d))
+        cov[:, np.arange(d), np.arange(d)] = rng.choice(
+            [0.1, 1e-05, 1e16, 1.7976931348623157e308], size=(n, 1))
+        return cov
+    a = rng.standard_normal((n, d, d))
+    cov = spd_inverse(a @ np.swapaxes(a, 1, 2) + np.eye(d)) * 10.0 ** rng.integers(-5, 6)
+    if kind == "near" and d > 1:
+        moved = rng.random(n) < 0.5
+        cov[moved, 0, 1] = np.nextafter(cov[moved, 0, 1], np.inf)
+    return cov
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(d=st.sampled_from([1, 2, 3, 8, 20]), users=st.integers(0, 30), brands=st.integers(0, 30),
+       kinds=st.tuples(*[st.sampled_from(["fitted", "near", "edges"])] * 2),
+       slice_entries=st.sampled_from([io._SLICE_ENTRIES, 1, 50]), with_ids=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_checkpoint_bytes_are_json_dumps_of_the_nested_document(
+        tmp_path_factory, d, users, brands, kinds, slice_entries, with_ids, seed):
+    """The streamed checkpoint is exactly json.dumps of the document built
+    from nested lists, for exactly symmetric and nearly symmetric stacks,
+    empty families, d from 1 to 20, families longer than one slice and the
+    repr edge cases in means and covariances."""
+    rng = np.random.default_rng(seed)
+    hp = HyperParams(num_styles=2, feature_dim=d)
+    state = random_state(hp, users, brands, 0, seed)
+    for (mean, cov), kind in zip((("user_mean", "user_cov"), ("brand_mean", "brand_cov")), kinds):
+        n = getattr(state, mean).shape[0]
+        values = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-300, 300, size=(n, d))
+        edges = rng.random((n, d)) < 0.3
+        values[edges] = rng.choice(_REPR_EDGES + [-1.7976931348623157e308], size=edges.sum())
+        setattr(state, mean, values)
+        setattr(state, cov, _covariance_stack(rng, kind, n, d))
+    report = FitReport([-1e16, -0.1, 5e-324], converged=False)
+    ids = ([f"u{k}" for k in range(users)], [f"b\u00e9{i}" for i in range(brands)])
+    ckpt = Checkpoint(hp, state, report, *(ids if with_ids else (None, None)))
+    path = tmp_path_factory.mktemp("ckpt") / "model.json"
+    with mock.patch.object(io, "_SLICE_ENTRIES", slice_entries):
+        save_checkpoint(ckpt, path)
+    want = json.dumps(checkpoint_document(ckpt), sort_keys=True, separators=(",", ":"),
+                      allow_nan=False) + "\n"
+    text = path.read_text(encoding="utf-8")
+    if text != want:  # pytest's own diff of two long lines would take minutes
+        at = next(i for i, (a, b) in enumerate(zip(text + "\0", want + "\1")) if a != b)
+        pytest.fail(f"first difference at character {at}: {text[at - 30:at + 30]!r} != "
+                    f"{want[at - 30:at + 30]!r}")
+
+
 def test_ranking_identical_after_round_trip(tmp_path):
     ckpt = _fitted(tmp_path)
     path = tmp_path / "model.json"
@@ -1163,6 +1248,25 @@ def test_cli_train_empty_features_names_the_line(tmp_path):
                    "--checkpoint-out", str(tmp_path / "model.json"))
     assert res.returncode == 1
     assert res.stderr.splitlines() == ["error: line 1: x must not be empty"]
+
+
+def test_cli_integer_past_the_digit_limit_is_one_error_line(tmp_path):
+    """A 5001-digit integer in an event file or a checkpoint: exit 1, one
+    error line, no output file."""
+    ckpt, out = tmp_path / "model.json", tmp_path / "out.json"
+    save_checkpoint(_fitted(tmp_path), ckpt)
+    _with_huge_num_users(ckpt)
+    res = _run_cli("rank", "--checkpoint", str(ckpt), "--events", str(tmp_path / "train.jsonl"),
+                   "--user", "u0", "--out", str(out))
+    assert res.returncode == 1
+    assert res.stderr.splitlines() == ["error: invalid JSON: an integer has more than 4300 digits"]
+    events = tmp_path / "events.jsonl"
+    _write_lines(events, [_event_line(), _event_line(f"[{'1' * 5001}, 2.0]")])
+    res = _run_cli("train", "--events", str(events), "--styles", "2", "--checkpoint-out", str(out))
+    assert res.returncode == 1
+    assert res.stderr.splitlines() == [
+        "error: line 2: invalid JSON (an integer has more than 4300 digits)"]
+    assert not out.exists()
 
 
 def _train_on_scaled_features(tmp_path, scale, **env):
