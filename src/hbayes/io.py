@@ -17,6 +17,7 @@ files.
 
 import array
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -106,25 +107,18 @@ def save_json(obj, path):
 # The one other ValueError json.loads raises for a str: an integer literal past
 # Python's limit on integer-string conversion (4300 digits by default).
 _TOO_MANY_DIGITS = f"an integer has more than {sys.get_int_max_str_digits()} digits"
-
-
-def _json_lines(path):
-    """(line number, parsed object) for every non-blank line of a JSON Lines file."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise EventParseError(f"line {lineno}: invalid JSON ({err.msg})") from None
-            except ValueError:
-                raise EventParseError(f"line {lineno}: invalid JSON ({_TOO_MANY_DIGITS})") from None
-            yield lineno, obj
-
-
 # json.loads gives exactly these types for JSON numbers; bool is excluded.
 _NUMBER_TYPES = frozenset((int, float))
+# Event files are decoded with errors="surrogateescape", which turns each byte
+# that is not UTF-8 into one of these lone surrogates; UTF-8 text holds none.
+_not_utf8 = re.compile("[\udc80-\udcff]").search
+# What json.loads skips around a document; str.strip() skips more, so a line
+# it blanks may still not be JSON whitespace.
+_json_space = re.compile(r"[ \t\n\r]*").match
+# What the per-line pass can meet on a line _check_event refuses: a failed decode
+# (StopIteration, JSONDecodeError), no object or a missing field (TypeError,
+# KeyError), an x array.fromlist refuses (TypeError, OverflowError), deep nesting.
+_DOUBT = (StopIteration, ValueError, TypeError, KeyError, OverflowError, RecursionError)
 
 
 def _all_finite(numbers):
@@ -135,110 +129,114 @@ def _all_finite(numbers):
         return False
 
 
-def _check_columns(path, require_label):
-    """Parse an event-format file line by line: each line is checked in full,
-    in the order docs/file_formats.md gives, before the next one is read, so
-    the first faulty line raises EventParseError.  Returns the columns of
-    ``_read_columns``; its x go into one float64 buffer that becomes X
-    without a copy."""
-    users, brands, labels = [], [], []
-    buf, d = array.array("d"), 0
-    for lineno, obj in _json_lines(path):
-        if not isinstance(obj, dict):
-            raise EventParseError(f"line {lineno}: expected a JSON object")
-        for key in ("user", "brand", "x") + (("y",) if require_label else ()):
-            if key not in obj:
-                raise EventParseError(f"line {lineno}: missing field {key!r}")
-        user, brand, x = obj["user"], obj["brand"], obj["x"]
-        if not isinstance(user, str) or not isinstance(brand, str):
-            raise EventParseError(f"line {lineno}: user and brand must be strings")
-        if not isinstance(x, list) or not _NUMBER_TYPES.issuperset(map(type, x)):
-            raise EventParseError(f"line {lineno}: x must be an array of numbers")
-        if not x:
-            raise EventParseError(f"line {lineno}: x must not be empty")
-        if not _all_finite(x):
-            raise EventParseError(f"line {lineno}: x contains non-finite values")
-        d = d or len(x)
-        if len(x) != d:
-            raise EventParseError(f"line {lineno}: feature length {len(x)} != {d}")
-        y = obj.get("y")
-        if y is not None or require_label:
-            if isinstance(y, bool) or y not in (0, 1):
-                raise EventParseError(f"line {lineno}: label y must be 0 or 1, got {y!r}")
-        users.append(user)
-        brands.append(brand)
-        labels.append(y)
-        buf.fromlist(x)
-    return users, brands, np.frombuffer(buf).reshape(len(users), d), labels
+def _check_event(lineno, event, d, require_label):
+    """Check one event line in full, in the order docs/file_formats.md gives,
+    and return its (user, brand, x, y).  ``event`` is the line's text or the
+    object it decoded to, ``d`` the length of x on the lines before it (None
+    if none).  The first check that fails raises EventParseError naming line
+    ``lineno``: every event error is written here."""
+    if isinstance(event, str):
+        if byte := _not_utf8(event):
+            raise EventParseError(f"line {lineno}: invalid UTF-8 (byte {hex(ord(byte[0]) & 0xFF)})")
+        try:
+            event = json.loads(event)
+        except json.JSONDecodeError as err:
+            raise EventParseError(f"line {lineno}: invalid JSON ({err.msg})") from None
+        except ValueError:
+            raise EventParseError(f"line {lineno}: invalid JSON ({_TOO_MANY_DIGITS})") from None
+    if not isinstance(event, dict):
+        raise EventParseError(f"line {lineno}: expected a JSON object")
+    for key in ("user", "brand", "x") + (("y",) if require_label else ()):
+        if key not in event:
+            raise EventParseError(f"line {lineno}: missing field {key!r}")
+    user, brand, x, y = event["user"], event["brand"], event["x"], event.get("y")
+    if not isinstance(user, str) or not isinstance(brand, str):
+        raise EventParseError(f"line {lineno}: user and brand must be strings")
+    if not isinstance(x, list) or not _NUMBER_TYPES.issuperset(map(type, x)):
+        raise EventParseError(f"line {lineno}: x must be an array of numbers")
+    if not x:
+        raise EventParseError(f"line {lineno}: x must not be empty")
+    if not _all_finite(x):
+        raise EventParseError(f"line {lineno}: x contains non-finite values")
+    if d and len(x) != d:
+        raise EventParseError(f"line {lineno}: feature length {len(x)} != {d}")
+    if (y is not None or require_label) and (isinstance(y, bool) or y not in (0, 1)):
+        raise EventParseError(f"line {lineno}: label y must be 0 or 1, got {y!r}")
+    return user, brand, x, y
 
 
-# What json.loads skips around a document; str.strip() skips more, so a line
-# it blanks may still not be JSON whitespace.
-_json_space = re.compile(r"[ \t\n\r]*").match
-# Every exception the fast pass can meet on input that _check_columns rejects:
-# a failed decode (StopIteration, JSONDecodeError), a line that is no object
-# or lacks a field (TypeError, KeyError), an x that array.fromlist refuses
-# (TypeError, OverflowError), an unhashable label, bytes that are not UTF-8
-# (UnicodeDecodeError) and nesting past the recursion limit.
-_DOUBT = (StopIteration, ValueError, TypeError, KeyError, OverflowError, RecursionError)
-
-
-def _scan_columns(path, require_label):
-    """The columns ``_check_columns`` returns for the file, or None when any
-    line might fail one of its checks.  Never raises for a faulty file.
-
-    Each line is decoded once, by the scanner behind json.loads, and its
-    fields appended as they are; per line only the cheap checks run (JSON
-    whitespace after the object, the length of x, and booleans in x or y,
-    screened by the text "true" / "false").  Ids, labels and finiteness are
-    checked once over the whole file.
-    """
-    users, brands, labels = [], [], []
-    buf, d = array.array("d"), None
-    scan = json.JSONDecoder().scan_once
+def _check_rows(users, brands, X, labels, require_label, blanks):
+    """Check the columns read at once: string ids, labels 0 or 1 (or None
+    for candidates) and a finite x.  On a failure each row goes through
+    ``_check_event`` in turn, numbered past the blank lines in ``blanks``."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                try:
-                    obj, end = scan(line, 0)
-                except StopIteration:  # a blank line, or JSON whitespace first
-                    if not line.strip():
-                        continue
-                    obj, end = scan(line, _json_space(line).end())
-                if line[end:] != "\n" and _json_space(line, end).end() != len(line):
-                    return None
-                x, y = obj["x"], obj.get("y")
-                if ("true" in line or "false" in line) and (
-                        type(y) is bool or bool in map(type, x)):
-                    return None
-                if len(x) != d:
-                    if d is not None or not x:
-                        return None
-                    d = len(x)
-                users.append(obj["user"])
-                brands.append(obj["brand"])
-                labels.append(y)
-                buf.fromlist(x)
-        X = np.frombuffer(buf).reshape(len(users), d or 0)
-        if not ({str}.issuperset(map(type, users)) and {str}.issuperset(map(type, brands))
+        if ({str}.issuperset(map(type, users)) and {str}.issuperset(map(type, brands))
                 and ({0, 1} if require_label else {0, 1, None}).issuperset(labels)
                 and np.isfinite([X.min(initial=0.0), X.max(initial=0.0)]).all()):
-            return None
-    except _DOUBT:
-        return None
-    return users, brands, X, labels
+            return
+    except TypeError:  # an unhashable label
+        pass
+    linenos = (n for n in itertools.count(1) if n not in blanks)
+    for lineno, user, brand, x, y in zip(linenos, users, brands, X, labels):
+        _check_event(lineno, {"user": user, "brand": brand, "x": x.tolist(), "y": y}, len(x),
+                     require_label)
 
 
 def _read_columns(path, require_label=True):
     """Parse an event-format file into columns: (user ids, brand ids, X (N, d),
-    labels), one entry per non-blank line.
+    labels), one entry per non-blank line; EventParseError names the first
+    faulty line.
 
-    A fast pass reads the file first; on any doubt the file is read again
-    from the top by the line-by-line checker, which names the first faulty
-    line.  Either way the columns are the checker's, bit for bit.
+    The file is read once, each line decoded once by the scanner behind
+    json.loads, and x go into one float64 buffer that becomes X without a
+    copy.  Per line only the cheap checks run: the JSON whitespace after the
+    object, UTF-8, the length of x, and booleans in x or y (screened by the
+    text "true" / "false").  A line that fails one, or raises, goes to
+    ``_check_event``.  The rest run over the rows read when the file ends or
+    a line is refused, so a row that fails them is named before that line.
     """
-    columns = _scan_columns(path, require_label)
-    return columns if columns is not None else _check_columns(path, require_label)
+    users, brands, labels, blanks = [], [], [], set()
+    buf, d, fault = array.array("d"), None, None
+    scan = json.JSONDecoder().scan_once
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for line in fh:
+            try:
+                obj, end = scan(line, 0 if line[0] == "{" else _json_space(line).end())
+                user, brand, x = obj["user"], obj["brand"], obj["x"]
+                y = obj["y"] if require_label else obj.get("y")
+                if (line[end:] != "\n" and _json_space(line, end).end() != len(line)
+                        or not line.isascii() and _not_utf8(line)
+                        or ("true" in line or "false" in line)
+                        and (type(y) is bool or bool in map(type, x))):
+                    raise ValueError  # hand the line to _check_event
+                if len(x) != d:
+                    if d is not None or not x:
+                        raise ValueError
+                    d = len(x)
+                buf.fromlist(x)
+            except _DOUBT:
+                lineno = len(users) + len(blanks) + 1
+                if not line.strip():
+                    blanks.add(lineno)
+                    continue
+                # d is this line's own length if it is the first event; a line
+                # nested too deeply raises RecursionError, as json.loads does.
+                try:
+                    user, brand, x, y = _check_event(lineno, line, d if users else None,
+                                                     require_label)
+                except (EventParseError, RecursionError) as err:
+                    fault = err
+                    break
+                buf.fromlist(x)
+                d = len(x)
+            users.append(user)
+            brands.append(brand)
+            labels.append(y)
+    X = np.frombuffer(buf).reshape(len(users), d or 0)
+    _check_rows(users, brands, X, labels, require_label, blanks)
+    if fault is not None:
+        raise fault
+    return users, brands, X, labels
 
 
 def load_events(path) -> Dataset:
@@ -468,8 +466,9 @@ def load_checkpoint(path) -> Checkpoint:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:
         raise CheckpointError(f"invalid JSON: {err.msg}") from None
-    except UnicodeDecodeError:  # from read_text: not the digit limit
-        raise
+    except UnicodeDecodeError as err:  # read_text decodes the whole file at once
+        raise CheckpointError(f"invalid UTF-8: byte 0x{err.object[err.start]:02x} "
+                              f"at offset {err.start}") from None
     except ValueError:
         raise CheckpointError(f"invalid JSON: {_TOO_MANY_DIGITS}") from None
     if not isinstance(doc, dict):

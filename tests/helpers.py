@@ -1,8 +1,13 @@
 """Shared test fixtures and independent oracles."""
 
+import array
+import json
+import math
+import sys
 from dataclasses import asdict
 
 import numpy as np
+import pytest
 from scipy import stats
 from scipy.special import gammaln
 
@@ -15,7 +20,7 @@ from hbayes import (
     lambda_of_xi,
     sigmoid,
 )
-from hbayes.io import CHECKPOINT_SCHEMA_VERSION
+from hbayes.io import CHECKPOINT_SCHEMA_VERSION, EventParseError
 from hbayes.linalg import spd_inverse
 from hbayes.model import _PRECISION_FIELDS
 
@@ -83,6 +88,80 @@ def random_state(hp, num_users, num_brands, num_events, seed):
         prec_w=GammaPosterior(rng.uniform(1.0, 4.0), rng.uniform(1.0, 4.0)),
         xi=rng.uniform(0.1, 3.0, size=num_events),
     )
+
+
+def assert_identical(got, want):
+    """Assert that two texts (str or bytes) are equal.  On a failure name the
+    first differing offset with some context: pytest's own diff of two long
+    lines, such as two checkpoints, would take minutes."""
+    if got == want:
+        return
+    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+              min(len(got), len(want)))
+    lo = max(at - 30, 0)
+    pytest.fail(f"first difference at offset {at} (lengths {len(got)} and {len(want)}): "
+                f"{got[lo:at + 30]!r} != {want[lo:at + 30]!r}")
+
+
+def _json_lines(path):
+    """(line number, parsed object) for every non-blank line of a JSON Lines file."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as err:
+                raise EventParseError(f"line {lineno}: invalid JSON ({err.msg})") from None
+            except ValueError:
+                raise EventParseError(f"line {lineno}: invalid JSON (an integer has more than "
+                                      f"{sys.get_int_max_str_digits()} digits)") from None
+            yield lineno, obj
+
+
+def _all_finite(numbers):
+    """True if every JSON number in ``numbers`` is a finite float."""
+    try:
+        return all(map(math.isfinite, numbers))
+    except OverflowError:  # an integer past float range
+        return False
+
+
+def check_columns(path, require_label):
+    """Parse an event-format file line by line: each line is checked in full,
+    in the order docs/file_formats.md gives, before the next one is read, so
+    the first faulty line raises EventParseError.  The reference for
+    ``io._read_columns``: the same columns, the same messages.  Reads UTF-8
+    only; bytes that are not raise UnicodeDecodeError."""
+    users, brands, labels = [], [], []
+    buf, d = array.array("d"), 0
+    for lineno, obj in _json_lines(path):
+        if not isinstance(obj, dict):
+            raise EventParseError(f"line {lineno}: expected a JSON object")
+        for key in ("user", "brand", "x") + (("y",) if require_label else ()):
+            if key not in obj:
+                raise EventParseError(f"line {lineno}: missing field {key!r}")
+        user, brand, x = obj["user"], obj["brand"], obj["x"]
+        if not isinstance(user, str) or not isinstance(brand, str):
+            raise EventParseError(f"line {lineno}: user and brand must be strings")
+        if not isinstance(x, list) or not {int, float}.issuperset(map(type, x)):
+            raise EventParseError(f"line {lineno}: x must be an array of numbers")
+        if not x:
+            raise EventParseError(f"line {lineno}: x must not be empty")
+        if not _all_finite(x):
+            raise EventParseError(f"line {lineno}: x contains non-finite values")
+        d = d or len(x)
+        if len(x) != d:
+            raise EventParseError(f"line {lineno}: feature length {len(x)} != {d}")
+        y = obj.get("y")
+        if y is not None or require_label:
+            if isinstance(y, bool) or y not in (0, 1):
+                raise EventParseError(f"line {lineno}: label y must be 0 or 1, got {y!r}")
+        users.append(user)
+        brands.append(brand)
+        labels.append(y)
+        buf.fromlist(x)
+    return users, brands, np.frombuffer(buf).reshape(len(users), d), labels
 
 
 def _factor_objs(means, spreads, spread):

@@ -38,7 +38,7 @@ from hbayes.inference import FitReport
 from hbayes.io import load_candidates, save_ground_truth, save_json, save_trace_csv
 from hbayes.linalg import spd_inverse
 
-from helpers import checkpoint_document, random_state
+from helpers import assert_identical, check_columns, checkpoint_document, random_state
 
 # A schema-1 checkpoint as the version-1 writer left it: ``hbayes generate
 # --users 6 --brands 4 --styles 2 --events 300 --dim 3 --seed 1``, then
@@ -318,8 +318,9 @@ _BLANK = st.sampled_from(["", " ", "\t", "\x0b", "\x0c", " \x0b\x0c\t"])
 @st.composite
 def _event_text(draw, require_label):
     """(bytes of a valid event file, its lines as objects): indented lines,
-    CRLF endings, labels 1.0, int features, ids that contain "true" or
-    "false", blank lines of any whitespace and sometimes no final newline."""
+    CRLF and lone-CR endings, labels 1.0, int features, ids that contain
+    "true" or "false", blank lines of any whitespace and sometimes no final
+    newline."""
     d = draw(st.integers(1, 3))
     row = st.lists(_FEATURE | st.integers(-2**70, 2**70), min_size=d, max_size=d)
     if d == 2:
@@ -341,7 +342,7 @@ def _event_text(draw, require_label):
                           indent=draw(st.sampled_from([None, None, 1])))
         lines.append(draw(st.sampled_from(["", " ", "\t "])) + text.replace("\n", " ")
                      + draw(st.sampled_from(["", " ", "\t"])))
-    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = ending.join(lines) + (ending if draw(st.booleans()) else "")
     return text.encode("utf-8"), objs
 
@@ -356,34 +357,31 @@ def _columns_bytes(columns):
 @given(data=st.data())
 def test_fast_pass_reads_valid_files_as_the_line_checker_does(tmp_path_factory, require_label,
                                                               data):
-    """On every valid file the fast pass returns the line-by-line checker's
-    columns byte for byte, without handing over, and so do both loaders."""
+    """On every valid file the reader returns the line-by-line checker's
+    columns byte for byte, and so do both loaders."""
     raw, objs = data.draw(_event_text(require_label))
     path = tmp_path_factory.mktemp("events") / "events.jsonl"
     path.write_bytes(raw)
-    checked = io._check_columns(path, require_label)
+    checked = check_columns(path, require_label)
     assert checked[0] == [o["user"] for o in objs]
-    fast = io._scan_columns(path, require_label)
-    assert fast is not None
-    assert _columns_bytes(fast) == _columns_bytes(checked)
+    assert _columns_bytes(io._read_columns(path, require_label)) == _columns_bytes(checked)
     if not objs:
         return
-    with mock.patch.object(io, "_scan_columns", return_value=None):
-        slow_events = load_events(path) if require_label else None
-        slow_cands = load_candidates(path)
+    users, brands, X, labels = checked
     if require_label:
         events = load_events(path)
-        for name in ("X", "users", "brands", "y"):
-            assert getattr(events, name).tobytes() == getattr(slow_events, name).tobytes()
-        assert (events.user_ids, events.brand_ids) == (slow_events.user_ids,
-                                                       slow_events.brand_ids)
+        assert events.X.tobytes() == X.tobytes()
+        assert events.y.tobytes() == np.asarray(labels, dtype=events.y.dtype).tobytes()
+        assert [events.user_ids[u] for u in events.users] == users
+        assert [events.brand_ids[b] for b in events.brands] == brands
     cands = load_candidates(path)
     assert [(i, x.tobytes(), b, u) for i, x, b, u in cands] == \
-        [(i, x.tobytes(), b, u) for i, x, b, u in slow_cands]
+        [(i, x.tobytes(), b, u) for i, (x, b, u) in enumerate(zip(X, brands, users))]
 
 
-# File texts with one or more faults each; the fast pass hands every one to
-# the line checker, which names the first.
+# File texts with one or more faults each; the per-line pass hands each
+# faulty line to the line checker, and the first fault is named.  "\udcff"
+# stands for the byte 0xff, which is not UTF-8.
 _ROW = '{"user": "u0", "brand": "b0", "x": [1.0, 2.0], "y": 1}'
 _FAULTY_TEXTS = {
     "empty_x_then_full_rows": ('{"user": "u0", "brand": "b0", "x": [], "y": 1}\n'
@@ -409,6 +407,17 @@ _FAULTY_TEXTS = {
     "integer_past_the_digit_limit": (
         f'{_ROW}\n{{"user": "u0", "brand": "b0", "x": [1{"0" * 5000}, 2.0], "y": 1}}\n',
         "line 2: invalid JSON (an integer has more than 4300 digits)"),
+    "byte_that_is_not_utf8_in_an_id": (f'{_ROW}\n{{"user": "u\udcff", "brand": "b0", '
+                                       '"x": [1.0, 2.0], "y": 1}\n',
+                                       "line 2: invalid UTF-8 (byte 0xff)"),
+    "byte_that_is_not_utf8_in_an_ignored_field": (f'{_ROW[:-1]}, "note": "\udcff"}}\n',
+                                                  "line 1: invalid UTF-8 (byte 0xff)"),
+    "nan_then_a_byte_that_is_not_utf8": (
+        f'{{"user": "u0", "brand": "b0", "x": [NaN, 2.0], "y": 1}}\n\n\udcff{_ROW}\n',
+        "line 1: x contains non-finite values"),
+    "byte_that_is_not_utf8_then_nan": (
+        f'\n{_ROW}\n\udcfe\n{{"user": "u0", "brand": "b0", "x": [NaN, 2.0], "y": 1}}\n',
+        "line 3: invalid UTF-8 (byte 0xfe)"),
 }
 
 
@@ -417,11 +426,17 @@ _FAULTY_TEXTS = {
 def test_loaders_name_the_first_fault_the_fast_pass_hands_over(tmp_path, loader, case):
     text, message = _FAULTY_TEXTS[case]
     path = tmp_path / "events.jsonl"
-    path.write_bytes(text.encode("utf-8"))
-    assert io._scan_columns(path, loader is load_events) is None
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     with pytest.raises(EventParseError) as err:
         loader(path)
     assert str(err.value) == message
+    try:
+        path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        return  # the line checker reads only UTF-8
+    with pytest.raises(EventParseError) as want:
+        check_columns(path, loader is load_events)
+    assert str(want.value) == message
 
 
 @pytest.mark.parametrize("line, message", [
@@ -433,12 +448,57 @@ def test_events_hand_over_a_missing_or_null_label_that_candidates_take(tmp_path,
                                                                        message):
     path = tmp_path / "events.jsonl"
     _write_lines(path, [_ROW, line])
-    assert io._scan_columns(path, True) is None
-    with pytest.raises(EventParseError) as err:
-        load_events(path)
-    assert str(err.value) == message
-    assert io._scan_columns(path, False) is not None
-    assert len(load_candidates(path)) == 2
+    for read in (load_events, lambda path: check_columns(path, True)):
+        with pytest.raises(EventParseError) as err:
+            read(path)
+        assert str(err.value) == message
+    assert len(load_candidates(path)) == len(check_columns(path, False)[0]) == 2
+
+
+def _row(user='"u0"', brand='"b0"', x="[1.0, 2.0]", y=', "y": 1'):
+    """One event line from raw JSON text; ``y`` is the text after x."""
+    return f'{{"user": {user}, "brand": {brand}, "x": {x}{y}}}'
+
+
+# Lines that load_candidates takes (load_events refuses the two without a
+# label), and lines that fail one check or more.
+_VALID_LINES = [_row(), _row('"u1"', '"true"', "[-0.0, 3]", ', "y": 0.0'), " \t" + _row(),
+                _row() + " \t", _row(y=""), _row(y=', "y": null'), "", " ", "\t", "\x0b",
+                "\x0c"]
+_FAULTY_LINES = [
+    _row(x="[NaN, 2.0]"), _row(x="[1.0, Infinity]"), _row(x="[1e999, 2.0]"),
+    _row(x=f"[1{'0' * 400}, 2.0]"), _row(x="[1.0]"), _row(x="[1.0, 2.0, 3.0]"), _row(x="[]"),
+    _row(x="[true, 2.0]"), _row(x="[[1.0], 2.0]"), _row(x='["1", 2.0]'), _row(x="null"),
+    _row(user="3"), _row(brand="null"), _row(user='{"a": true}'), _row(brand='["b0"]'),
+    _row(y=', "y": 2'), _row(y=', "y": true'), _row(y=', "y": [1]'), _row(y=', "y": false'),
+    _row(y=', "y": "1"'), _row(x="[NaN]", y=', "y": 2'), _row(user="1", x="[NaN, 2.0]"),
+    "{not json", _row()[:-1], _row() + " " + _row(), "\x0b" + _row(), _row() + "\x0c",
+    "[1.0, 2.0]", "3", "null", '"u0"',
+]
+
+
+@pytest.mark.parametrize("loader", [load_events, load_candidates])
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(lines=st.lists(st.sampled_from(_VALID_LINES) | st.sampled_from(_FAULTY_LINES),
+                      max_size=8),
+       ending=st.sampled_from(["\n", "\r\n", "\r"]))
+def test_loaders_read_faulty_files_as_the_line_checker_does(tmp_path_factory, loader, lines,
+                                                           ending):
+    """Files that mix valid lines with faulty ones: the reader returns the
+    line-by-line checker's columns byte for byte, or the loader raises its
+    message, whether the first fault is one checked per line or over the
+    whole file."""
+    path = tmp_path_factory.mktemp("events") / "events.jsonl"
+    path.write_bytes("".join(line + ending for line in lines).encode("utf-8"))
+    require_label = loader is load_events
+    try:
+        want = check_columns(path, require_label)
+    except EventParseError as err:
+        with pytest.raises(EventParseError) as got:
+            loader(path)
+        assert str(got.value) == str(err)
+    else:
+        assert _columns_bytes(io._read_columns(path, require_label)) == _columns_bytes(want)
 
 
 def test_load_candidates_label_optional(tmp_path):
@@ -524,7 +584,7 @@ def test_checkpoint_round_trip_byte_identical(tmp_path):
     p2 = tmp_path / "model2.json"
     save_checkpoint(_fitted(tmp_path), p1)
     save_checkpoint(load_checkpoint(p1), p2)
-    assert p1.read_bytes() == p2.read_bytes()
+    assert_identical(p1.read_bytes(), p2.read_bytes())
 
 
 # The state fields of each entity family whose rows are its entities.
@@ -548,7 +608,7 @@ def test_checkpoint_without_a_family_round_trips(tmp_path, family):
     save_checkpoint(ckpt, p1)
     loaded = load_checkpoint(p1)
     save_checkpoint(loaded, p2)
-    assert p1.read_bytes() == p2.read_bytes()
+    assert_identical(p1.read_bytes(), p2.read_bytes())
     for name in _FAMILY_FIELDS[family]:
         assert getattr(loaded.state, name).shape == getattr(ckpt.state, name).shape
 
@@ -651,8 +711,9 @@ def test_checkpoint_rejects_an_integer_past_the_digit_limit(tmp_path):
 
 def test_checkpoint_rejects_malformed_json(tmp_path):
     path = tmp_path / "model.json"
-    for text, message in (("{broken", "invalid JSON"), ("[]", "must be a JSON object")):
-        path.write_text(text)
+    for text, message in (("{broken", "invalid JSON"), ("[]", "must be a JSON object"),
+                          ('{"a": "\udcff"}', "^invalid UTF-8: byte 0xff at offset 7$")):
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
 
@@ -791,7 +852,7 @@ def test_checkpoint_v1_fixture_loads_with_xi(tmp_path):
                 == rank_top_k(user, cands, ckpt.state, k=20))
     again = tmp_path / "again.json"
     save_checkpoint(restored, again)
-    assert again.read_bytes() == v2.read_bytes()
+    assert_identical(again.read_bytes(), v2.read_bytes())
 
 
 @pytest.mark.parametrize("value, message", [(-0.5, "non-negative"), (float("inf"), "finite")])
@@ -807,7 +868,7 @@ def test_checkpoint_v1_xi_still_checked(tmp_path, value, message):
 def test_checkpoint_v1_fixture_resaves_to_committed_bytes(tmp_path):
     path = tmp_path / "v1_resaved.json"
     save_checkpoint(load_checkpoint(CHECKPOINT_V1), path)
-    assert path.read_bytes() == CHECKPOINT_V1_RESAVED.read_bytes()
+    assert_identical(path.read_bytes(), CHECKPOINT_V1_RESAVED.read_bytes())
 
 
 # Entries load must refuse when they are missing or null: every
@@ -920,7 +981,7 @@ def test_checkpoint_round_trip_property(tmp_path_factory, d, empty_brand, seed):
     save_checkpoint(Checkpoint(hp, state, report), p1)
     v2 = load_checkpoint(p1)
     save_checkpoint(v2, p2)
-    assert p1.read_bytes() == p2.read_bytes()
+    assert_identical(p1.read_bytes(), p2.read_bytes())
 
     doc = json.loads(p1.read_text())
     doc["schema_version"] = 1
@@ -996,11 +1057,7 @@ def test_checkpoint_bytes_are_json_dumps_of_the_nested_document(
         save_checkpoint(ckpt, path)
     want = json.dumps(checkpoint_document(ckpt), sort_keys=True, separators=(",", ":"),
                       allow_nan=False) + "\n"
-    text = path.read_text(encoding="utf-8")
-    if text != want:  # pytest's own diff of two long lines would take minutes
-        at = next(i for i, (a, b) in enumerate(zip(text + "\0", want + "\1")) if a != b)
-        pytest.fail(f"first difference at character {at}: {text[at - 30:at + 30]!r} != "
-                    f"{want[at - 30:at + 30]!r}")
+    assert_identical(path.read_text(encoding="utf-8"), want)
 
 
 def test_ranking_identical_after_round_trip(tmp_path):
@@ -1266,6 +1323,26 @@ def test_cli_integer_past_the_digit_limit_is_one_error_line(tmp_path):
     assert res.returncode == 1
     assert res.stderr.splitlines() == [
         "error: line 2: invalid JSON (an integer has more than 4300 digits)"]
+    assert not out.exists()
+
+
+def test_cli_bytes_that_are_not_utf8_are_one_error_line(tmp_path):
+    """A byte 0xff in an event file or a checkpoint: exit 1, one error line
+    naming the line or the offset, no output file."""
+    ckpt, out = tmp_path / "model.json", tmp_path / "out.json"
+    save_checkpoint(_fitted(tmp_path), ckpt)
+    ckpt.write_bytes(ckpt.read_bytes().replace(b'"u0"', b'"u\xff"', 1))
+    res = _run_cli("rank", "--checkpoint", str(ckpt), "--events", str(tmp_path / "train.jsonl"),
+                   "--user", "u0", "--out", str(out))
+    assert res.returncode == 1
+    [line] = res.stderr.splitlines()
+    assert line.startswith("error: invalid UTF-8: byte 0xff at offset "), res.stderr
+    events = tmp_path / "events.jsonl"
+    events.write_bytes(b"\n".join([_event_line().encode(),
+                                   _event_line().encode().replace(b"u0", b"u\xff"), b""]))
+    res = _run_cli("train", "--events", str(events), "--styles", "2", "--checkpoint-out", str(out))
+    assert res.returncode == 1
+    assert res.stderr.splitlines() == ["error: line 2: invalid UTF-8 (byte 0xff)"]
     assert not out.exists()
 
 
