@@ -107,6 +107,9 @@ def save_json(obj, path):
 # The one other ValueError json.loads raises for a str: an integer literal past
 # Python's limit on integer-string conversion (4300 digits by default).
 _TOO_MANY_DIGITS = f"an integer has more than {sys.get_int_max_str_digits()} digits"
+# json.loads raises RecursionError for arrays or objects nested past the
+# interpreter's recursion limit.
+_TOO_DEEP = "nested too deeply"
 # json.loads gives exactly these types for JSON numbers; bool is excluded.
 _NUMBER_TYPES = frozenset((int, float))
 # Event files are decoded with errors="surrogateescape", which turns each byte
@@ -144,6 +147,8 @@ def _check_event(lineno, event, d, require_label):
             raise EventParseError(f"line {lineno}: invalid JSON ({err.msg})") from None
         except ValueError:
             raise EventParseError(f"line {lineno}: invalid JSON ({_TOO_MANY_DIGITS})") from None
+        except RecursionError:
+            raise EventParseError(f"line {lineno}: invalid JSON ({_TOO_DEEP})") from None
     if not isinstance(event, dict):
         raise EventParseError(f"line {lineno}: expected a JSON object")
     for key in ("user", "brand", "x") + (("y",) if require_label else ()):
@@ -219,12 +224,11 @@ def _read_columns(path, require_label=True):
                 if not line.strip():
                     blanks.add(lineno)
                     continue
-                # d is this line's own length if it is the first event; a line
-                # nested too deeply raises RecursionError, as json.loads does.
+                # d is this line's own length if it is the first event.
                 try:
                     user, brand, x, y = _check_event(lineno, line, d if users else None,
                                                      require_label)
-                except (EventParseError, RecursionError) as err:
+                except EventParseError as err:
                     fault = err
                     break
                 buf.fromlist(x)
@@ -471,6 +475,8 @@ def load_checkpoint(path) -> Checkpoint:
                               f"at offset {err.start}") from None
     except ValueError:
         raise CheckpointError(f"invalid JSON: {_TOO_MANY_DIGITS}") from None
+    except RecursionError:
+        raise CheckpointError(f"invalid JSON: {_TOO_DEEP}") from None
     if not isinstance(doc, dict):
         raise CheckpointError("checkpoint must be a JSON object")
     version = doc.get("schema_version")

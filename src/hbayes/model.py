@@ -446,8 +446,10 @@ class VariationalState:
         for cov in (self.user_cov, self.brand_cov):
             if not np.allclose(cov, np.swapaxes(cov, -1, -2), atol=1e-8, rtol=1e-8):
                 raise ValueError("covariance must be symmetric")
-            if not np.all(np.linalg.eigvalsh(cov) > 0):
-                raise ValueError("covariance must be positive definite")
+            try:  # a plain factorization: no jitter, so near-singular stacks fail
+                np.linalg.cholesky(cov)
+            except np.linalg.LinAlgError:
+                raise ValueError("covariance must be positive definite") from None
         if not (np.all(self.style_var > 0) and self.w_var > 0):
             raise ValueError("isotropic variances must be positive")
         if not np.all(self.theta_gamma > 0):
@@ -467,22 +469,34 @@ class VariationalState:
 # ---------------------------------------------------------------------------
 
 
+def family_moments(mean, cov, grouping):
+    """(x_t' mu_k, x_t' Sigma_k x_t) for every row t, in input order, where
+    k is the row's entity: ``mean`` is (K, d), ``cov`` (K, d, d) and
+    ``grouping`` is (order, bounds, X sorted) as in ``Dataset.by_user``.
+    One product X_k [Sigma_k | mu_k] per entity that has rows fills one
+    (N, d + 1) buffer, so no (N, d, d) covariance stack is built."""
+    order, bounds, Xs = grouping
+    d = Xs.shape[1]
+    rhs = np.concatenate([cov, mean[:, :, None]], axis=2)
+    XC = np.empty((len(Xs), d + 1))
+    for k, (lo, hi) in enumerate(pairwise(bounds.tolist())):
+        if hi > lo:
+            np.matmul(Xs[lo:hi], rhs[k], out=XC[lo:hi])
+    m, s2 = np.empty(len(Xs)), np.empty(len(Xs))
+    m[order] = XC[:, d]
+    s2[order] = np.einsum("nd,nd->n", XC[:, :d], Xs)
+    return m, s2
+
+
 def event_moments(state: VariationalState, data: Dataset):
     """(m, s2): mean and variance of h_t = x_t'(B + U) under q for every event,
-    m_t = x_t'(mu^b + mu^u) and s2_t = x_t' Sigma^b x_t + x_t' Sigma^u x_t.
-    Each family takes one product X_k [Sigma_k | mu_k] per entity, over X
-    sorted by that entity (cached on the dataset), into one (N, d + 1)
-    buffer, so no (N, d, d) covariance stack is built: memory is O(N d)."""
-    d = data.feature_dim
-    m, s2 = np.zeros(len(data)), np.zeros(len(data))
-    XC = np.empty((len(data), d + 1))
-    for mean, cov, (order, bounds, Xs) in ((state.user_mean, state.user_cov, data.by_user),
-                                           (state.brand_mean, state.brand_cov, data.by_brand)):
-        rhs = np.concatenate([cov, mean[:, :, None]], axis=2)
-        for k, (lo, hi) in enumerate(pairwise(bounds.tolist())):
-            np.matmul(Xs[lo:hi], rhs[k], out=XC[lo:hi])
-        m[order] += XC[:, d]
-        s2[order] += np.einsum("nd,nd->n", XC[:, :d], Xs)
+    m_t = x_t'(mu^b + mu^u) and s2_t = x_t' Sigma^b x_t + x_t' Sigma^u x_t:
+    the sum of the two families' ``family_moments`` over X sorted by user
+    and by brand (cached on the dataset).  Memory is O(N d)."""
+    m, s2 = family_moments(state.user_mean, state.user_cov, data.by_user)
+    brand_m, brand_s2 = family_moments(state.brand_mean, state.brand_cov, data.by_brand)
+    m += brand_m
+    s2 += brand_s2
     return m, s2
 
 

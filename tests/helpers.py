@@ -116,6 +116,8 @@ def _json_lines(path):
             except ValueError:
                 raise EventParseError(f"line {lineno}: invalid JSON (an integer has more than "
                                       f"{sys.get_int_max_str_digits()} digits)") from None
+            except RecursionError:
+                raise EventParseError(f"line {lineno}: invalid JSON (nested too deeply)") from None
             yield lineno, obj
 
 

@@ -39,7 +39,7 @@ from hbayes.inference import (
     update_xi,
 )
 from hbayes.linalg import spd_inverse, spd_logdet
-from hbayes.model import event_moments, project
+from hbayes.model import event_moments, family_moments, project
 
 from helpers import (
     make_dataset,
@@ -500,6 +500,22 @@ def test_grouped_moments_match_gathered_covariances(d, seed):
                    - lam * (m * m + s2 - xi * xi))
     hp = HyperParams(num_styles=3, feature_dim=d)
     _assert_close(elbo_terms(state, data, hp)["likelihood_bound"], bound)
+
+
+@pytest.mark.parametrize("d, seed", [(1, 0), (10, 2)])
+def test_event_moments_are_the_sum_of_the_two_family_calls(d, seed):
+    """Each family's call gives its own projection and variance, and
+    event_moments is their sum, bit for bit."""
+    data, state = _family_instance(d, seed)
+    users = family_moments(state.user_mean, state.user_cov, data.by_user)
+    brands = family_moments(state.brand_mean, state.brand_cov, data.by_brand)
+    for (mean, cov, index), (m, s2) in (((state.user_mean, state.user_cov, data.users), users),
+                                        ((state.brand_mean, state.brand_cov, data.brands),
+                                         brands)):
+        _assert_close(m, project(mean, index, data))
+        _assert_close(s2, np.einsum("nd,nde,ne->n", data.X, cov[index], data.X))
+    for got, user_part, brand_part in zip(event_moments(state, data), users, brands):
+        np.testing.assert_array_equal(got, user_part + brand_part)
 
 
 def test_grouped_moments_without_events():

@@ -415,6 +415,11 @@ _FAULTY_TEXTS = {
     "nan_then_a_byte_that_is_not_utf8": (
         f'{{"user": "u0", "brand": "b0", "x": [NaN, 2.0], "y": 1}}\n\n\udcff{_ROW}\n',
         "line 1: x contains non-finite values"),
+    "nesting_past_the_recursion_limit": (f'{_ROW}\n{"[" * 100_000}\n{_ROW}\n',
+                                         "line 2: invalid JSON (nested too deeply)"),
+    "nan_then_nesting_past_the_recursion_limit": (
+        f'{{"user": "u0", "brand": "b0", "x": [NaN, 2.0], "y": 1}}\n{{"x": {"[" * 100_000}\n',
+        "line 1: x contains non-finite values"),
     "byte_that_is_not_utf8_then_nan": (
         f'\n{_ROW}\n\udcfe\n{{"user": "u0", "brand": "b0", "x": [NaN, 2.0], "y": 1}}\n',
         "line 3: invalid UTF-8 (byte 0xfe)"),
@@ -712,7 +717,8 @@ def test_checkpoint_rejects_an_integer_past_the_digit_limit(tmp_path):
 def test_checkpoint_rejects_malformed_json(tmp_path):
     path = tmp_path / "model.json"
     for text, message in (("{broken", "invalid JSON"), ("[]", "must be a JSON object"),
-                          ('{"a": "\udcff"}', "^invalid UTF-8: byte 0xff at offset 7$")):
+                          ('{"a": "\udcff"}', "^invalid UTF-8: byte 0xff at offset 7$"),
+                          ('{"a": ' + "[" * 100_000, "^invalid JSON: nested too deeply$")):
         path.write_bytes(text.encode("utf-8", "surrogateescape"))
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
@@ -1343,6 +1349,23 @@ def test_cli_bytes_that_are_not_utf8_are_one_error_line(tmp_path):
     res = _run_cli("train", "--events", str(events), "--styles", "2", "--checkpoint-out", str(out))
     assert res.returncode == 1
     assert res.stderr.splitlines() == ["error: line 2: invalid UTF-8 (byte 0xff)"]
+    assert not out.exists()
+
+
+def test_cli_nesting_past_the_recursion_limit_is_one_error_line(tmp_path):
+    """An event line or a checkpoint nested past the interpreter's recursion
+    limit: exit 1, one error line, no output file."""
+    ckpt, out, events = tmp_path / "model.json", tmp_path / "out.json", tmp_path / "events.jsonl"
+    ckpt.write_text('{"schema_version": 2, "state": ' + "[" * 100_000, encoding="utf-8")
+    _write_lines(events, [_event_line()])
+    res = _run_cli("rank", "--checkpoint", str(ckpt), "--events", str(events), "--user", "u0",
+                   "--out", str(out))
+    assert res.returncode == 1
+    assert res.stderr.splitlines() == ["error: invalid JSON: nested too deeply"]
+    _write_lines(events, [_event_line(), '{"x": ' + "[" * 100_000])
+    res = _run_cli("train", "--events", str(events), "--styles", "2", "--checkpoint-out", str(out))
+    assert res.returncode == 1
+    assert res.stderr.splitlines() == ["error: line 2: invalid JSON (nested too deeply)"]
     assert not out.exists()
 
 

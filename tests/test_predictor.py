@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hbayes import (
     score_candidates,
     user_prior,
 )
+from hbayes import predictor
 from hbayes.predictor import by_score
 
 from helpers import prior_matched_state, random_state, reference_scores
@@ -374,3 +376,83 @@ def test_rank_rejects_ragged_and_wrong_width_features():
         rank_top_k(0, [(0, [1.0, 0.0], 0), (1, [1.0], 0)], state, k=1)
     with pytest.raises(ValueError, match="dimension mismatch"):
         rank_top_k(0, [(0, [1.0, 0.0, 2.0], 0), (1, [1.0, 0.0, 0.0], 1)], state, k=1)
+
+
+# ---------------------------------------------------------------------------
+# long requests: one product per brand
+# ---------------------------------------------------------------------------
+
+
+def _long_request(d, seed):
+    """A 3-brand state and the shortest request that takes the grouped path:
+    n d^2 >= c rows, where rows = 4 counts the cold-brand prior, which the
+    first candidate already needs.  Brands are known, cold and out of range."""
+    state = random_state(HyperParams(num_styles=3, feature_dim=d), 3, 3, 0, seed)
+    n = -(-predictor._GROUPED_ENTRIES_PER_ROW * 4 // (d * d))
+    rng = np.random.default_rng(seed)
+    brand_ids = [None] + rng.choice(np.array([0, 1, 2, None, -1, 99], dtype=object),
+                                    n - 1).tolist()
+    return state, [(i, x, b) for i, (x, b) in enumerate(zip(rng.standard_normal((n, d)),
+                                                            brand_ids))]
+
+
+def _count_gathers(monkeypatch):
+    """Count the gather path's predictive_moments calls into the returned list."""
+    calls = []
+    monkeypatch.setattr(predictor, "predictive_moments",
+                        lambda *args: calls.append(1) or predictive_moments(*args))
+    return calls
+
+
+@pytest.mark.parametrize("d", [1, 4, 12])
+def test_long_request_is_scored_per_brand_like_the_reference(monkeypatch, d):
+    """From n d^2 >= c rows on, a request skips the gather; its scores match
+    the per-candidate loop, and its top k is the gather path's."""
+    state, cands = _long_request(d, seed=d)
+    calls = _count_gathers(monkeypatch)
+    score_candidates(0, cands[:-1], state)
+    assert len(calls) == 1  # one candidate fewer stays below the constant
+    for user_id in (0, 2, None, 3, -1):  # known users, unseen and out of range
+        calls.clear()
+        got = score_candidates(user_id, cands, state)
+        ranked = rank_top_k(user_id, cands, state, k=10)
+        assert not calls
+        for g, w in zip(got, reference_scores(user_id, cands, state)):
+            np.testing.assert_allclose(g, w, rtol=_BATCH_RTOL, atol=0.0)
+        with monkeypatch.context() as m:
+            m.setattr(predictor, "_GROUPED_ENTRIES_PER_ROW", math.inf)
+            gathered = rank_top_k(user_id, cands, state, k=10)
+        assert calls
+        assert [item for item, _ in ranked] == [item for item, _ in gathered]
+        np.testing.assert_allclose([p for _, p in ranked], [p for _, p in gathered],
+                                   rtol=_BATCH_RTOL, atol=0.0)
+
+
+def test_long_request_takes_whole_number_ids_of_other_types_like_ints(monkeypatch):
+    state, cands = _long_request(4, seed=5)
+    calls = _count_gathers(monkeypatch)
+    as_other = [(i, x, math.nan if b is None else float(b) if i % 2 else np.int64(b))
+                for i, x, b in cands]
+    for want_user, other_user in ((1, 1.0), (1, np.int64(1)), (1, True), (None, math.nan)):
+        for g, w in zip(score_candidates(other_user, as_other, state),
+                        score_candidates(want_user, cands, state)):
+            np.testing.assert_array_equal(g, w)
+    assert not calls
+
+
+@pytest.mark.parametrize("bad", [[math.inf, 0.0, 0.0, 0.0], [0.0, -math.inf, 0.0, 0.0],
+                                 [math.nan, 0.0, 0.0, 0.0], [1.7e308] * 4])
+def test_long_request_names_the_first_candidate_it_cannot_score(monkeypatch, bad):
+    """Sorting by brand puts candidate 9 (brand 0) before candidate 5 (the
+    cold prior's row), yet candidate 5 is named, and no warning is raised."""
+    state, cands = _long_request(4, seed=6)
+    calls = _count_gathers(monkeypatch)
+    cands[5], cands[9] = (5, np.array(bad), None), (9, np.array(bad), 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for score in (lambda: score_candidates(0, cands, state),
+                      lambda: rank_top_k(0, cands, state, k=3)):
+            with pytest.raises(ValueError,
+                               match="^candidate 5: x is not finite or too large to score$"):
+                score()
+    assert not calls
