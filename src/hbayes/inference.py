@@ -22,8 +22,8 @@ from .model import (
     _elbo_sum,
     _elbo_terms,
     event_moments,
+    family_moments,
     lambda_of_xi,
-    project,
 )
 
 __all__ = [
@@ -115,8 +115,8 @@ def update_theta(resp: np.ndarray, hp: HyperParams) -> np.ndarray:
 def update_users(state: VariationalState, data: Dataset, lam, brand_proj):
     """(mean (U, d), cov (U, d, d)) of every user given current brands,
     precisions and xi: ``lam`` is lambda_of_xi(state.xi) and ``brand_proj``
-    each event's x'mu of its brand, ``project(state.brand_mean, data.brands,
-    data)``."""
+    each event's x'mu of its brand, ``family_moments(state.brand_mean,
+    state.brand_cov, data.by_brand)[0]``."""
     return _update_family(np.full(state.num_users, state.prec_u.mean), 0.0, lam, brand_proj,
                           data.by_user, data)
 
@@ -124,8 +124,8 @@ def update_users(state: VariationalState, data: Dataset, lam, brand_proj):
 def update_brands(state: VariationalState, data: Dataset, lam, user_proj):
     """(mean (B, d), cov (B, d, d)) of every brand; the style mixture acts
     as their prior.  ``lam`` is as in ``update_users`` and ``user_proj``
-    each event's x'mu of its user, ``project(state.user_mean, data.users,
-    data)``."""
+    each event's x'mu of its user, ``family_moments(state.user_mean,
+    state.user_cov, data.by_user)[0]``."""
     e_db, mu = state.prec_b.mean, state.resp
     return _update_family(e_db * mu.sum(axis=1),  # rows sum to 1, so this is e_db
                           e_db * (mu @ state.style_mean), lam, user_proj, data.by_brand, data)
@@ -197,22 +197,25 @@ def cavi_sweep(state: VariationalState, data: Dataset, hp: HyperParams):
     Members of one family (all users, all brands, ...) are mutually
     independent given the rest, so each family is updated in one pass.
     No update writes into its input, so a shallow copy is enough: by the end
-    of the sweep every field holds a fresh value.  Each per-event quantity
-    is computed once, and the m and s2 that set xi give the returned
-    ``elbo_terms`` of the new state.
+    of the sweep every field holds a fresh value.  Every per-event pass is a
+    ``family_moments`` call, each family's right after its update; their sum,
+    as in ``event_moments``, sets xi and the returned ``elbo_terms``.  The
+    brand call that feeds the user update repeats the previous sweep's last.
     """
     work = replace(state)
     work.resp = update_responsibilities(work)
     work.theta_gamma = update_theta(work.resp, hp)
     lam = lambda_of_xi(work.xi)
     work.user_mean, work.user_cov = update_users(
-        work, data, lam, project(work.brand_mean, data.brands, data))
-    work.brand_mean, work.brand_cov = update_brands(
-        work, data, lam, project(work.user_mean, data.users, data))
+        work, data, lam, family_moments(work.brand_mean, work.brand_cov, data.by_brand)[0])
+    m, s2 = family_moments(work.user_mean, work.user_cov, data.by_user)
+    work.brand_mean, work.brand_cov = update_brands(work, data, lam, m)
+    brand_m, brand_s2 = family_moments(work.brand_mean, work.brand_cov, data.by_brand)
     work.style_mean, work.style_var = update_styles(work)
     work.w_mean, work.w_var = update_w(work)
     work.prec_u, work.prec_b, work.prec_s, work.prec_w = update_precisions(work, hp)
-    m, s2 = event_moments(work, data)
+    m += brand_m
+    s2 += brand_s2
     work.xi = update_xi(m, s2)
     return work, _elbo_terms(work, data, hp, m, s2)
 

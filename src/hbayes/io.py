@@ -36,6 +36,7 @@ from .model import (
     HyperParams,
     VariationalState,
     _check_id_lists,
+    _is_integer,
 )
 
 __all__ = [
@@ -295,8 +296,8 @@ def hash_features(tokens, width: int) -> np.ndarray:
     (mod width), the low bit of byte 8 picks the sign.  Token order does
     not matter; the result is identical across runs and platforms.
     """
-    if width < 1:
-        raise ValueError("width must be >= 1")
+    if not (_is_integer(width) and width >= 1):
+        raise ValueError(f"width must be an integer >= 1, got {width!r}")
     vec = np.zeros(width)
     for name, value in tokens:
         digest = hashlib.blake2b(f"{name}\x1f{value}".encode("utf-8"),

@@ -500,11 +500,6 @@ def event_moments(state: VariationalState, data: Dataset):
     return m, s2
 
 
-def project(means, index, data):
-    """x_t' means[index[t]] for every event t, shape (N,)."""
-    return np.einsum("nd,nd->n", data.X, means[index])
-
-
 def _expected_log_gamma(p: GammaPosterior, a, b) -> float:
     """E_q[log Gamma(delta; a, b)] (shape a, rate b) under the Gamma factor
     ``p``; at p's own (shape, rate) it is minus p's entropy."""

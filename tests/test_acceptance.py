@@ -31,7 +31,7 @@ from hbayes import (
     stratified_user_folds,
 )
 from hbayes.inference import update_brands, update_styles, update_users, update_w
-from hbayes.model import Dataset, lambda_of_xi, project
+from hbayes.model import Dataset, family_moments, lambda_of_xi
 
 from helpers import adjusted_rand_index, popularity_scorer_factory
 
@@ -96,11 +96,13 @@ def test_criterion_3_coordinate_optimality(reference_fit):
 
     worst = -np.inf
     families = {  # family: (update, mean field, spread field)
-        "user": (lambda st: update_users(st, data, lambda_of_xi(st.xi),
-                                         project(st.brand_mean, data.brands, data)),
+        "user": (lambda st: update_users(
+                     st, data, lambda_of_xi(st.xi),
+                     family_moments(st.brand_mean, st.brand_cov, data.by_brand)[0]),
                  "user_mean", "user_cov"),
-        "brand": (lambda st: update_brands(st, data, lambda_of_xi(st.xi),
-                                           project(st.user_mean, data.users, data)),
+        "brand": (lambda st: update_brands(
+                      st, data, lambda_of_xi(st.xi),
+                      family_moments(st.user_mean, st.user_cov, data.by_user)[0]),
                   "brand_mean", "brand_cov"),
         "style": (update_styles, "style_mean", "style_var"),
         "w": (update_w, "w_mean", "w_var"),

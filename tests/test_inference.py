@@ -39,7 +39,7 @@ from hbayes.inference import (
     update_xi,
 )
 from hbayes.linalg import spd_inverse, spd_logdet
-from hbayes.model import event_moments, family_moments, project
+from hbayes.model import event_moments, family_moments
 
 from helpers import (
     make_dataset,
@@ -153,7 +153,7 @@ def test_update_user_without_events_reverts_to_prior():
     state = prior_matched_state(hp, 2, 1, num_events=1)
     state.prec_u = GammaPosterior(6.0, 3.0)  # mean 2
     mean, cov = update_users(state, data, lambda_of_xi(state.xi),
-                             project(state.brand_mean, data.brands, data))
+                             family_moments(state.brand_mean, state.brand_cov, data.by_brand)[0])
     np.testing.assert_array_equal(mean[0], np.zeros(2))
     np.testing.assert_allclose(cov[0], np.eye(2) / 2.0, atol=1e-12)
 
@@ -163,7 +163,7 @@ def test_update_user_single_event_scalar_arithmetic():
     lam = (1.0 / (1.0 + math.exp(-1.0)) - 0.5) / 2.0
     expected_cov = 1.0 / (1.0 + 2.0 * lam)
     mean, cov = update_users(state, data, lambda_of_xi(state.xi),
-                             project(state.brand_mean, data.brands, data))
+                             family_moments(state.brand_mean, state.brand_cov, data.by_brand)[0])
     assert cov[0, 0, 0] == pytest.approx(expected_cov, rel=1e-12)
     assert mean[0, 0] == pytest.approx(expected_cov * 0.5, rel=1e-12)
 
@@ -177,10 +177,10 @@ def test_update_user_stronger_prior_shrinks_mean():
     state.brand_mean[0], state.brand_cov[0] = rng.standard_normal(3), np.eye(3)
     state.prec_u = GammaPosterior(2.0, 2.0)  # mean 1
     loose = update_users(state, data, lambda_of_xi(state.xi),
-                         project(state.brand_mean, data.brands, data))[0][0]
+                         family_moments(state.brand_mean, state.brand_cov, data.by_brand)[0])[0][0]
     state.prec_u = GammaPosterior(4.0, 2.0)  # mean 2
     tight = update_users(state, data, lambda_of_xi(state.xi),
-                         project(state.brand_mean, data.brands, data))[0][0]
+                         family_moments(state.brand_mean, state.brand_cov, data.by_brand)[0])[0][0]
     assert np.linalg.norm(tight) < np.linalg.norm(loose)
 
 
@@ -192,7 +192,7 @@ def test_update_brand_without_events_uses_style_mixture():
     state.resp = np.array([[0.25, 0.75]])
     data = Dataset([], 1, 1, 2)
     mean, cov = update_brands(state, data, lambda_of_xi(state.xi),
-                              project(state.user_mean, data.users, data))
+                              family_moments(state.user_mean, state.user_cov, data.by_user)[0])
     np.testing.assert_allclose(cov[0], np.eye(2) / 2.0, atol=1e-12)
     np.testing.assert_allclose(mean[0], 0.25 * np.array([1.0, 0.0])
                                + 0.75 * np.array([0.0, 2.0]), atol=1e-12)
@@ -205,16 +205,18 @@ def test_update_brand_one_hot_returns_style_mean():
     state.resp = np.array([[1.0, 0.0]])
     data = Dataset([], 1, 1, 2)
     mean, _ = update_brands(state, data, lambda_of_xi(state.xi),
-                            project(state.user_mean, data.users, data))
+                            family_moments(state.user_mean, state.user_cov, data.by_user)[0])
     np.testing.assert_allclose(mean[0], [3.0, -1.0], atol=1e-12)
 
 
 def test_update_brand_mirrors_update_user():
     _, data, state = _single_event_instance()
-    user_mean, user_cov = update_users(state, data, lambda_of_xi(state.xi),
-                                       project(state.brand_mean, data.brands, data))
-    brand_mean, brand_cov = update_brands(state, data, lambda_of_xi(state.xi),
-                                          project(state.user_mean, data.users, data))
+    user_mean, user_cov = update_users(
+        state, data, lambda_of_xi(state.xi),
+        family_moments(state.brand_mean, state.brand_cov, data.by_brand)[0])
+    brand_mean, brand_cov = update_brands(
+        state, data, lambda_of_xi(state.xi),
+        family_moments(state.user_mean, state.user_cov, data.by_user)[0])
     assert brand_cov[0, 0, 0] == pytest.approx(user_cov[0, 0, 0], rel=1e-12)
     assert brand_mean[0, 0] == pytest.approx(user_mean[0, 0], rel=1e-12)
 
@@ -255,12 +257,14 @@ def test_family_updates_match_per_entity_loop(d, seed):
     assert [np.sum(data.users == k) for k in (0, 1)] == [0, 1]
     assert [np.sum(data.brands == i) for i in (0, 1)] == [0, 1]
     assert np.ptp(state.resp) > 0.1
-    _assert_factors_close(update_users(state, data, lambda_of_xi(state.xi),
-                                       project(state.brand_mean, data.brands, data)),
-                          [reference_update_user(k, state, data) for k in range(6)])
-    _assert_factors_close(update_brands(state, data, lambda_of_xi(state.xi),
-                                        project(state.user_mean, data.users, data)),
-                          [reference_update_brand(i, state, data) for i in range(5)])
+    _assert_factors_close(
+        update_users(state, data, lambda_of_xi(state.xi),
+                     family_moments(state.brand_mean, state.brand_cov, data.by_brand)[0]),
+        [reference_update_user(k, state, data) for k in range(6)])
+    _assert_factors_close(
+        update_brands(state, data, lambda_of_xi(state.xi),
+                      family_moments(state.user_mean, state.user_cov, data.by_user)[0]),
+        [reference_update_brand(i, state, data) for i in range(5)])
 
 
 def test_stacked_spd_jitters_only_the_failing_slice():
@@ -512,7 +516,7 @@ def test_event_moments_are_the_sum_of_the_two_family_calls(d, seed):
     for (mean, cov, index), (m, s2) in (((state.user_mean, state.user_cov, data.users), users),
                                         ((state.brand_mean, state.brand_cov, data.brands),
                                          brands)):
-        _assert_close(m, project(mean, index, data))
+        _assert_close(m, np.einsum("nd,nd->n", data.X, mean[index]))
         _assert_close(s2, np.einsum("nd,nde,ne->n", data.X, cov[index], data.X))
     for got, user_part, brand_part in zip(event_moments(state, data), users, brands):
         np.testing.assert_array_equal(got, user_part + brand_part)
@@ -599,10 +603,12 @@ def _public_sweep(state, data, hp):
     work = state.copy()
     work.resp = update_responsibilities(work)
     work.theta_gamma = update_theta(work.resp, hp)
-    work.user_mean, work.user_cov = update_users(work, data, lambda_of_xi(work.xi),
-                                                 project(work.brand_mean, data.brands, data))
-    work.brand_mean, work.brand_cov = update_brands(work, data, lambda_of_xi(work.xi),
-                                                    project(work.user_mean, data.users, data))
+    work.user_mean, work.user_cov = update_users(
+        work, data, lambda_of_xi(work.xi),
+        family_moments(work.brand_mean, work.brand_cov, data.by_brand)[0])
+    work.brand_mean, work.brand_cov = update_brands(
+        work, data, lambda_of_xi(work.xi),
+        family_moments(work.user_mean, work.user_cov, data.by_user)[0])
     work.style_mean, work.style_var = update_styles(work)
     work.w_mean, work.w_var = update_w(work)
     work.prec_u, work.prec_b, work.prec_s, work.prec_w = update_precisions(work, hp)
@@ -631,14 +637,17 @@ def test_cavi_sweep_terms_equal_the_independent_elbo(users, brands, events, d):
 
 
 def test_fit_computes_each_per_event_pass_once_per_sweep(monkeypatch):
-    """A k-sweep fit runs the per-entity event-moment pass k times and
-    lambda(xi) 2k times: once for both family updates and once for the ELBO
-    of the new xi.  Each sweep projects the events on the means twice: on
-    the old brands and on the new users."""
+    """A k-sweep fit runs lambda(xi) 2k times: once for both family updates
+    and once for the ELBO of the new xi.  It runs ``family_moments`` 3k
+    times and ``event_moments`` never: once on the old brands, whose x'mu
+    the user update reads; once on the new users, whose x'mu the brand
+    update reads; and once on the new brands, whose moments the users' join
+    to set xi and the ELBO.  The first call repeats the previous sweep's
+    last, since a sweep carries nothing across its boundary."""
     sweeps = 5
     hp, data = _synthetic(max_iters=sweeps, rel_tol=1e-300)
     calls = {}
-    for name in ("event_moments", "lambda_of_xi", "project"):
+    for name in ("event_moments", "family_moments", "lambda_of_xi"):
         real = getattr(model, name)
 
         def counted(*args, _name=name, _real=real):
@@ -649,8 +658,35 @@ def test_fit_computes_each_per_event_pass_once_per_sweep(monkeypatch):
             monkeypatch.setattr(module, name, counted)
     _, report = fit(data, hp, seed=0)
     assert report.iterations_run == sweeps
-    assert calls == {"event_moments": sweeps, "lambda_of_xi": 2 * sweeps,
-                     "project": 2 * sweeps}
+    assert calls == {"family_moments": 3 * sweeps, "lambda_of_xi": 2 * sweeps}
+
+
+def test_repeated_brand_pass_is_exact(monkeypatch):
+    """Over two sweeps, the brand projection that the second sweep's user
+    update receives equals, bit for bit, the brand x'mu of the first sweep's
+    final moments, so carrying it across the boundary would change no bit."""
+    hp, data = _synthetic()
+    state = initial_state(data, hp, seed=0)
+    brand_passes, user_inputs = [], []
+    real_moments, real_users = inference.family_moments, inference.update_users
+
+    def recorded_moments(mean, cov, grouping):
+        out = real_moments(mean, cov, grouping)
+        if grouping is data.by_brand:
+            brand_passes.append(out[0].copy())
+        return out
+
+    def recorded_users(state, data, lam, brand_proj):
+        user_inputs.append(brand_proj.copy())
+        return real_users(state, data, lam, brand_proj)
+
+    monkeypatch.setattr(inference, "family_moments", recorded_moments)
+    monkeypatch.setattr(inference, "update_users", recorded_users)
+    first = cavi_sweep(state, data, hp)[0]
+    cavi_sweep(first, data, hp)
+    assert len(brand_passes) == 4 and len(user_inputs) == 2
+    np.testing.assert_array_equal(user_inputs[1], brand_passes[1])
+    assert not np.array_equal(user_inputs[0], user_inputs[1])
 
 
 def test_fit_runs_every_update_through_its_public_function(monkeypatch):
@@ -735,8 +771,9 @@ def test_fit_coordinate_updates_locally_optimal():
         return 0.1 * v / np.linalg.norm(v)
 
     st = state.copy()
-    st.user_mean, st.user_cov = update_users(st, data, lambda_of_xi(st.xi),
-                                             project(st.brand_mean, data.brands, data))
+    st.user_mean, st.user_cov = update_users(
+        st, data, lambda_of_xi(st.xi),
+        family_moments(st.brand_mean, st.brand_cov, data.by_brand)[0])
     base = elbo(st, data, hp)
     for _ in range(10):
         pert = st.copy()

@@ -554,9 +554,15 @@ def test_hash_features_separator_prevents_collisions():
     assert not np.array_equal(a, b)
 
 
-def test_hash_features_rejects_bad_width():
-    with pytest.raises(ValueError):
-        hash_features([("a", "b")], 0)
+@pytest.mark.parametrize("width", [0, 2.5, 2.0, True])
+def test_hash_features_rejects_bad_width(width):
+    with pytest.raises(ValueError, match="width must be an integer >= 1"):
+        hash_features([("a", "b")], width)
+
+
+def test_hash_features_accepts_a_numpy_integer_width():
+    np.testing.assert_array_equal(hash_features([("a", "b")], np.int64(3)),
+                                  hash_features([("a", "b")], 3))
 
 
 def test_hash_features_bucket_loads_uniform():

@@ -17,7 +17,7 @@ def test_package_exports_exactly_the_module_lists():
 
 
 def test_removed_names_are_gone():
-    for name in ("score_candidate", "PredictionScore", "event_log_likelihood"):
+    for name in ("score_candidate", "PredictionScore", "event_log_likelihood", "project"):
         assert name not in hbayes.__all__
         assert all(not hasattr(module, name) for module in (hbayes, *MODULES))
 
