@@ -322,7 +322,12 @@ def _check_id_lists(user_ids, brand_ids, num_users, num_brands, error=ValueError
 
 
 def _sort_by_entity(keys, num_entities):
-    order = np.argsort(keys, kind="stable")
+    """(order, bounds): the indices that sort ``keys`` stably, so entity k's
+    rows are order[bounds[k]:bounds[k + 1]].  Every key must lie in
+    [0, num_entities).  The keys are sorted as the narrowest unsigned type
+    that holds num_entities - 1: numpy sorts 8- and 16-bit integers stably
+    by radix, and a stable sort's permutation is the same for any type."""
+    order = np.argsort(keys.astype(np.min_scalar_type(num_entities - 1)), kind="stable")
     bounds = np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=num_entities))))
     return order, bounds
 

@@ -53,7 +53,7 @@ def predict_prob(mu, sigma2):
     Returns sigmoid(mu / sqrt(1 + pi * sigma2 / 8)); exact at sigma2 = 0.
     Accepts scalars or arrays.
     """
-    if np.any(np.asarray(sigma2) < 0):
+    if np.asarray(sigma2).min(initial=0) < 0:  # NaN passes, as does an empty array
         raise ValueError("sigma2 must be non-negative")
     return sigmoid(mu / np.sqrt(1.0 + np.pi * sigma2 / 8.0))
 
@@ -86,13 +86,14 @@ def score_candidates(user_id, candidates, state: VariationalState):
     as row B.  A short request gathers one brand row per candidate for
     ``predictive_moments``.  From n d^2 >= c rows of the brand table on
     (c = ``_GROUPED_ENTRIES_PER_ROW``), the candidates are sorted by brand
-    row and scored by ``family_moments``, one product
-    X_b [C_b + C_u | m_b + m_u] per brand present; the two paths agree to
-    rounding.  Raises ValueError if the
-    user id, or the brand id of a candidate (the first one is named), is
-    none of these, ±inf and strings ("1" too) included, or if a
-    candidate's x is not finite or so large that its score overflows (the
-    first one in input order is named).
+    row, their x are stacked once in that order, and ``family_moments``
+    scores them with one product X_b [C_b + C_u | m_b + m_u] per brand
+    present; the two paths agree to rounding.  Raises ValueError, checking
+    in this order on both paths, if the user id, or the brand id of a
+    candidate (the first one is named), is none of these, ±inf and strings
+    ("1" too) included; if the x are ragged or not of the state's width
+    ("dimension mismatch"); or if a candidate's x is not finite or so large
+    that its score overflows (the first one in input order is named).
     """
     B = state.num_brands
     # None reads as NaN, which fails both bounds; text reads as 0.5, no integer.
@@ -100,7 +101,6 @@ def score_candidates(user_id, candidates, state: VariationalState):
     if not (uid.is_integer() or math.isnan(uid)):
         raise ValueError(f"user id {user_id!r} is not an integer")
     _, xs, brands = zip(*candidates) if candidates else ((), np.zeros((0, state.dim)), ())
-    X = np.array(xs, dtype=float)
     text = not set(_TEXT).isdisjoint(map(type, brands))  # read as for the user id
     ids = np.fromiter((0.5 if isinstance(b, _TEXT) else b for b in brands) if text else brands,
                       float, len(brands))
@@ -121,16 +121,20 @@ def score_candidates(user_id, candidates, state: VariationalState):
         user_mean, user_cov = state.user_mean[int(uid)], state.user_cov[int(uid)]
     else:
         user_mean, user_cov = user_prior(state)
-    d = state.dim
-    if X.shape == (len(rows), d) and X.size * d >= _GROUPED_ENTRIES_PER_ROW * len(brand_mean):
+    n, d = len(rows), state.dim
+    grouped = n * d * d >= _GROUPED_ENTRIES_PER_ROW * len(brand_mean)
+    if grouped:  # x stacked once, in brand order; any other shape takes the gather
         order, bounds = _sort_by_entity(rows, len(brand_mean))
+        X = np.array([xs[i] for i in order.tolist()], dtype=float)
+        grouped = X.shape == (n, d)
+    if grouped:
         with np.errstate(over="ignore", invalid="ignore"):  # NaN is refused below
             mu, sigma2 = family_moments(brand_mean + user_mean, brand_cov + user_cov,
-                                        (order, bounds, X[order]))
+                                        (order, bounds, X))
             prob = predict_prob(mu, sigma2)
     else:
-        mu, sigma2 = predictive_moments(X, brand_mean[rows], brand_cov[rows],
-                                        user_mean, user_cov)
+        mu, sigma2 = predictive_moments(np.array(xs, dtype=float), brand_mean[rows],
+                                        brand_cov[rows], user_mean, user_cov)
         prob = predict_prob(mu, sigma2)
     # A non-finite x, or one whose moments overflow, gives a NaN probability.
     finite = np.isfinite(prob)

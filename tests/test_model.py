@@ -21,6 +21,7 @@ from hbayes import (
     sigmoid,
 )
 from hbayes.inference import cavi_sweep, initial_state
+from hbayes.model import _sort_by_entity
 
 from helpers import (
     LOG2PI,
@@ -297,6 +298,20 @@ def test_dataset_sorted_features_follow_the_orders():
     for order, _, X_sorted in (data.by_user, data.by_brand):
         np.testing.assert_array_equal(X_sorted, data.X[order])
     assert data.by_user is data.by_user  # sorted once
+
+
+@pytest.mark.parametrize("num_entities", [1, 256, 257, 65_536, 65_537])
+def test_sort_by_entity_is_the_stable_argsort_of_the_keys(num_entities):
+    """Keys narrowed to 8, 16 or 32 bits sort to the int64 keys' stable
+    order, the top key num_entities - 1 included; empty keys give an empty
+    order and all-zero bounds."""
+    rng = np.random.default_rng(num_entities)
+    keys = np.concatenate([rng.integers(0, num_entities, 3_000), [num_entities - 1, 0] * 50])
+    for k in (keys, keys[:0]):
+        order, bounds = _sort_by_entity(k, num_entities)
+        np.testing.assert_array_equal(order, np.argsort(k, kind="stable"))
+        np.testing.assert_array_equal(
+            bounds, np.concatenate(([0], np.cumsum(np.bincount(k, minlength=num_entities)))))
 
 
 def test_dataset_subset_keeps_order_entities_and_ids():

@@ -84,9 +84,21 @@ def test_predict_prob_direct_value():
     assert val == pytest.approx(0.6698, abs=5e-5)
 
 
-def test_predict_prob_rejects_negative_variance():
-    with pytest.raises(ValueError):
-        predict_prob(0.0, -1.0)
+@pytest.mark.parametrize("sigma2", [-1.0, -1e-300, [0.5, -1.0], np.array([1.0, 2.0, -0.0, -3.0])])
+def test_predict_prob_rejects_negative_variance(sigma2):
+    """A negative scalar, list entry or array entry is refused."""
+    with pytest.raises(ValueError, match="^sigma2 must be non-negative$"):
+        predict_prob(0.0, sigma2)
+
+
+def test_predict_prob_accepts_empty_arrays_and_passes_nan_on():
+    """An empty array gives an empty result, and a NaN variance is no
+    negative one: it reaches the caller as a NaN probability, which
+    ``score_candidates`` names as an x it cannot score."""
+    assert predict_prob(np.zeros(0), np.zeros(0)).shape == (0,)
+    assert math.isnan(predict_prob(0.0, math.nan))
+    prob = predict_prob(np.array([1.0, 1.0]), np.array([math.nan, 0.0]))
+    assert math.isnan(prob[0]) and prob[1] == predict_prob(1.0, 0.0)
 
 
 def test_predict_prob_against_monte_carlo():
@@ -438,6 +450,26 @@ def test_long_request_takes_whole_number_ids_of_other_types_like_ints(monkeypatc
                         score_candidates(want_user, cands, state)):
             np.testing.assert_array_equal(g, w)
     assert not calls
+
+
+@pytest.mark.parametrize("long", [False, True])
+def test_requests_refuse_ids_before_features_at_both_lengths(long):
+    """Short and long requests refuse alike: ragged x with numpy's
+    ValueError, x of another width with "dimension mismatch", and a request
+    with both a fractional brand id and ragged x names the brand id."""
+    state, cands = _long_request(4, seed=8)
+    cands = cands if long else cands[:10]
+    ragged, both = list(cands), list(cands)
+    ragged[7] = both[7] = (7, [0.0, 1.0], 0)
+    both[3] = (3, cands[3][1], 1.5)
+    wide = [(i, np.append(x, 1.0), b) for i, x, b in cands]
+    for score in (score_candidates, lambda *args: rank_top_k(*args, k=3)):
+        with pytest.raises(ValueError):
+            score(0, ragged, state)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            score(0, wide, state)
+        with pytest.raises(ValueError, match=r"^candidate 3: brand id 1\.5 is not an integer$"):
+            score(0, both, state)
 
 
 @pytest.mark.parametrize("bad", [[math.inf, 0.0, 0.0, 0.0], [0.0, -math.inf, 0.0, 0.0],
