@@ -16,7 +16,6 @@ files.
 """
 
 import array
-import hashlib
 import itertools
 import json
 import math
@@ -298,6 +297,7 @@ def hash_features(tokens, width: int) -> np.ndarray:
     """
     if not (_is_integer(width) and width >= 1):
         raise ValueError(f"width must be an integer >= 1, got {width!r}")
+    import hashlib  # here, so that importing hbayes does not load OpenSSL
     vec = np.zeros(width)
     for name, value in tokens:
         digest = hashlib.blake2b(f"{name}\x1f{value}".encode("utf-8"),

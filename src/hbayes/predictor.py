@@ -81,19 +81,21 @@ def score_candidates(user_id, candidates, state: VariationalState):
     ``candidates`` is a sequence of (item_id, x, brand_id).  Unknown brand
     or user ids (None, NaN or a whole number out of range) are scored with
     prior moments; a whole number of another type (2.0, np.int64, True)
-    indexes the table like the int it equals.  Only when a request holds a
-    cold id is the cold-brand prior computed and appended to the brand table
-    as row B.  A short request gathers one brand row per candidate for
-    ``predictive_moments``.  From n d^2 >= c rows of the brand table on
-    (c = ``_GROUPED_ENTRIES_PER_ROW``), the candidates are sorted by brand
-    row, their x are stacked once in that order, and ``family_moments``
-    scores them with one product X_b [C_b + C_u | m_b + m_u] per brand
-    present; the two paths agree to rounding.  Raises ValueError, checking
-    in this order on both paths, if the user id, or the brand id of a
-    candidate (the first one is named), is none of these, ±inf and strings
-    ("1" too) included; if the x are ragged or not of the state's width
-    ("dimension mismatch"); or if a candidate's x is not finite or so large
-    that its score overflows (the first one in input order is named).
+    indexes the table like the int it equals.  The brand ids are screened
+    with one mask, a whole number in [0, B); only a request with some other
+    id is searched for fractions and gets the cold-brand prior, appended to
+    the brand table as row B.  A short request gathers one brand row per
+    candidate with ``take`` for ``predictive_moments``.  From n d^2 >= c
+    rows of the brand table on (c = ``_GROUPED_ENTRIES_PER_ROW``), the
+    candidates are sorted by brand row, their x are stacked once in that
+    order, and ``family_moments`` scores them with one product
+    X_b [C_b + C_u | m_b + m_u] per brand present; the two paths agree to
+    rounding.  Raises ValueError, checking in this order on both paths, if
+    the user id, or the brand id of a candidate (the first one is named),
+    is none of these, ±inf and strings ("1" too) included; if the x are
+    ragged or not of the state's width ("dimension mismatch"); or if a
+    candidate's x is not finite or so large that its score overflows (the
+    first one in input order is named).
     """
     B = state.num_brands
     # None reads as NaN, which fails both bounds; text reads as 0.5, no integer.
@@ -104,19 +106,21 @@ def score_candidates(user_id, candidates, state: VariationalState):
     text = not set(_TEXT).isdisjoint(map(type, brands))  # read as for the user id
     ids = np.fromiter((0.5 if isinstance(b, _TEXT) else b for b in brands) if text else brands,
                       float, len(brands))
-    whole = np.isnan(ids) | np.isfinite(ids) & (np.floor(ids) == ids)
-    if not whole.all():  # a fraction would be truncated to a brand row
-        i = int(np.argmin(whole))
-        raise ValueError(f"candidate {i}: brand id {brands[i]!r} is not an integer")
-    cold = ~((ids >= 0) & (ids < B))
+    known = (ids >= 0) & (ids < B) & (np.floor(ids) == ids)
     brand_mean, brand_cov = state.brand_mean, state.brand_cov
-    if cold.any():
-        # Gathering from the table plus a prior row B is cheaper than writing
-        # the prior over the gathered cold rows when lists are long.
+    if known.all():
+        rows = ids.astype(np.intp)
+    else:
+        whole = np.isnan(ids) | np.isfinite(ids) & (np.floor(ids) == ids)
+        if not whole.all():  # a fraction would be truncated to a brand row
+            i = int(np.argmin(whole))
+            raise ValueError(f"candidate {i}: brand id {brands[i]!r} is not an integer")
+        # Some id is cold: gathering from the table plus a prior row B is
+        # cheaper than writing the prior over the gathered cold rows.
         prior_mean, prior_cov = brand_prior(state)
         brand_mean = np.concatenate([brand_mean, prior_mean[None]])
         brand_cov = np.concatenate([brand_cov, prior_cov[None]])
-    rows = np.where(cold, B, ids).astype(np.intp)
+        rows = np.where(known, ids, B).astype(np.intp)
     if 0 <= uid < state.num_users:
         user_mean, user_cov = state.user_mean[int(uid)], state.user_cov[int(uid)]
     else:
@@ -133,8 +137,8 @@ def score_candidates(user_id, candidates, state: VariationalState):
                                         (order, bounds, X))
             prob = predict_prob(mu, sigma2)
     else:
-        mu, sigma2 = predictive_moments(np.array(xs, dtype=float), brand_mean[rows],
-                                        brand_cov[rows], user_mean, user_cov)
+        mu, sigma2 = predictive_moments(np.array(xs, dtype=float), brand_mean.take(rows, 0),
+                                        brand_cov.take(rows, 0), user_mean, user_cov)
         prob = predict_prob(mu, sigma2)
     # A non-finite x, or one whose moments overflow, gives a NaN probability.
     finite = np.isfinite(prob)
@@ -160,11 +164,12 @@ def rank_top_k(user_id, candidates, state: VariationalState, k: int):
         raise ValueError("k must be >= 1")
     candidates = list(candidates)
     prob = score_candidates(user_id, candidates, state)[2]
+    if k >= len(prob):
+        return by_score([c[0] for c in candidates], prob.tolist())[:k]
     # Every member of the top k scores at least the k-th largest value, so
     # sorting only those candidates gives the same k pairs, ties included.
-    keep = (np.flatnonzero(prob >= np.partition(prob, -k)[-k]) if k < len(prob)
-            else np.arange(len(prob)))
-    return by_score([candidates[i][0] for i in keep], prob[keep].tolist())[:k]
+    keep = np.nonzero(prob >= np.partition(prob, -k)[-k])[0]
+    return by_score([candidates[i][0] for i in keep.tolist()], prob[keep].tolist())[:k]
 
 
 def by_score(items, scores) -> list:

@@ -1,5 +1,10 @@
 """Tests for the package's public surface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import hbayes
 from hbayes import evaluation, generator, inference, io, model, predictor
 
@@ -31,3 +36,13 @@ def test_internal_names_stay_importable_by_module_path():
                          (io, "save_json"), (io, "save_ground_truth"),
                          (io, "save_trace_csv")):
         assert hasattr(module, name) and name not in hbayes.__all__
+
+
+def test_import_does_not_load_hashlib():
+    """Only ``io.hash_features`` digests, so it imports hashlib itself and
+    importing the package (the server's start) does not load OpenSSL."""
+    src = str(Path(hbayes.__file__).resolve().parent.parent)
+    code = "import sys, hbayes; print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "[]"

@@ -223,6 +223,46 @@ def test_fractional_or_infinite_brand_id_is_rejected(bad):
         rank_top_k(0, cands, state, k=1)
 
 
+@pytest.mark.parametrize("bad", [1.5, -0.5, math.inf, -math.inf])
+@pytest.mark.parametrize("at", [0, 3, 6])
+def test_fractional_or_infinite_brand_id_among_known_ones_is_named(bad, at):
+    """In a list of otherwise known ids the one faulty id is refused, and it
+    is named first even with a cold id and a second fraction after it."""
+    state = _ranking_state()
+    cands = [(i, [1.0, 0.0], i % 2) for i in range(7)]
+    cands[at] = (at, [1.0, 0.0], bad)
+    message = f"^candidate {at}: brand id {re.escape(repr(bad))} is not an integer$"
+    for request in (cands, cands + [(7, [0.0, 1.0], None), (8, [0.0, 1.0], 0.25)]):
+        with pytest.raises(ValueError, match=message):
+            score_candidates(0, request, state)
+        with pytest.raises(ValueError, match=message):
+            rank_top_k(0, request, state, k=2)
+
+
+@pytest.mark.parametrize("d", [1, 4, 20])
+def test_cold_or_retyped_brand_ids_keep_the_known_scores_bytes(d):
+    """A request whose ids are all known rows and one that also holds a cold
+    id (None, NaN, a whole number out of range), which adds the prior as
+    row B, give the known candidates the same bytes, also with the known ids
+    written as -0.0, True, 2.0 and np.int64.  The lists are short enough
+    for the gather path."""
+    state = random_state(HyperParams(num_styles=3, feature_dim=d), 3, 4, 0, seed=d)
+    rng = np.random.default_rng(d)
+    known = [(i, rng.standard_normal(d), b) for i, b in enumerate([0, 3, 2, 1, 2, 0, 1])]
+    n = len(known)
+    assert (n + 1) * d * d < predictor._GROUPED_ENTRIES_PER_ROW * 4
+    retyped = [(i, x, {0: -0.0, 1: True, 2: 2.0, 3: np.int64(3)}[b]) for i, x, b in known]
+    alone = score_candidates(1, known, state)
+    for got, ref in zip(alone, reference_scores(1, known, state)):
+        np.testing.assert_allclose(got, ref, rtol=_BATCH_RTOL, atol=0.0)
+    want = [a.tobytes() for a in alone]
+    x = rng.standard_normal(d)
+    for cands in (known, retyped):
+        for request in [cands] + [cands + [(n, x, cold)] for cold in (None, math.nan, 4, -1, 99)]:
+            got = score_candidates(1, request, state)
+            assert [a[:n].tobytes() for a in got] == want
+
+
 def test_whole_number_brand_ids_score_like_ints():
     state = _ranking_state()
     x = [1.0, 1.0]
@@ -367,6 +407,21 @@ def test_rank_top_k_equals_full_sort_of_reference_scores(data):
         assert [item for item, _ in got] == [item for item, _ in want[:k]]
         np.testing.assert_allclose([p for _, p in got], [p for _, p in want[:k]],
                                    rtol=_BATCH_RTOL, atol=0.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rank_top_k_shortcut_equals_the_full_sort(monkeypatch, seed):
+    """Probabilities rounded to one decimal tie across the k-th value; at
+    every k below, at and above n, the top k is the full sort's first k."""
+    rng = np.random.default_rng(seed)
+    n = 30
+    prob = np.round(rng.uniform(size=n), 1)
+    items = rng.permutation(100)[:n].tolist()
+    monkeypatch.setattr(predictor, "score_candidates", lambda *args: (None, None, prob))
+    want = by_score(items, prob.tolist())
+    assert any(want[k - 1][1] == want[k][1] for k in range(1, n))  # a tie straddles some k
+    for k in range(1, n + 3):
+        assert rank_top_k(0, [(item, None, None) for item in items], None, k) == want[:k]
 
 
 # The last row is finite, but x @ mean and x'Cx overflow to inf: inf / inf is NaN.
