@@ -24,6 +24,7 @@ from .model import (
     event_moments,
     family_moments,
     lambda_of_xi,
+    update_xi,
 )
 
 __all__ = [
@@ -60,7 +61,7 @@ def initial_state(data: Dataset, hp: HyperParams, seed: int) -> VariationalState
     User and brand means start as small random vectors (scale 0.01), style
     means slightly larger (scale 0.1) to break the style symmetry, all
     covariances at identity scale, responsibilities and Dirichlet
-    parameters at 1/S, xi at 1, and Gamma posteriors at their priors.
+    parameters at 1/S, and Gamma posteriors at their priors.
     """
     rng = np.random.default_rng(seed)
     d = hp.feature_dim
@@ -85,7 +86,6 @@ def initial_state(data: Dataset, hp: HyperParams, seed: int) -> VariationalState
         prec_b=GammaPosterior(hp.alpha0, hp.beta0),
         prec_s=GammaPosterior(hp.alpha0, hp.beta0),
         prec_w=GammaPosterior(hp.alpha0, hp.beta0),
-        xi=np.ones(len(data)),
     )
 
 
@@ -114,7 +114,7 @@ def update_theta(resp: np.ndarray, hp: HyperParams) -> np.ndarray:
 
 def update_users(state: VariationalState, data: Dataset, lam, brand_proj):
     """(mean (U, d), cov (U, d, d)) of every user given current brands,
-    precisions and xi: ``lam`` is lambda_of_xi(state.xi) and ``brand_proj``
+    precisions and xi: ``lam`` is lambda_of_xi(xi) and ``brand_proj``
     each event's x'mu of its brand, ``family_moments(state.brand_mean,
     state.brand_cov, data.by_brand)[0]``."""
     return _update_family(np.full(state.num_users, state.prec_u.mean), 0.0, lam, brand_proj,
@@ -184,14 +184,9 @@ def update_precisions(state: VariationalState, hp: HyperParams):
                  for n, sq in state.edge_sq_norms())
 
 
-def update_xi(m: np.ndarray, s2: np.ndarray) -> np.ndarray:
-    """Per-event bound locations xi_t = sqrt(E[(x'(B + U))^2]) = sqrt(m_t^2 + s2_t),
-    given the event moments (m, s2) of ``model.event_moments``."""
-    return np.sqrt(np.maximum(m * m + s2, 0.0))
-
-
-def cavi_sweep(state: VariationalState, data: Dataset, hp: HyperParams):
-    """One full coordinate-ascent sweep; returns (new state, its ELBO terms).
+def cavi_sweep(state: VariationalState, data: Dataset, hp: HyperParams, xi: np.ndarray):
+    """One full coordinate-ascent sweep from ``state`` and the bound locations
+    ``xi`` (N,); returns (new state, its xi, their ELBO terms).
 
     Later updates within the sweep see the values produced by earlier ones.
     Members of one family (all users, all brands, ...) are mutually
@@ -199,13 +194,13 @@ def cavi_sweep(state: VariationalState, data: Dataset, hp: HyperParams):
     No update writes into its input, so a shallow copy is enough: by the end
     of the sweep every field holds a fresh value.  Every per-event pass is a
     ``family_moments`` call, each family's right after its update; their sum,
-    as in ``event_moments``, sets xi and the returned ``elbo_terms``.  The
+    as in ``event_moments``, sets the new xi and the returned ``elbo_terms``.  The
     brand call that feeds the user update repeats the previous sweep's last.
     """
     work = replace(state)
     work.resp = update_responsibilities(work)
     work.theta_gamma = update_theta(work.resp, hp)
-    lam = lambda_of_xi(work.xi)
+    lam = lambda_of_xi(xi)
     work.user_mean, work.user_cov = update_users(
         work, data, lam, family_moments(work.brand_mean, work.brand_cov, data.by_brand)[0])
     m, s2 = family_moments(work.user_mean, work.user_cov, data.by_user)
@@ -216,8 +211,8 @@ def cavi_sweep(state: VariationalState, data: Dataset, hp: HyperParams):
     work.prec_u, work.prec_b, work.prec_s, work.prec_w = update_precisions(work, hp)
     m += brand_m
     s2 += brand_s2
-    work.xi = update_xi(m, s2)
-    return work, _elbo_terms(work, data, hp, m, s2)
+    xi = update_xi(m, s2)
+    return work, xi, _elbo_terms(work, data, hp, m, s2, xi)
 
 
 def fit(data: Dataset, hp: HyperParams, seed: int = 0,
@@ -229,9 +224,10 @@ def fit(data: Dataset, hp: HyperParams, seed: int = 0,
     states are ``restarts`` >= 1 seeded initializations (seeds seed, seed +
     100, ...): mixture-style models converge to local optima, so a few
     restarts are cheap insurance.  With ``init`` the one start state is a
-    copy of its factors with xi = ``update_xi(*event_moments(init,
-    data))``; the init's own xi is never read, so one fitted on other
-    events, or loaded from a checkpoint without xi, starts the same way.
+    copy of its factors, whether fitted on other events or loaded from a
+    checkpoint.  Each start's bound locations xi go to the ascent beside
+    it: 1 for a seeded start, ``update_xi(*event_moments(init, data))``
+    for an ``init``.
     ``restarts`` < 1, or > 1 with an ``init``, raises ValueError, as does
     an ``hp.feature_dim`` other than the data's, or an ``init`` whose user,
     brand or style count or dimension differs from ``data`` and ``hp``.
@@ -254,24 +250,24 @@ def fit(data: Dataset, hp: HyperParams, seed: int = 0,
         if got != want:
             raise ValueError(message.format(got, want))
     if init is None:
-        starts = [initial_state(data, hp, seed + 100 * r) for r in range(restarts)]
+        starts = [(initial_state(data, hp, seed + 100 * r), np.ones(len(data)))
+                  for r in range(restarts)]
     else:  # xi starts at the exact maximizer for the init's factors on these events
-        starts = [init.copy()]
-        starts[0].xi = update_xi(*event_moments(init, data))
+        starts = [(init.copy(), update_xi(*event_moments(init, data)))]
     runs = []
     while starts:  # popped, so that no start state outlives its first sweep
-        runs.append(_ascend(starts.pop(0), data, hp))
+        runs.append(_ascend(*starts.pop(0), data, hp))
     return max(runs, key=lambda run: run[1].elbo_trace[-1] if run[1].elbo_trace else -np.inf)
 
 
-def _ascend(state: VariationalState, data: Dataset, hp: HyperParams):
-    """(final state, FitReport) of the sweeps from ``state``, as ``fit`` stops them."""
+def _ascend(state: VariationalState, xi: np.ndarray, data: Dataset, hp: HyperParams):
+    """(final state, FitReport) of the sweeps from ``state`` and ``xi`` as ``fit`` stops them."""
     trace = []
     converged = False
     previous = None
     for sweep_idx in range(hp.max_iters):
         try:
-            state, terms = cavi_sweep(state, data, hp)
+            state, xi, terms = cavi_sweep(state, data, hp, xi)
             value = _elbo_sum(terms)
         except NumericalError as err:
             raise NumericalError(f"sweep {sweep_idx}: {err}") from err

@@ -6,7 +6,7 @@ Formats (documented with examples in docs/file_formats.md):
   ``brand`` ids, a binary ``y`` label, and a feature array ``x``;
 * ground truth sidecar: single JSON document of true latents;
 * checkpoint: single canonical JSON document, schema version 2 (version 1
-  files, which also store the per-event ``xi``, are still read);
+  files, which also store the per-event ``xi``, are still read, without it);
 * metrics report: JSON summary of a cross-validation run;
 * ELBO trace: two-column CSV ``iteration,elbo``.
 
@@ -422,11 +422,9 @@ def save_checkpoint(ckpt: Checkpoint, path):
     """Persist a checkpoint as canonical JSON, schema version 2, whatever
     version it was loaded from.
 
-    The per-event bound locations ``state.xi`` are not written: they are
-    working state of the fit, and ``fit(init=...)`` rebuilds them as
-    ``update_xi(*event_moments(state, data))``, so the file grows with
-    users and brands, not events.  The file holds json.dumps of the nested
-    document; the users and brands are written straight from their arrays.
+    The state holds q's factors only, no per-event bound locations xi, so
+    the file grows with users and brands, not events.  It holds json.dumps
+    of the nested document; users and brands are written from their arrays.
     A checkpoint that ``load_checkpoint`` would reject (state invariants,
     dimensions or id lists) raises CheckpointError and nothing is written.
     Saving, loading and saving again produces a byte-identical file.
@@ -464,8 +462,7 @@ def load_checkpoint(path) -> Checkpoint:
     CheckpointError.
 
     Reads schema versions 1 and 2.  A version-1 file's ``xi`` is checked
-    and kept on the state; a version-2 file has none, so the loaded
-    ``state.xi`` is empty, shape (0,), and ``fit(init=state)`` rebuilds it.
+    and dropped: the loaded state is q's factors only, as saved.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -504,8 +501,11 @@ def load_checkpoint(path) -> Checkpoint:
             resp=np.asarray(s["resp"] if s["resp"] != [] else np.zeros((0, hp.num_styles)),
                             dtype=float),  # no brands: shape (0, S), as for their factors
             **{name: GammaPosterior(**s[name]) for name in _PRECISION_FIELDS},
-            xi=np.asarray(s["xi"] if version == 1 else (), dtype=float),
         )
+        if version == 1:  # the per-event xi is checked, then dropped
+            xi = np.asarray(s["xi"], dtype=float)
+            if not np.all(np.isfinite(xi) & (xi >= 0)):
+                raise ValueError("xi entries must be finite and non-negative")
         report = _fit_report(doc["fit_report"])
         ckpt = Checkpoint(hyperparams=hp, state=state, fit_report=report,
                           user_ids=doc.get("user_ids"), brand_ids=doc.get("brand_ids"),

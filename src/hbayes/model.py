@@ -361,7 +361,8 @@ class GammaPosterior:
 class VariationalState:
     """All factor parameters of the mean-field posterior, one array set per
     family.  Users and brands carry dense covariances; every style and w
-    carries one isotropic variance v standing for v * I."""
+    carries one isotropic variance v standing for v * I.  The bound's per-event
+    locations xi are not factors of q: ``fit`` carries them beside the state."""
 
     user_mean: np.ndarray  # (U, d)
     user_cov: np.ndarray  # (U, d, d)
@@ -377,10 +378,9 @@ class VariationalState:
     prec_b: GammaPosterior
     prec_s: GammaPosterior
     prec_w: GammaPosterior
-    xi: np.ndarray  # (N,) per-event bound locations, >= 0
 
     _ARRAYS = ("user_mean", "user_cov", "brand_mean", "brand_cov", "style_mean", "style_var",
-               "w_mean", "theta_gamma", "resp", "xi")
+               "w_mean", "theta_gamma", "resp")
 
     def __post_init__(self):
         for name in self._ARRAYS:
@@ -465,8 +465,6 @@ class VariationalState:
             raise ValueError("responsibility rows must sum to 1")
         for p in self.precisions:
             p.validate()
-        if np.any(self.xi < 0):
-            raise ValueError("xi entries must be non-negative")
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +503,12 @@ def event_moments(state: VariationalState, data: Dataset):
     return m, s2
 
 
+def update_xi(m: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """Per-event bound locations xi_t = sqrt(E[(x'(B + U))^2]) = sqrt(m_t^2 + s2_t),
+    given the event moments (m, s2) of ``event_moments``."""
+    return np.sqrt(np.maximum(m * m + s2, 0.0))
+
+
 def _expected_log_gamma(p: GammaPosterior, a, b) -> float:
     """E_q[log Gamma(delta; a, b)] (shape a, rate b) under the Gamma factor
     ``p``; at p's own (shape, rate) it is minus p's entropy."""
@@ -521,24 +525,22 @@ def _gaussian_entropy(logdet, d: int):
     return 0.5 * (d * (1.0 + _LOG_2PI) + logdet)
 
 
-def elbo_terms(state: VariationalState, data: Dataset, hp: HyperParams) -> dict:
+def elbo_terms(state: VariationalState, data: Dataset, hp: HyperParams, xi=None) -> dict:
     """Named additive pieces of the evidence lower bound.
 
     Keys cover the bounded likelihood, one cross-entropy per prior edge of
     the hierarchy, and the entropy of every posterior factor; ``elbo`` is
     their sum.  See docs/elbo.md for the derivation of each expectation.
-    ``state.xi`` must hold one entry per event of ``data``; else the
-    ValueError names the xi that ``fit(init=...)`` starts from as the fix.
+    ``xi`` (N,) holds the bound's location for every event of ``data``;
+    None means the best ones for ``state``, ``update_xi(*event_moments(state,
+    data))``, which is the xi every sweep of a fit ends with.
     """
-    if len(data) != state.xi.size:
-        raise ValueError(f"state has {state.xi.size} xi entries for {len(data)} events; "
-                         "rebuild them with replace(state, xi=update_xi(*event_moments("
-                         "state, data)))")
-    return _elbo_terms(state, data, hp, *event_moments(state, data))
+    m, s2 = event_moments(state, data)
+    return _elbo_terms(state, data, hp, m, s2, update_xi(m, s2) if xi is None else xi)
 
 
-def _elbo_terms(state, data, hp, m, s2) -> dict:
-    """``elbo_terms`` given the event moments (m, s2) of ``state``."""
+def _elbo_terms(state, data, hp, m, s2, xi) -> dict:
+    """``elbo_terms`` given the event moments (m, s2) of ``state`` and ``xi``."""
     d = hp.feature_dim
     mu = state.resp
     eln_theta = state.theta_mean_log
@@ -548,7 +550,7 @@ def _elbo_terms(state, data, hp, m, s2) -> dict:
     # p(y | h) = sigmoid((2y - 1) h); the bound is linear in (2y - 1) h and in
     # its square h^2, whose expectations are (2y - 1) m and m^2 + s2.
     terms["likelihood_bound"] = float(np.sum(_log_bound((2.0 * data.y - 1.0) * m,
-                                                        m * m + s2, state.xi)))
+                                                        m * m + s2, xi)))
 
     # E[log N(v; prior mean, I / delta)] summed over each edge's n d-vectors.
     for name, p, (n, sq) in zip(_EDGE_TERMS, state.precisions, state.edge_sq_norms()):
@@ -577,13 +579,14 @@ def _elbo_terms(state, data, hp, m, s2) -> dict:
     return terms
 
 
-def elbo(state: VariationalState, data: Dataset, hp: HyperParams) -> float:
+def elbo(state: VariationalState, data: Dataset, hp: HyperParams, xi=None) -> float:
     """Evidence lower bound of the variational posterior on the data.
 
     Exact expectation of the bounded joint log-density minus the entropy of
     q; the quantity the coordinate-ascent sweep monotonically increases.
+    ``xi`` is as in ``elbo_terms``.
     """
-    return _elbo_sum(elbo_terms(state, data, hp))
+    return _elbo_sum(elbo_terms(state, data, hp, xi))
 
 
 def _elbo_sum(terms: dict) -> float:

@@ -53,7 +53,7 @@ def event_log_likelihood(e: "EventRecord", brand_mean, user_mean) -> float:
     return -float(np.logaddexp(0.0, -h)) if e.y == 1 else -float(np.logaddexp(0.0, h))
 
 
-def random_state(hp, num_users, num_brands, num_events, seed):
+def random_state(hp, num_users, num_brands, seed):
     """A valid, non-degenerate variational state with random parameters."""
     rng = np.random.default_rng(seed)
     d = hp.feature_dim
@@ -86,8 +86,13 @@ def random_state(hp, num_users, num_brands, num_events, seed):
         prec_b=GammaPosterior(rng.uniform(1.0, 4.0), rng.uniform(1.0, 4.0)),
         prec_s=GammaPosterior(rng.uniform(1.0, 4.0), rng.uniform(1.0, 4.0)),
         prec_w=GammaPosterior(rng.uniform(1.0, 4.0), rng.uniform(1.0, 4.0)),
-        xi=rng.uniform(0.1, 3.0, size=num_events),
     )
+
+
+def random_xi(num_events, seed):
+    """Per-event bound locations drawn uniformly from [0.1, 3), for checks of
+    the bound at a fixed xi."""
+    return np.random.default_rng(seed).uniform(0.1, 3.0, size=num_events)
 
 
 def assert_identical(got, want):
@@ -202,7 +207,7 @@ def checkpoint_document(ckpt):
     }
 
 
-def prior_matched_state(hp, num_users, num_brands, num_events=0):
+def prior_matched_state(hp, num_users, num_brands):
     """Every q factor set to its prior (precisions at the prior mean)."""
     d = hp.feature_dim
     S = hp.num_styles
@@ -222,12 +227,12 @@ def prior_matched_state(hp, num_users, num_brands, num_events=0):
         prec_b=GammaPosterior(hp.alpha0, hp.beta0),
         prec_s=GammaPosterior(hp.alpha0, hp.beta0),
         prec_w=GammaPosterior(hp.alpha0, hp.beta0),
-        xi=np.ones(num_events),
     )
 
 
-def reference_update_user(k, state, data):
-    """Per-entity user update, (mean, cov): the loop reference for ``update_users``."""
+def reference_update_user(k, state, data, xi):
+    """Per-entity user update, (mean, cov), at the bound locations ``xi``: the
+    loop reference for ``update_users``."""
     d = data.feature_dim
     e_du = state.prec_u.mean
     idx = np.flatnonzero(data.users == k)
@@ -235,7 +240,7 @@ def reference_update_user(k, state, data):
         return np.zeros(d), np.eye(d) / e_du
 
     X = data.X[idx]
-    lam = lambda_of_xi(state.xi[idx])
+    lam = lambda_of_xi(xi[idx])
     precision = e_du * np.eye(d) + 2.0 * (X.T * lam) @ X
 
     brand_means = state.brand_mean[data.brands[idx]]
@@ -246,8 +251,9 @@ def reference_update_user(k, state, data):
     return cov @ (X.T @ coef), cov
 
 
-def reference_update_brand(i, state, data):
-    """Per-entity brand update, (mean, cov): the loop reference for ``update_brands``."""
+def reference_update_brand(i, state, data, xi):
+    """Per-entity brand update, (mean, cov), at the bound locations ``xi``: the
+    loop reference for ``update_brands``."""
     d = data.feature_dim
     e_db = state.prec_b.mean
     mu_row = state.resp[i]
@@ -259,7 +265,7 @@ def reference_update_brand(i, state, data):
         return prior_pull / prior_precision, np.eye(d) / prior_precision
 
     X = data.X[idx]
-    lam = lambda_of_xi(state.xi[idx])
+    lam = lambda_of_xi(xi[idx])
     precision = prior_precision * np.eye(d) + 2.0 * (X.T * lam) @ X
 
     user_means = state.user_mean[data.users[idx]]
@@ -309,8 +315,9 @@ def reference_scores(user_id, candidates, state):
     return out
 
 
-def mc_elbo_cross_terms(state, data, hp, n=100_000, seed=123):
-    """Monte Carlo estimates of the expectation terms of the ELBO.
+def mc_elbo_cross_terms(state, data, hp, xi, n=100_000, seed=123):
+    """Monte Carlo estimates of the expectation terms of the ELBO at the
+    bound locations ``xi``.
 
     Samples all factors from q and averages each log-density group; an
     oracle that is independent of the closed forms in hbayes.model.
@@ -340,7 +347,6 @@ def mc_elbo_cross_terms(state, data, hp, n=100_000, seed=123):
 
     if len(data):
         X, bs, us, y = data.X, data.brands, data.users, data.y
-        xi = state.xi
         lam = lambda_of_xi(xi)
         logsig = -np.logaddexp(0.0, -xi)
         h = np.einsum("td,ntd->nt", X, brands[:, bs, :] + users[:, us, :])

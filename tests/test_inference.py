@@ -4,6 +4,7 @@ import math
 import tracemalloc
 from dataclasses import replace
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,10 +22,11 @@ from hbayes import (
     elbo_terms,
     lambda_of_xi,
     load_checkpoint,
+    load_events,
     sample_dataset,
     save_checkpoint,
 )
-from hbayes import inference, model
+from hbayes import cli, inference, model
 from hbayes.inference import (
     cavi_sweep,
     fit,
@@ -45,6 +47,7 @@ from helpers import (
     make_dataset,
     prior_matched_state,
     random_state,
+    random_xi,
     reference_event_moments,
     reference_update_brand,
     reference_update_user,
@@ -52,13 +55,13 @@ from helpers import (
 
 
 def _single_event_instance():
-    """d=1, one event (x=1, y=1), xi=1, unit precisions, zero means."""
+    """d=1, one event (x=1, y=1), unit precisions, zero means; its tests
+    set the event's xi to 1."""
     hp = HyperParams(num_styles=1, feature_dim=1, alpha0=1.0, beta0=1.0)
     data = make_dataset([([1.0], 0, 0, 1)], num_users=1, num_brands=1, feature_dim=1)
-    state = prior_matched_state(hp, 1, 1, num_events=1)
+    state = prior_matched_state(hp, 1, 1)
     state.prec_u = GammaPosterior(1.0, 1.0)
     state.prec_b = GammaPosterior(1.0, 1.0)
-    state.xi = np.array([1.0])
     return hp, data, state
 
 
@@ -105,7 +108,7 @@ def test_responsibilities_two_style_softmax():
 def test_responsibilities_rows_normalized_on_random_states():
     hp = HyperParams(num_styles=4, feature_dim=3)
     for seed in range(5):
-        state = random_state(hp, num_users=2, num_brands=6, num_events=0, seed=seed)
+        state = random_state(hp, num_users=2, num_brands=6, seed=seed)
         resp = update_responsibilities(state)
         np.testing.assert_allclose(resp.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(resp >= 0) and np.all(resp <= 1)
@@ -150,9 +153,9 @@ def test_update_user_without_events_reverts_to_prior():
     hp = HyperParams(num_styles=1, feature_dim=2)
     data = make_dataset([([1.0, 0.0], 0, 1, 1)], num_users=2, num_brands=1,
                         feature_dim=2)
-    state = prior_matched_state(hp, 2, 1, num_events=1)
+    state = prior_matched_state(hp, 2, 1)
     state.prec_u = GammaPosterior(6.0, 3.0)  # mean 2
-    mean, cov = update_users(state, data, lambda_of_xi(state.xi),
+    mean, cov = update_users(state, data, lambda_of_xi(np.ones(len(data))),
                              family_moments(state.brand_mean, state.brand_cov, data.by_brand)[0])
     np.testing.assert_array_equal(mean[0], np.zeros(2))
     np.testing.assert_allclose(cov[0], np.eye(2) / 2.0, atol=1e-12)
@@ -162,7 +165,7 @@ def test_update_user_single_event_scalar_arithmetic():
     _, data, state = _single_event_instance()
     lam = (1.0 / (1.0 + math.exp(-1.0)) - 0.5) / 2.0
     expected_cov = 1.0 / (1.0 + 2.0 * lam)
-    mean, cov = update_users(state, data, lambda_of_xi(state.xi),
+    mean, cov = update_users(state, data, lambda_of_xi(np.ones(len(data))),
                              family_moments(state.brand_mean, state.brand_cov, data.by_brand)[0])
     assert cov[0, 0, 0] == pytest.approx(expected_cov, rel=1e-12)
     assert mean[0, 0] == pytest.approx(expected_cov * 0.5, rel=1e-12)
@@ -173,13 +176,13 @@ def test_update_user_stronger_prior_shrinks_mean():
     rng = np.random.default_rng(4)
     rows = [(rng.standard_normal(3), 0, 0, int(rng.integers(2))) for _ in range(20)]
     data = make_dataset(rows, num_users=1, num_brands=1, feature_dim=3)
-    state = prior_matched_state(hp, 1, 1, num_events=20)
+    state = prior_matched_state(hp, 1, 1)
     state.brand_mean[0], state.brand_cov[0] = rng.standard_normal(3), np.eye(3)
     state.prec_u = GammaPosterior(2.0, 2.0)  # mean 1
-    loose = update_users(state, data, lambda_of_xi(state.xi),
+    loose = update_users(state, data, lambda_of_xi(np.ones(len(data))),
                          family_moments(state.brand_mean, state.brand_cov, data.by_brand)[0])[0][0]
     state.prec_u = GammaPosterior(4.0, 2.0)  # mean 2
-    tight = update_users(state, data, lambda_of_xi(state.xi),
+    tight = update_users(state, data, lambda_of_xi(np.ones(len(data))),
                          family_moments(state.brand_mean, state.brand_cov, data.by_brand)[0])[0][0]
     assert np.linalg.norm(tight) < np.linalg.norm(loose)
 
@@ -191,7 +194,7 @@ def test_update_brand_without_events_uses_style_mixture():
     state.style_mean[:], state.style_var[:] = [[1.0, 0.0], [0.0, 2.0]], 0.3
     state.resp = np.array([[0.25, 0.75]])
     data = Dataset([], 1, 1, 2)
-    mean, cov = update_brands(state, data, lambda_of_xi(state.xi),
+    mean, cov = update_brands(state, data, lambda_of_xi(np.ones(len(data))),
                               family_moments(state.user_mean, state.user_cov, data.by_user)[0])
     np.testing.assert_allclose(cov[0], np.eye(2) / 2.0, atol=1e-12)
     np.testing.assert_allclose(mean[0], 0.25 * np.array([1.0, 0.0])
@@ -204,7 +207,7 @@ def test_update_brand_one_hot_returns_style_mean():
     state.style_mean[:], state.style_var[:] = [[3.0, -1.0], [0.0, 2.0]], 0.3
     state.resp = np.array([[1.0, 0.0]])
     data = Dataset([], 1, 1, 2)
-    mean, _ = update_brands(state, data, lambda_of_xi(state.xi),
+    mean, _ = update_brands(state, data, lambda_of_xi(np.ones(len(data))),
                             family_moments(state.user_mean, state.user_cov, data.by_user)[0])
     np.testing.assert_allclose(mean[0], [3.0, -1.0], atol=1e-12)
 
@@ -212,10 +215,10 @@ def test_update_brand_one_hot_returns_style_mean():
 def test_update_brand_mirrors_update_user():
     _, data, state = _single_event_instance()
     user_mean, user_cov = update_users(
-        state, data, lambda_of_xi(state.xi),
+        state, data, lambda_of_xi(np.ones(len(data))),
         family_moments(state.brand_mean, state.brand_cov, data.by_brand)[0])
     brand_mean, brand_cov = update_brands(
-        state, data, lambda_of_xi(state.xi),
+        state, data, lambda_of_xi(np.ones(len(data))),
         family_moments(state.user_mean, state.user_cov, data.by_user)[0])
     assert brand_cov[0, 0, 0] == pytest.approx(user_cov[0, 0, 0], rel=1e-12)
     assert brand_mean[0, 0] == pytest.approx(user_mean[0, 0], rel=1e-12)
@@ -246,25 +249,25 @@ def _family_instance(d, seed):
     rows.insert(17, (rng.standard_normal(d), 2, 1, 1))
     rows.insert(31, (rng.standard_normal(d), 1, 3, 0))
     data = make_dataset(rows, num_users=6, num_brands=5, feature_dim=d)
-    state = random_state(hp, num_users=6, num_brands=5, num_events=len(rows), seed=seed)
-    return data, state
+    state = random_state(hp, num_users=6, num_brands=5, seed=seed)
+    return data, state, random_xi(len(rows), seed)
 
 
 @pytest.mark.parametrize("d, seed", [(1, 0), (3, 1), (10, 2)])
 def test_family_updates_match_per_entity_loop(d, seed):
-    data, state = _family_instance(d, seed)
+    data, state, xi = _family_instance(d, seed)
     assert np.any(np.diff(data.users) < 0) and np.any(np.diff(data.brands) < 0)
     assert [np.sum(data.users == k) for k in (0, 1)] == [0, 1]
     assert [np.sum(data.brands == i) for i in (0, 1)] == [0, 1]
     assert np.ptp(state.resp) > 0.1
     _assert_factors_close(
-        update_users(state, data, lambda_of_xi(state.xi),
+        update_users(state, data, lambda_of_xi(xi),
                      family_moments(state.brand_mean, state.brand_cov, data.by_brand)[0]),
-        [reference_update_user(k, state, data) for k in range(6)])
+        [reference_update_user(k, state, data, xi) for k in range(6)])
     _assert_factors_close(
-        update_brands(state, data, lambda_of_xi(state.xi),
+        update_brands(state, data, lambda_of_xi(xi),
                       family_moments(state.user_mean, state.user_cov, data.by_user)[0]),
-        [reference_update_brand(i, state, data) for i in range(5)])
+        [reference_update_brand(i, state, data, xi) for i in range(5)])
 
 
 def test_stacked_spd_jitters_only_the_failing_slice():
@@ -458,7 +461,7 @@ def test_update_xi_point_mass_posteriors():
     hp = HyperParams(num_styles=1, feature_dim=2)
     data = make_dataset([([1.0, -2.0], 0, 0, 1)], num_users=1, num_brands=1,
                         feature_dim=2)
-    state = prior_matched_state(hp, 1, 1, num_events=1)
+    state = prior_matched_state(hp, 1, 1)
     state.user_mean[0], state.user_cov[0] = [0.5, 0.5], np.zeros((2, 2))
     state.brand_mean[0], state.brand_cov[0] = [0.5, 0.0], np.zeros((2, 2))
     out = update_xi(*event_moments(state, data))
@@ -469,14 +472,14 @@ def test_update_xi_zero_features():
     hp = HyperParams(num_styles=1, feature_dim=2)
     data = make_dataset([([0.0, 0.0], 0, 0, 0)], num_users=1, num_brands=1,
                         feature_dim=2)
-    state = prior_matched_state(hp, 1, 1, num_events=1)
+    state = prior_matched_state(hp, 1, 1)
     assert update_xi(*event_moments(state, data))[0] == 0.0
 
 
 def test_update_xi_direct_arithmetic():
     hp = HyperParams(num_styles=1, feature_dim=1)
     data = make_dataset([([2.0], 0, 0, 1)], num_users=1, num_brands=1, feature_dim=1)
-    state = prior_matched_state(hp, 1, 1, num_events=1)
+    state = prior_matched_state(hp, 1, 1)
     state.user_mean[0], state.user_cov[0] = [0.4], 0.25 * np.eye(1)
     state.brand_mean[0], state.brand_cov[0] = [0.6], 0.25 * np.eye(1)
     assert update_xi(*event_moments(state, data))[0] == pytest.approx(math.sqrt(6.0), rel=1e-12)
@@ -493,24 +496,24 @@ def test_grouped_moments_match_gathered_covariances(d, seed):
     """m, s2, update_xi and the likelihood bound against the (N, d, d)
     formula, on interleaved events with an empty and a single-event user and
     brand."""
-    data, state = _family_instance(d, seed)
+    data, state, xi = _family_instance(d, seed)
     m, s2 = reference_event_moments(state, data)
     got_m, got_s2 = event_moments(state, data)
     _assert_close(got_m, m)
     _assert_close(got_s2, s2)
     _assert_close(update_xi(got_m, got_s2), np.sqrt(m * m + s2))
-    xi, lam = state.xi, lambda_of_xi(state.xi)
+    lam = lambda_of_xi(xi)
     bound = np.sum(data.y * m - np.logaddexp(0.0, -xi) - 0.5 * (m + xi)
                    - lam * (m * m + s2 - xi * xi))
     hp = HyperParams(num_styles=3, feature_dim=d)
-    _assert_close(elbo_terms(state, data, hp)["likelihood_bound"], bound)
+    _assert_close(elbo_terms(state, data, hp, xi)["likelihood_bound"], bound)
 
 
 @pytest.mark.parametrize("d, seed", [(1, 0), (10, 2)])
 def test_event_moments_are_the_sum_of_the_two_family_calls(d, seed):
     """Each family's call gives its own projection and variance, and
     event_moments is their sum, bit for bit."""
-    data, state = _family_instance(d, seed)
+    data, state, _ = _family_instance(d, seed)
     users = family_moments(state.user_mean, state.user_cov, data.by_user)
     brands = family_moments(state.brand_mean, state.brand_cov, data.by_brand)
     for (mean, cov, index), (m, s2) in (((state.user_mean, state.user_cov, data.users), users),
@@ -525,7 +528,7 @@ def test_event_moments_are_the_sum_of_the_two_family_calls(d, seed):
 def test_grouped_moments_without_events():
     hp = HyperParams(num_styles=2, feature_dim=3)
     data = Dataset(events=[], num_users=2, num_brands=3, feature_dim=3)
-    state = random_state(hp, num_users=2, num_brands=3, num_events=0, seed=0)
+    state = random_state(hp, num_users=2, num_brands=3, seed=0)
     assert update_xi(*event_moments(state, data)).shape == (0,)
     assert elbo_terms(state, data, hp)["likelihood_bound"] == 0.0
 
@@ -539,7 +542,7 @@ def test_update_xi_memory_is_linear_in_events():
     rows = zip(rng.standard_normal((n, d)), rng.integers(100, size=n).tolist(),
                rng.integers(200, size=n).tolist(), rng.integers(2, size=n).tolist())
     data = make_dataset(rows, num_users=200, num_brands=100, feature_dim=d)
-    state = random_state(hp, num_users=200, num_brands=100, num_events=n, seed=1)
+    state = random_state(hp, num_users=200, num_brands=100, seed=1)
     # Build the cached event arrays first, so that only update_xi is traced.
     _ = data.X, data.users, data.brands, data.by_user, data.by_brand
     tracemalloc.start()
@@ -597,23 +600,22 @@ def test_fit_trace_non_decreasing_and_report_consistent():
     state.validate()
 
 
-def _public_sweep(state, data, hp):
-    """The updates of ``cavi_sweep`` in its order, each through its public
-    function on the state the sweep had reached."""
+def _public_sweep(state, data, hp, xi):
+    """(state, xi) after the updates of ``cavi_sweep`` in its order, each
+    through its public function on the state the sweep had reached."""
     work = state.copy()
     work.resp = update_responsibilities(work)
     work.theta_gamma = update_theta(work.resp, hp)
     work.user_mean, work.user_cov = update_users(
-        work, data, lambda_of_xi(work.xi),
+        work, data, lambda_of_xi(xi),
         family_moments(work.brand_mean, work.brand_cov, data.by_brand)[0])
     work.brand_mean, work.brand_cov = update_brands(
-        work, data, lambda_of_xi(work.xi),
+        work, data, lambda_of_xi(xi),
         family_moments(work.user_mean, work.user_cov, data.by_user)[0])
     work.style_mean, work.style_var = update_styles(work)
     work.w_mean, work.w_var = update_w(work)
     work.prec_u, work.prec_b, work.prec_s, work.prec_w = update_precisions(work, hp)
-    work.xi = update_xi(*event_moments(work, data))
-    return work
+    return work, update_xi(*event_moments(work, data))
 
 
 @pytest.mark.parametrize("users, brands, events, d", [(10, 30, 3_000, 10),
@@ -625,15 +627,17 @@ def test_cavi_sweep_terms_equal_the_independent_elbo(users, brands, events, d):
     hp = HyperParams(num_styles=3, feature_dim=d, max_iters=3)
     data, _ = sample_dataset(hp, num_users=users, num_brands=brands, num_events=events, seed=4)
     state, _ = fit(data, hp, seed=4)
+    xi = update_xi(*event_moments(state, data))
     for _ in range(2):
-        new, terms = cavi_sweep(state, data, hp)
+        new, new_xi, terms = cavi_sweep(state, data, hp, xi)
         assert sum(terms.values()) == elbo(new, data, hp)
         assert terms == elbo_terms(new, data, hp)
-        public = _public_sweep(state, data, hp)
+        public, public_xi = _public_sweep(state, data, hp, xi)
         for name in new._ARRAYS:
             np.testing.assert_array_equal(getattr(new, name), getattr(public, name), name)
+        np.testing.assert_array_equal(new_xi, public_xi)
         assert new.precisions == public.precisions
-        state = new
+        state, xi = new, new_xi
 
 
 def test_fit_computes_each_per_event_pass_once_per_sweep(monkeypatch):
@@ -682,8 +686,8 @@ def test_repeated_brand_pass_is_exact(monkeypatch):
 
     monkeypatch.setattr(inference, "family_moments", recorded_moments)
     monkeypatch.setattr(inference, "update_users", recorded_users)
-    first = cavi_sweep(state, data, hp)[0]
-    cavi_sweep(first, data, hp)
+    first, xi, _ = cavi_sweep(state, data, hp, np.ones(len(data)))
+    cavi_sweep(first, data, hp, xi)
     assert len(brand_passes) == 4 and len(user_inputs) == 2
     np.testing.assert_array_equal(user_inputs[1], brand_passes[1])
     assert not np.array_equal(user_inputs[0], user_inputs[1])
@@ -738,9 +742,9 @@ def test_fit_initial_state_deterministic():
 
 def test_fit_state_valid_after_each_sweep():
     hp, data = _synthetic()
-    state = initial_state(data, hp, seed=0)
+    state, xi = initial_state(data, hp, seed=0), np.ones(len(data))
     for _ in range(5):
-        state = cavi_sweep(state, data, hp)[0]
+        state, xi, _ = cavi_sweep(state, data, hp, xi)
         state.validate()
         np.testing.assert_allclose(state.resp.sum(axis=1), 1.0, atol=1e-9)
 
@@ -761,9 +765,9 @@ def test_fit_label_switching_symmetry():
 
 def test_fit_coordinate_updates_locally_optimal():
     hp, data = _synthetic(num_events=250)
-    state = initial_state(data, hp, seed=0)
+    state, xi = initial_state(data, hp, seed=0), np.ones(len(data))
     for _ in range(4):
-        state = cavi_sweep(state, data, hp)[0]
+        state, xi, _ = cavi_sweep(state, data, hp, xi)
     rng = np.random.default_rng(12)
 
     def perturbation():
@@ -772,23 +776,23 @@ def test_fit_coordinate_updates_locally_optimal():
 
     st = state.copy()
     st.user_mean, st.user_cov = update_users(
-        st, data, lambda_of_xi(st.xi),
+        st, data, lambda_of_xi(xi),
         family_moments(st.brand_mean, st.brand_cov, data.by_brand)[0])
-    base = elbo(st, data, hp)
+    base = elbo(st, data, hp, xi)
     for _ in range(10):
         pert = st.copy()
         k = int(rng.integers(st.num_users))
         pert.user_mean[k] = pert.user_mean[k] + perturbation()
-        assert elbo(pert, data, hp) <= base + 1e-9 * abs(base)
+        assert elbo(pert, data, hp, xi) <= base + 1e-9 * abs(base)
 
     st = state.copy()
     st.style_mean, st.style_var = update_styles(st)
-    base = elbo(st, data, hp)
+    base = elbo(st, data, hp, xi)
     for _ in range(10):
         pert = st.copy()
         j = int(rng.integers(st.num_styles))
         pert.style_mean[j] = pert.style_mean[j] + perturbation()
-        assert elbo(pert, data, hp) <= base + 1e-9 * abs(base)
+        assert elbo(pert, data, hp, xi) <= base + 1e-9 * abs(base)
 
 
 def _nudges(state, factor):
@@ -818,17 +822,17 @@ def test_fit_non_gaussian_updates_locally_optimal(factor):
     """Right after its update, nudging a resp row, theta_gamma or a Gamma
     shape or rate by 1% cannot raise the ELBO by more than 1e-9 relative."""
     hp, data = _synthetic(num_events=250)
-    state = initial_state(data, hp, seed=0)
+    state, xi = initial_state(data, hp, seed=0), np.ones(len(data))
     for _ in range(4):
-        state = cavi_sweep(state, data, hp)[0]
+        state, xi, _ = cavi_sweep(state, data, hp, xi)
     if factor == "resp":
         state.resp = update_responsibilities(state)
     elif factor == "theta":
         state.theta_gamma = update_theta(state.resp, hp)
     else:
         state.prec_u, state.prec_b, state.prec_s, state.prec_w = update_precisions(state, hp)
-    base = elbo(state, data, hp)
-    changes = [(elbo(pert, data, hp) - base) / abs(base) for pert in _nudges(state, factor)]
+    base = elbo(state, data, hp, xi)
+    changes = [(elbo(pert, data, hp, xi) - base) / abs(base) for pert in _nudges(state, factor)]
     assert len(changes) == {"resp": 8 * 3, "theta": 3 * 2, "precisions": 4 * 2 * 2}[factor]
     assert max(changes) <= 1e-9
 
@@ -865,8 +869,8 @@ def _fake_elbo(monkeypatch, values):
     """Make ``fit`` see ``values`` as its ELBO trace, one per sweep."""
     values = iter(values)
     sweep = inference.cavi_sweep
-    monkeypatch.setattr(inference, "cavi_sweep",
-                        lambda state, data, hp: (sweep(state, data, hp)[0], {"elbo": next(values)}))
+    monkeypatch.setattr(inference, "cavi_sweep", lambda state, data, hp, xi: (
+        *sweep(state, data, hp, xi)[:2], {"elbo": next(values)}))
 
 
 def test_fit_raises_when_the_elbo_falls(monkeypatch):
@@ -913,9 +917,7 @@ def test_fit_warm_start_returns_a_copy():
     assert report.elbo_trace == [] and report.iterations_run == 0
     for name in VariationalState._ARRAYS:
         assert not np.shares_memory(getattr(state, name), getattr(init, name)), name
-        if name != "xi":
-            np.testing.assert_array_equal(getattr(state, name), getattr(init, name))
-    np.testing.assert_array_equal(state.xi, update_xi(*event_moments(init, data)))
+        np.testing.assert_array_equal(getattr(state, name), getattr(init, name))
 
 
 def test_fit_refuses_a_feature_dim_other_than_the_data():
@@ -942,24 +944,31 @@ def test_fit_refuses_an_init_of_other_sizes(init_kwargs, message):
         fit(data, hp, init=init)
 
 
+def _sweeps_from_best_xi(state, data, hp, sweeps):
+    """The ELBO of each of ``sweeps`` public sweeps from ``state``, starting
+    at xi = update_xi(*event_moments(state, data))."""
+    xi, trace = update_xi(*event_moments(state, data)), []
+    for _ in range(sweeps):
+        state, xi, terms = cavi_sweep(state, data, hp, xi)
+        trace.append(sum(terms.values()))
+    return trace
+
+
 def test_fit_warm_start_on_other_events_rebuilds_xi():
-    """A state fitted on 400 events warm-starts a fit on 300 of them: its xi
-    has the wrong length, so the fit starts from update_xi(*event_moments(init, subset))."""
+    """A state fitted on 400 events warm-starts a fit on 300 of them: the fit
+    starts from update_xi(*event_moments(init, subset))."""
     hp, data = _synthetic(max_iters=10)
     state, _ = fit(data, hp, seed=2)
     subset = data.subset(np.flatnonzero(np.arange(len(data)) % 4 != 0))
-    warm, report = fit(subset, hp, init=state)
-    start = replace(state, xi=update_xi(*event_moments(state, subset)))
-    trace = np.array([elbo(start, subset, hp), *report.elbo_trace])
+    _, report = fit(subset, hp, init=state)
+    trace = np.array([elbo(state, subset, hp), *report.elbo_trace])
     assert np.all(np.diff(trace) >= -1e-9 * np.abs(trace[:-1]))
-    assert warm.xi.shape == (len(subset),)
-    assert state.xi.shape == (len(data),)  # init is not modified
-    _, explicit = fit(subset, hp, init=start)
-    assert report.elbo_trace == explicit.elbo_trace  # bit-identical
+    explicit = _sweeps_from_best_xi(state, subset, hp, report.iterations_run)
+    assert report.elbo_trace == explicit  # bit-identical
 
 
 def test_fit_warm_start_from_checkpoint_without_xi(tmp_path):
-    """A loaded checkpoint has no xi; warm-starting it on its training events
+    """A checkpoint stores no xi; warm-starting it on its training events
     rebuilds exactly the xi the fit ended with (the last update of a sweep),
     so the trace matches a warm start from the in-memory state."""
     hp, data = _synthetic(max_iters=10)
@@ -967,41 +976,38 @@ def test_fit_warm_start_from_checkpoint_without_xi(tmp_path):
     path = tmp_path / "model.json"
     save_checkpoint(Checkpoint(hp, state, report), path)
     loaded = load_checkpoint(path).state
-    assert loaded.xi.shape == (0,)
-    with pytest.raises(ValueError, match="xi entries"):
-        elbo(loaded, data, hp)
     _, from_file = fit(data, hp, init=loaded)
     _, from_memory = fit(data, hp, init=state)
     assert from_file.elbo_trace == from_memory.elbo_trace
 
 
-def test_elbo_of_a_loaded_checkpoint_names_the_xi_rebuild(tmp_path):
-    """A loaded checkpoint has no xi: the error names the rebuild, and the
-    state with xi rebuilt that way scores the fitted state's ELBO."""
+def test_elbo_of_a_loaded_checkpoint_is_its_final_trace_entry(tmp_path):
+    """``elbo`` of a loaded checkpoint on its training events is exactly the
+    last ELBO its fit reported: for a v2 file written here, and for the
+    committed v1 file on the events its CLI command line generates."""
     hp, data = _synthetic(max_iters=10)
     state, report = fit(data, hp, seed=2)
     path = tmp_path / "model.json"
     save_checkpoint(Checkpoint(hp, state, report), path)
-    loaded = load_checkpoint(path).state
-    with pytest.raises(ValueError, match=r"state has 0 xi entries for 400 events; .*"
-                       r"update_xi\(\*event_moments\(state, data\)\)"):
-        elbo(loaded, data, hp)
-    value = elbo(replace(loaded, xi=update_xi(*event_moments(loaded, data))), data, hp)
-    assert np.isfinite(value)
-    assert value == pytest.approx(report.elbo_trace[-1], rel=1e-12)
+    events_path = tmp_path / "events.jsonl"
+    assert cli.main(["generate", "--users", "6", "--brands", "4", "--styles", "2", "--events",
+                     "300", "--dim", "3", "--seed", "1", "--out", str(events_path)]) == 0
+    v1 = load_checkpoint(Path(__file__).parent / "data" / "checkpoint_v1.json")
+    for ckpt, events in ((load_checkpoint(path), data), (v1, load_events(events_path))):
+        assert elbo(ckpt.state, events, ckpt.hyperparams) == ckpt.fit_report.elbo_trace[-1]
 
 
 def test_fit_warm_start_on_as_many_other_events_rebuilds_xi():
-    """An init fitted on 400 events, warm-started on 400 other events: its xi
-    has the right length but belongs to the old events, so the fit starts
-    from update_xi(*event_moments(init, other)) all the same."""
+    """An init fitted on 400 events, warm-started on 400 other events: the
+    fit starts from update_xi(*event_moments(init, other)), whatever xi the
+    init's own fit ended with on the old events."""
     hp, data = _synthetic(max_iters=10)
     state, _ = fit(data, hp, seed=2)
     _, other = _synthetic(max_iters=10, seed=6)
     assert len(other) == len(data)
     _, warm = fit(other, hp, init=state)
-    _, explicit = fit(other, hp, init=replace(state, xi=update_xi(*event_moments(state, other))))
-    assert warm.elbo_trace == explicit.elbo_trace  # bit-identical
+    explicit = _sweeps_from_best_xi(state, other, hp, warm.iterations_run)
+    assert warm.elbo_trace == explicit  # bit-identical
 
 
 def _scaled(scale):

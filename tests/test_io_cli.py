@@ -37,6 +37,7 @@ from hbayes.generator import GroundTruth
 from hbayes.inference import FitReport
 from hbayes.io import load_candidates, save_ground_truth, save_json, save_trace_csv
 from hbayes.linalg import spd_inverse
+from hbayes.model import event_moments, update_xi
 
 from helpers import assert_identical, check_columns, checkpoint_document, random_state
 
@@ -839,16 +840,13 @@ def test_checkpoint_v2_stores_no_xi(tmp_path):
     save_checkpoint(_fitted(tmp_path), path)
     doc = json.loads(path.read_text())
     assert doc["schema_version"] == 2 and "xi" not in doc["state"]
-    ckpt = load_checkpoint(path)
-    assert ckpt.schema_version == 2
-    assert ckpt.state.xi.shape == (0,)
+    assert load_checkpoint(path).schema_version == 2
 
 
 def test_checkpoint_v1_fixture_loads_with_xi(tmp_path):
     doc = json.loads(CHECKPOINT_V1.read_text())
     ckpt = load_checkpoint(CHECKPOINT_V1)
-    assert ckpt.schema_version == 1
-    assert ckpt.state.xi.tolist() == doc["state"]["xi"] and len(doc["state"]["xi"]) == 300
+    assert ckpt.schema_version == 1 and len(doc["state"]["xi"]) == 300
 
     v2 = tmp_path / "v2.json"
     save_checkpoint(ckpt, v2)
@@ -997,11 +995,10 @@ def test_checkpoint_round_trip_property(tmp_path_factory, d, empty_brand, seed):
 
     doc = json.loads(p1.read_text())
     doc["schema_version"] = 1
-    doc["state"]["xi"] = state.xi.tolist()
+    doc["state"]["xi"] = update_xi(*event_moments(state, data)).tolist()
     save_json(doc, p3)
     v1 = load_checkpoint(p3)
     assert (v1.schema_version, v2.schema_version) == (1, 2)
-    np.testing.assert_array_equal(v1.state.xi, state.xi)
     for name in ("user_mean", "user_cov", "brand_mean", "brand_cov", "style_mean",
                  "style_var", "w_mean", "w_var", "theta_gamma", "resp",
                  "prec_u", "prec_b", "prec_s", "prec_w"):
@@ -1053,7 +1050,7 @@ def test_checkpoint_bytes_are_json_dumps_of_the_nested_document(
     repr edge cases in means and covariances."""
     rng = np.random.default_rng(seed)
     hp = HyperParams(num_styles=2, feature_dim=d)
-    state = random_state(hp, users, brands, 0, seed)
+    state = random_state(hp, users, brands, seed)
     for (mean, cov), kind in zip((("user_mean", "user_cov"), ("brand_mean", "brand_cov")), kinds):
         n = getattr(state, mean).shape[0]
         values = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-300, 300, size=(n, d))

@@ -21,7 +21,7 @@ from hbayes import (
     sigmoid,
 )
 from hbayes.inference import cavi_sweep, initial_state
-from hbayes.model import _sort_by_entity
+from hbayes.model import _sort_by_entity, event_moments, update_xi
 
 from helpers import (
     LOG2PI,
@@ -30,6 +30,7 @@ from helpers import (
     mc_elbo_cross_terms,
     prior_matched_state,
     random_state,
+    random_xi,
 )
 
 
@@ -438,16 +439,17 @@ def test_responsibilities_validation():
 def _tiny_instance():
     hp = HyperParams(num_styles=2, feature_dim=2, alpha0=2.0, beta0=3.0)
     data, _ = sample_dataset(hp, num_users=2, num_brands=3, num_events=6, seed=7)
-    state = initial_state(data, hp, seed=1)
+    state, xi = initial_state(data, hp, seed=1), np.ones(len(data))
     for _ in range(3):
-        state = cavi_sweep(state, data, hp)[0]
+        state, xi, _ = cavi_sweep(state, data, hp, xi)
     return hp, data, state
 
 
 def test_elbo_cross_terms_match_monte_carlo():
     hp, data, state = _tiny_instance()
-    closed = elbo_terms(state, data, hp)
-    est, se = mc_elbo_cross_terms(state, data, hp, n=100_000, seed=123)
+    xi = update_xi(*event_moments(state, data))  # where the last sweep left it
+    closed = elbo_terms(state, data, hp, xi)
+    est, se = mc_elbo_cross_terms(state, data, hp, xi, n=100_000, seed=123)
     for key, mc_val in est.items():
         tol = 3.0 * se[key] + 1e-9
         assert abs(closed[key] - mc_val) < tol, (
@@ -460,9 +462,9 @@ def _wide_like_instance():
     # styles) after 4 sweeps: the Gamma shapes are ~2400, 800, 12 and 4.
     hp = HyperParams(num_styles=3, feature_dim=8)
     data, _ = sample_dataset(hp, num_users=600, num_brands=200, num_events=12_000, seed=7)
-    state = initial_state(data, hp, seed=7)
+    state, xi = initial_state(data, hp, seed=7), np.ones(len(data))
     for _ in range(4):
-        state = cavi_sweep(state, data, hp)[0]
+        state, xi, _ = cavi_sweep(state, data, hp, xi)
     return hp, data, state
 
 
@@ -529,21 +531,20 @@ def test_elbo_invariant_under_event_reordering():
     shuffled = Dataset(events=[data.events[i] for i in perm],
                        num_users=data.num_users, num_brands=data.num_brands,
                        feature_dim=data.feature_dim)
-    shuffled_state = state.copy()
-    shuffled_state.xi = state.xi[perm]
-    assert elbo(shuffled_state, shuffled, hp) == pytest.approx(
-        elbo(state, data, hp), rel=1e-10)
+    xi = update_xi(*event_moments(state, data))
+    assert elbo(state, shuffled, hp, xi[perm]) == pytest.approx(
+        elbo(state, data, hp, xi), rel=1e-10)
 
 
 def test_elbo_non_decreasing_over_one_sweep():
     hp = HyperParams(num_styles=3, feature_dim=4)
     data, _ = sample_dataset(hp, num_users=4, num_brands=5, num_events=100, seed=11)
-    starts = [initial_state(data, hp, seed=2)]
-    starts += [random_state(hp, num_users=4, num_brands=5, num_events=100, seed=s)
+    starts = [(initial_state(data, hp, seed=2), np.ones(len(data)))]
+    starts += [(random_state(hp, num_users=4, num_brands=5, seed=s), random_xi(len(data), s))
                for s in range(3)]
-    for state in starts:
-        before = elbo(state, data, hp)
-        after = elbo(cavi_sweep(state, data, hp)[0], data, hp)
+    for state, xi in starts:
+        before = elbo(state, data, hp, xi)
+        after = elbo(cavi_sweep(state, data, hp, xi)[0], data, hp)
         assert after >= before - 1e-6 * abs(before)
 
 
@@ -562,11 +563,7 @@ def test_elbo_likelihood_tight_for_deterministic_posteriors():
         state = prior_matched_state(hp, 1, 1)
         state.user_mean[0], state.user_cov[0] = user_mean, 1e-12 * np.eye(2)
         state.brand_mean[0], state.brand_cov[0] = brand_mean, 1e-12 * np.eye(2)
-        state1 = state.copy()
-        state1.xi = np.array([abs(h)])
-        state0 = state.copy()
-        state0.xi = np.zeros(0)
-        diff = elbo(state1, data1, hp) - elbo(state0, data0, hp)
+        diff = elbo(state, data1, hp, np.array([abs(h)])) - elbo(state, data0, hp)
         e = EventRecord(x=x, brand=0, user=0, y=y)
         assert diff == pytest.approx(event_log_likelihood(e, brand_mean, user_mean),
                                      abs=1e-8)
@@ -584,8 +581,9 @@ def test_elbo_rejects_non_positive_definite_covariance():
 def test_elbo_matches_monte_carlo_on_random_state():
     hp = HyperParams(num_styles=3, feature_dim=2, alpha0=1.5, beta0=2.5)
     data, _ = sample_dataset(hp, num_users=2, num_brands=2, num_events=5, seed=3)
-    state = random_state(hp, num_users=2, num_brands=2, num_events=5, seed=21)
-    closed = elbo_terms(state, data, hp)
-    est, se = mc_elbo_cross_terms(state, data, hp, n=100_000, seed=77)
+    state = random_state(hp, num_users=2, num_brands=2, seed=21)
+    xi = random_xi(len(data), seed=21)
+    closed = elbo_terms(state, data, hp, xi)
+    est, se = mc_elbo_cross_terms(state, data, hp, xi, n=100_000, seed=77)
     for key, mc_val in est.items():
         assert abs(closed[key] - mc_val) < 3.0 * se[key] + 1e-9, key

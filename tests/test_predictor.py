@@ -246,7 +246,7 @@ def test_cold_or_retyped_brand_ids_keep_the_known_scores_bytes(d):
     row B, give the known candidates the same bytes, also with the known ids
     written as -0.0, True, 2.0 and np.int64.  The lists are short enough
     for the gather path."""
-    state = random_state(HyperParams(num_styles=3, feature_dim=d), 3, 4, 0, seed=d)
+    state = random_state(HyperParams(num_styles=3, feature_dim=d), 3, 4, seed=d)
     rng = np.random.default_rng(d)
     known = [(i, rng.standard_normal(d), b) for i, b in enumerate([0, 3, 2, 1, 2, 0, 1])]
     n = len(known)
@@ -337,7 +337,7 @@ _BATCH_RTOL = 1e-12
 @pytest.mark.parametrize("d", [1, 4])
 def test_batched_scores_match_per_candidate_loop(d):
     hp = HyperParams(num_styles=3, feature_dim=d)
-    state = random_state(hp, num_users=3, num_brands=4, num_events=0, seed=d)
+    state = random_state(hp, num_users=3, num_brands=4, seed=d)
     rng = np.random.default_rng(d)
     brand_ids = [0, 3, None, 4, -1, 99, 2, 1, None, 3]  # known and cold brands mixed
     cands = [(i, rng.standard_normal(d), b) for i, b in enumerate(brand_ids)]
@@ -368,7 +368,7 @@ def test_cold_brand_prior_only_for_requests_with_a_cold_id(monkeypatch):
     rng = np.random.default_rng(4)
     for B, brand_ids, want_calls in ((4, [0, 3, 1, 1], 0), (4, [0, None, 7, -2], 1),
                                      (0, [None, 0, -1], 1)):
-        state = random_state(hp, num_users=2, num_brands=B, num_events=0, seed=B)
+        state = random_state(hp, num_users=2, num_brands=B, seed=B)
         table = state.brand_mean.copy(), state.brand_cov.copy()
         cands = [(i, rng.standard_normal(3), b) for i, b in enumerate(brand_ids)]
         calls.clear()
@@ -391,7 +391,7 @@ def test_rank_top_k_equals_full_sort_of_reference_scores(data):
     d = data.draw(st.integers(1, 4), label="d")
     U, B = data.draw(st.integers(1, 3), label="U"), data.draw(st.integers(1, 3), label="B")
     seed = data.draw(st.integers(0, 2**16), label="seed")
-    state = random_state(HyperParams(num_styles=2, feature_dim=d), U, B, 0, seed)
+    state = random_state(HyperParams(num_styles=2, feature_dim=d), U, B, seed)
     # Few distinct rows, so that candidates repeat them and tie exactly.
     rows = np.random.default_rng(seed).standard_normal((3, d))
     n = data.draw(st.integers(1, 12), label="n")
@@ -454,7 +454,7 @@ def _long_request(d, seed):
     """A 3-brand state and the shortest request that takes the grouped path:
     n d^2 >= c rows, where rows = 4 counts the cold-brand prior, which the
     first candidate already needs.  Brands are known, cold and out of range."""
-    state = random_state(HyperParams(num_styles=3, feature_dim=d), 3, 3, 0, seed)
+    state = random_state(HyperParams(num_styles=3, feature_dim=d), 3, 3, seed)
     n = -(-predictor._GROUPED_ENTRIES_PER_ROW * 4 // (d * d))
     rng = np.random.default_rng(seed)
     brand_ids = [None] + rng.choice(np.array([0, 1, 2, None, -1, 99], dtype=object),
